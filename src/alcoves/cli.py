@@ -393,6 +393,10 @@ def suite_weierstrass(seed: int, radius: int = 100):
     return reports
 
 
+RADIUS_HELP = ("largest lattice shell of the p and p' sums (>= 1); they stop "
+               "at the first shell whose omitted tail is certified below "
+               "1e-16")
+
 SUITES = ("faces", "stabilizers", "stars", "cover", "parabolic",
           "centralizer", "double-affine", "weierstrass", "all")
 
@@ -434,6 +438,22 @@ def _parse_face(s: str):
 def _parse_complex(s: str) -> complex:
     re, im = s.split(",")
     return complex(float(re), float(im))
+
+
+def _parse_matrix(raw) -> list[list[complex]]:
+    """Rows of complex entries from a JSON array of rows of [re, im]
+    pairs; shape is checked by the weierstrass module."""
+    def entry(c) -> complex:
+        if not (isinstance(c, list) and len(c) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                for x in c)):
+            raise ValueError(f"--matrix entry {c!r} is not an [re, im] pair")
+        return complex(c[0], c[1])
+
+    if not (isinstance(raw, list)
+            and all(isinstance(row, list) for row in raw)):
+        raise ValueError("--matrix must be a JSON array of rows")
+    return [[entry(c) for c in row] for row in raw]
 
 
 def _build(args) -> RootSystem:
@@ -501,7 +521,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("wp", help="matrix Weierstrass p report")
     p.add_argument("--omega1", required=True, help="re,im")
     p.add_argument("--omega2", required=True, help="re,im")
-    p.add_argument("--radius", type=int, default=100)
+    p.add_argument("--radius", type=int, default=100, help=RADIUS_HELP)
     p.add_argument("--matrix", required=True,
                    help="JSON file, n x n array of [re, im] pairs")
     p.add_argument("--out", default=None)
@@ -514,7 +534,7 @@ def main(argv=None) -> int:
                    choices=["sc", "adjoint", "gl"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--radius", type=int, default=100)
+    p.add_argument("--radius", type=int, default=100, help=RADIUS_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("svg", help="rank-2 arrangement picture")
@@ -611,8 +631,7 @@ def _dispatch(args) -> int:
             _parse_complex(args.omega1), _parse_complex(args.omega2)
         )
         with open(args.matrix, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        z = [[complex(c[0], c[1]) for c in row] for row in raw]
+            z = _parse_matrix(json.load(fh))
         rep = weierstrass.cubic_report(z, lat, args.radius)
         out = {
             "g2": [rep["g2"].real, rep["g2"].imag],

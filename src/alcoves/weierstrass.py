@@ -1,12 +1,24 @@
 """Matrix Weierstrass p-function, Eisenstein series, and the cubic identity.
 
-Lattice sums are truncated at a square shell radius R in deterministic
+Lattice sums run over square shells max(|m|,|n|) = s in deterministic
 order (increasing shell, lexicographic within a shell).  The truncation
 tail of the p-sum is an analytic power series in Z whose coefficients are
-Eisenstein tail sums, so both p and p' are corrected by the first few tail
-terms; the Eisenstein values themselves are evaluated through the q-series
-of E4/E6 (plus the classical recursion for higher weights), which makes
-g2/g3 accurate to machine precision at any admissible radius.
+Eisenstein tail sums, so both p and p' are corrected by the first
+_TAIL_TERMS tail terms; the Eisenstein values themselves are evaluated
+through the q-series of E4/E6 (plus the classical recursion for higher
+weights), which makes g2/g3 accurate to machine precision at any
+admissible radius.
+
+`radius` is the largest shell summed.  The p and p' sums stop earlier, at
+the smallest shell R* <= radius where a rigorous bound on the series left
+out after the tail corrections is at most _TAIL_TOL.  Shell s holds 8s
+points, each with |w| >= h s, where h is the distance from 0 to the image
+of the unit square's boundary under (m, n) -> m w1 + n w2; and
+sum_{s>R} s^(1-k) <= R^(2-k)/(k-2).  So with K = 2 _TAIL_TERMS + 3 = 15
+and x = ||Z||_2/(h R) <= 1/2, the omitted part of p is at most
+8 K/(K-1) h^-2 x^(K-1)/(1-x^2), and that of p' at most
+8 K h^-3 R^-1 x^(K-2)/(1-(K+2)/K x^2).  When no shell up to radius meets
+the bound, all of them are summed.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _TAIL_TERMS = 6  # tail corrected through weight 2*_TAIL_TERMS + 2
+_TAIL_TOL = 1e-16  # bound on the omitted tail series that stops the sum
 _POLE_TOL = 1e-6
 
 
@@ -169,21 +182,51 @@ def _tail_table(lat: Lattice, radius: int) -> dict[int, complex]:
     return {k: exact[k] - raw[k] for k in range(4, kmax + 1, 2)}
 
 
+def _stop_radius(z: np.ndarray, lat: Lattice, radius: int,
+                 derivative: bool) -> int:
+    """R*: the smallest shell R <= radius at which the bound on the series
+    omitted after the tail corrections (module docstring) is <= _TAIL_TOL,
+    or radius if no shell meets it."""
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    w1, w2 = lat.omega1, lat.omega2
+    h = abs((w1.conjugate() * w2).imag) / max(abs(w1), abs(w2))
+    norm = float(np.linalg.norm(z, 2))
+    k = 2 * _TAIL_TERMS + 3  # K of the module docstring
+    for r in range(1, radius + 1):
+        x = norm / (h * r)
+        if x > 0.5:
+            continue
+        if derivative:
+            bound = 8 * k * x ** (k - 2) / (
+                h ** 3 * r * (1 - (k + 2) / k * x * x))
+        else:
+            bound = 8 * k / (k - 1) * x ** (k - 1) / (h * h * (1 - x * x))
+        if bound <= _TAIL_TOL:
+            return r
+    return radius
+
+
 def wp_matrix(z, lat: Lattice, radius: int = 100) -> np.ndarray:
-    """Matrix Weierstrass p: Z^-2 + sum'((Z+wI)^-2 - w^-2 I), tail-corrected."""
+    """Matrix Weierstrass p: Z^-2 + sum'((Z+wI)^-2 - w^-2 I), tail-corrected.
+
+    Sums shells 1..R*, where R* <= radius is the first shell whose omitted
+    tail series is certified below _TAIL_TOL (module docstring); radius is
+    the largest shell summed and must be at least 1."""
     z = _as_matrix(z)
     _check_poles(z, lat)
+    r = _stop_radius(z, lat, radius, derivative=False)
     n = z.shape[0]
     eye = np.eye(n, dtype=complex)
     acc = np.linalg.inv(z)
     acc = acc @ acc
-    for s in range(1, radius + 1):
+    for s in range(1, r + 1):
         w = _shell_points(lat, s)
         shifted = z[None, :, :] + w[:, None, None] * eye[None, :, :]
         inv = np.linalg.inv(shifted)
         acc = acc + np.sum(inv @ inv, axis=0) \
             - complex(np.sum(1.0 / (w * w))) * eye
-    tail = _tail_table(lat, radius)
+    tail = _tail_table(lat, r)
     zp = z @ z
     pw = eye
     for m in range(1, _TAIL_TERMS + 1):
@@ -193,19 +236,24 @@ def wp_matrix(z, lat: Lattice, radius: int = 100) -> np.ndarray:
 
 
 def wp_prime_matrix(z, lat: Lattice, radius: int = 100) -> np.ndarray:
-    """Derivative -2 sum (Z+wI)^-3 over the full window, tail-corrected."""
+    """Derivative -2 sum (Z+wI)^-3, tail-corrected.
+
+    Sums shells 1..R* with the stop rule of `wp_matrix`, applied to the
+    bound on the omitted part of p'; radius is the largest shell summed
+    and must be at least 1."""
     z = _as_matrix(z)
     _check_poles(z, lat)
+    r = _stop_radius(z, lat, radius, derivative=True)
     n = z.shape[0]
     eye = np.eye(n, dtype=complex)
     inv0 = np.linalg.inv(z)
     acc = -2 * inv0 @ inv0 @ inv0
-    for s in range(1, radius + 1):
+    for s in range(1, r + 1):
         w = _shell_points(lat, s)
         shifted = z[None, :, :] + w[:, None, None] * eye[None, :, :]
         inv = np.linalg.inv(shifted)
         acc = acc - 2 * np.sum(inv @ inv @ inv, axis=0)
-    tail = _tail_table(lat, radius)
+    tail = _tail_table(lat, r)
     zp = z @ z
     pw = z
     for m in range(1, _TAIL_TERMS + 1):

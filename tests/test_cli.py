@@ -98,6 +98,26 @@ def test_wp_command(tmp_path, capsys):
     assert data["residual_commutator"] == 0.0
 
 
+@pytest.mark.parametrize("matrix,radius", [
+    ([[1]], "60"),                 # entry is not a pair
+    ([[[0.3]]], "60"),             # pair is too short
+    ([[["0.3", 0.2]]], "60"),      # entry is not a number
+    ({"z": 1}, "60"),              # not an array of rows
+    ([[[0.3, 0.2]]], "0"),         # no shell to sum
+])
+def test_wp_bad_input_exits_2(tmp_path, capsys, matrix, radius):
+    mat = tmp_path / "z.json"
+    mat.write_text(json.dumps(matrix))
+    code = cli.main([
+        "wp", "--omega1", "1,0", "--omega2", "0,2",
+        "--radius", radius, "--matrix", str(mat),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_svg_command(tmp_path, capsys):
     out_file = tmp_path / "pic.svg"
     code, _ = run(capsys, [

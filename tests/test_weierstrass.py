@@ -126,12 +126,13 @@ def test_residual_decreases_with_radius():
 def test_periodicity():
     z = np.array([[0.3 + 0.2j, 0.1], [0.05j, 0.4 + 0.25j]])
     eye = np.eye(2)
-    d60 = np.max(np.abs(wp_matrix(z + LAT.omega1 * eye, LAT, 60)
-                        - wp_matrix(z, LAT, 60)))
-    d120 = np.max(np.abs(wp_matrix(z + LAT.omega1 * eye, LAT, 120)
-                         - wp_matrix(z, LAT, 120)))
-    assert d120 < d60
-    assert d120 < 1e-6
+    shifts = (0, LAT.omega1, LAT.omega2)
+    p60 = [wp_matrix(z + w * eye, LAT, 60) for w in shifts]
+    p120 = [wp_matrix(z + w * eye, LAT, 120) for w in shifts]
+    # both radii stop at the same certified shell, below 60
+    assert all(np.array_equal(a, b) for a, b in zip(p60, p120))
+    for shifted in p120[1:]:
+        assert np.max(np.abs(shifted - p120[0])) < 1e-9
 
 
 def test_spectral_functoriality():
