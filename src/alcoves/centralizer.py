@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 from . import ratmat
 from .alcove import AffineRoot, Face
@@ -21,11 +22,10 @@ from .rootdata import RootSystem, cartan_matrix
 from .weylaff import (
     AffineWeylElement,
     FiniteSubgroup,
-    _closure,
-    _vanishing_affine_roots,
-    _weyl_cached,
-    affine_reflection,
+    root_scan,
     star_contains,
+    vanishing_affine_roots,
+    weyl_scan,
 )
 
 
@@ -71,7 +71,7 @@ class CentralizerData:
     phi: tuple[AffineRoot, ...]
     dim: int
     w: FiniteSubgroup
-    w0: FiniteSubgroup
+    w0_order: int  # |W_s°|, the Weyl group order of subsystem_type
     pi0_order: int
     connected: bool
     subsystem_type: str
@@ -81,7 +81,7 @@ class CentralizerData:
             "phi": [[ar.root_index, ar.level] for ar in self.phi],
             "dim": self.dim,
             "w_order": self.w.order,
-            "w0_order": self.w0.order,
+            "w0_order": self.w0_order,
             "pi0": self.pi0_order,
             "connected": self.connected,
             "subsystem_type": self.subsystem_type,
@@ -95,6 +95,14 @@ _CANONICAL_TYPES = [
 ] + [("B", r) for r in range(2, 5)] + [("C", r) for r in range(3, 5)] + [
     ("D", 4), ("F", 4), ("G", 2),
 ]
+
+
+def _weyl_order(label: str) -> int:
+    """Order of the Weyl group of one irreducible type such as "B3"."""
+    r = int(label[1:])
+    return {"A": factorial(r + 1), "B": 2 ** r * factorial(r),
+            "C": 2 ** r * factorial(r), "D": 2 ** (r - 1) * factorial(r),
+            "F": 1152, "G": 12}[label[0]]
 
 
 def _classify_component(cmat: list[list[int]]) -> str:
@@ -166,44 +174,32 @@ def subsystem_type(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> str:
 def _centralizer_from_phi(rs: RootSystem, phi: list[AffineRoot],
                           w_elements: list[AffineWeylElement]
                           ) -> CentralizerData:
-    gens = [affine_reflection(rs, ar) for ar in phi]
-    w0 = _closure(rs, gens)
-    w = FiniteSubgroup(tuple(w_elements),
-                       tuple(e for e in w_elements if not e.is_identity()))
-    assert w0.element_set() <= w.element_set()
-    pi0, rem = divmod(w.order, w0.order)
-    assert rem == 0
+    # W_s° is generated by the reflections in phi, which all fix one point,
+    # so it is the Weyl group of the linear parts of phi
+    typ = subsystem_type(rs, tuple(phi))
+    w0_order = prod(_weyl_order(c) for c in typ.split("+") if c != "0")
+    pi0, rem = divmod(len(w_elements), w0_order)
+    if rem:
+        raise RuntimeError(f"|W_s°| = {w0_order} does not divide "
+                           f"|W_s| = {len(w_elements)} (bug)")
     return CentralizerData(
         phi=tuple(phi),
         dim=rs.dim + len(phi),
-        w=w,
-        w0=w0,
+        w=FiniteSubgroup(tuple(w_elements)),
+        w0_order=w0_order,
         pi0_order=pi0,
         connected=(pi0 == 1),
-        subsystem_type=subsystem_type(rs, tuple(phi)),
+        subsystem_type=typ,
     )
 
 
 def centralizer_elliptic(rs: RootSystem, s: ExpPoint) -> CentralizerData:
     """Centralizer data at s = Exp(theta, a tau)."""
     theta_amb = rs.from_coweight_coords(s.theta)
-    phi = []
-    for idx in range(len(rs.all_roots)):
-        t = rs.eval_root(idx, theta_amb)
-        if t.denominator != 1:
-            continue
-        n = rs.eval_root(idx, s.a)
-        if n.denominator == 1:
-            phi.append(AffineRoot(idx, int(n)))
-    w_elements = []
-    for w0 in _weyl_cached(rs):
-        if not rs.in_coweight_lattice(
-            ratmat.sub(theta_amb, w0.apply(theta_amb))
-        ):
-            continue
-        lam = ratmat.sub(s.a, w0.apply(s.a))
-        if rs.in_coweight_lattice(lam):
-            w_elements.append(AffineWeylElement(w0, lam))
+    phi = [AffineRoot(idx, n)
+           for idx, (_, n) in root_scan(rs, (), (theta_amb, s.a))]
+    w_elements = [AffineWeylElement(w0, lam) for w0, (_, lam) in
+                  weyl_scan(rs, (), ((theta_amb, theta_amb), (s.a, s.a)))]
     return _centralizer_from_phi(rs, phi, w_elements)
 
 
@@ -214,26 +210,18 @@ def centralizer_face(rs: RootSystem, j: Face) -> CentralizerData:
     data = centralizer_elliptic(
         rs, ExpPoint(ratmat.zeros(rs.dim), j.witness)
     )
-    assert set(data.phi) == set(_vanishing_affine_roots(rs, j.vertices))
+    if set(data.phi) != set(vanishing_affine_roots(rs, j.vertices)):
+        raise RuntimeError("roots at the face witness differ from the roots "
+                           "vanishing on the face (bug)")
     return data
 
 
 def gauge_centralizer_circle(rs: RootSystem, a: GaugePoint) -> CentralizerData:
     """Centralizer data of a constant gauge field A on the circle."""
-    phi = []
-    for idx in range(len(rs.all_roots)):
-        if rs.eval_root(idx, a.a_im) != 0:
-            continue
-        n = rs.eval_root(idx, a.a_re)
-        if n.denominator == 1:
-            phi.append(AffineRoot(idx, int(n)))
-    w_elements = []
-    for w0 in _weyl_cached(rs):
-        if w0.apply(a.a_im) != tuple(a.a_im):
-            continue
-        lam = ratmat.sub(a.a_re, w0.apply(a.a_re))
-        if rs.in_coweight_lattice(lam):
-            w_elements.append(AffineWeylElement(w0, lam))
+    phi = [AffineRoot(idx, n)
+           for idx, (n,) in root_scan(rs, (a.a_im,), (a.a_re,))]
+    w_elements = [AffineWeylElement(w0, lam) for w0, (lam,) in
+                  weyl_scan(rs, (a.a_im,), ((a.a_re, a.a_re),))]
     return _centralizer_from_phi(rs, phi, w_elements)
 
 
@@ -255,18 +243,10 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     phi_B iff alpha(A1) + n1 = 0 and alpha(A2) + n2 = 0.
     """
     a1, a2 = ratmat.vec(a1), ratmat.vec(a2)
-    phi_b = []
-    for idx in range(len(rs.all_roots)):
-        v1 = rs.eval_root(idx, a1)
-        v2 = rs.eval_root(idx, a2)
-        if v1.denominator == 1 and v2.denominator == 1:
-            phi_b.append(DoubleAffineRoot(-int(v1), -int(v2), idx))
-    w_b = []
-    for w0 in _weyl_cached(rs):
-        l1 = ratmat.sub(a1, w0.apply(a1))
-        l2 = ratmat.sub(a2, w0.apply(a2))
-        if rs.in_coweight_lattice(l1) and rs.in_coweight_lattice(l2):
-            w_b.append((w0, l1, l2))
+    phi_b = [DoubleAffineRoot(-v1, -v2, idx)
+             for idx, (v1, v2) in root_scan(rs, (), (a1, a2))]
+    w_b = [(w0, l1, l2)
+           for w0, (l1, l2) in weyl_scan(rs, (), ((a1, a1), (a2, a2)))]
 
     zero = ratmat.zeros(rs.dim)
     proj1 = gauge_centralizer_circle(rs, GaugePoint(a1, zero))

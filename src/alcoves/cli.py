@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import alcove, centralizer, parabolic, ratmat, svg, weierstrass, weylaff
-from .rootdata import CartanType, InvalidCartanType, RootSystem, \
-    build_root_system
+from .rootdata import CartanType, EnumerationGuard, InvalidCartanType, \
+    RootSystem, build_root_system
 from .weylaff import compose, invert, star_contains
 
 # -- reports ---------------------------------------------------------------
@@ -113,11 +113,12 @@ def suite_stabilizers(rs: RootSystem, seed: int, samples: int):
     cat = alcove.faces_of_alcove(rs)
     for f in cat.faces:
         def check(f=f):
-            gen = weylaff.stabilizer_of_face(rs, f).element_set()
-            full = weylaff.stabilizer_of_point(rs, f.witness).element_set()
-            return None if gen == full else (
-                f"reflection group order {len(gen)} != "
-                f"stabilizer order {len(full)}"
+            # stabilizer_of_face refuses non-sc groups: Steinberg needs sc
+            full = weylaff.stabilizer_of_face(rs, f)
+            gen = weylaff.point_reflection_subgroup(rs, f.witness)
+            return None if gen.element_set() == full.element_set() else (
+                f"reflection group order {gen.order} != "
+                f"stabilizer order {full.order}"
             )
         _run_check(reports, label, "face_stabilizer_equals_point_stabilizer",
                    {"face": sorted(f.vanishing_walls)}, check)
@@ -157,9 +158,7 @@ def suite_cover(rs: RootSystem, seed: int, samples: int):
 
     def check_group_law():
         for _ in range(min(samples, 100)):
-            w0 = weylaff._weyl_cached(rs)[
-                rng.randrange(len(weylaff._weyl_cached(rs)))
-            ]
+            w0 = rng.choice(weylaff.weyl_elements(rs))
             lam = rs.from_coweight_coords(
                 tuple(Fraction(rng.randint(-2, 2)) for _ in range(rs.dim))
             )
@@ -172,9 +171,7 @@ def suite_cover(rs: RootSystem, seed: int, samples: int):
         for _ in range(min(samples, 50)):
             x = _rand_point(rng, rs.dim)
             _, xr = weylaff.reduce_to_alcove(rs, x)
-            w0 = weylaff._weyl_cached(rs)[
-                rng.randrange(len(weylaff._weyl_cached(rs)))
-            ]
+            w0 = rng.choice(weylaff.weyl_elements(rs))
             lam = rs.from_coweight_coords(
                 tuple(Fraction(rng.randint(-2, 2)) for _ in range(rs.dim))
             )
@@ -230,7 +227,7 @@ def suite_centralizer(rs: RootSystem, seed: int, samples: int):
         return None
 
     def check_equivariance():
-        group = weylaff._weyl_cached(rs)
+        group = weylaff.weyl_elements(rs)
         for _ in range(min(samples, 40)):
             theta = tuple(Fraction(rng.randint(0, 3), 4)
                           for _ in range(rs.dim))
@@ -244,7 +241,7 @@ def suite_centralizer(rs: RootSystem, seed: int, samples: int):
             s2 = centralizer.exp_point(rs, theta2, w0.apply(s.a))
             d2 = centralizer.centralizer_elliptic(rs, s2)
             if (len(d1.phi) != len(d2.phi) or d1.w.order != d2.w.order
-                    or d1.w0.order != d2.w0.order):
+                    or d1.w0_order != d2.w0_order):
                 return f"centralizer data not W-equivariant at {s}"
         return None
 
@@ -426,7 +423,10 @@ def run_suite(suite: str, rs: RootSystem | None, seed: int,
 
 
 def _parse_vec(s: str):
-    return tuple(ratmat.parse_frac(p) for p in s.split(","))
+    try:
+        return tuple(ratmat.parse_frac(p) for p in s.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def _parse_face(s: str):
@@ -545,7 +545,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (InvalidCartanType, ValueError, KeyError, OSError) as e:
+    except (InvalidCartanType, EnumerationGuard, ValueError, KeyError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -642,6 +643,8 @@ def _dispatch(args) -> int:
         _emit(args, json.dumps(out, indent=2))
         return 0
     if cmd == "verify":
+        if args.radius < 1:
+            raise ValueError("--radius must be at least 1")
         rs = None
         if args.suite != "weierstrass":
             rs = _build(args)

@@ -19,7 +19,7 @@ from .alcove import (
 )
 from .centralizer import centralizer_face, matrix_shape
 from .rootdata import RootSystem
-from .weylaff import _vanishing_affine_roots
+from .weylaff import vanishing_affine_roots
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class ParabolicData:
         return frozenset(self.levi) | frozenset(self.nilradical)
 
 
-def _phi_of_face(rs: RootSystem, j: Face) -> list[AffineRoot]:
-    return _vanishing_affine_roots(rs, j.vertices)
-
-
 def has_arrow(j: Face, jp: Face) -> bool:
     return j.vanishing_walls >= jp.vanishing_walls
 
@@ -43,16 +39,13 @@ def has_arrow(j: Face, jp: Face) -> bool:
 def parabolic(rs: RootSystem, j: Face, jp: Face) -> ParabolicData:
     if not has_arrow(j, jp):
         raise ValueError("no arrow between the given faces")
-    ambient = _phi_of_face(rs, j)
-    levi = set(_phi_of_face(rs, jp))
-    nil = []
-    for ar in ambient:
-        v = eval_affine_root(rs, ar, jp.witness)
-        if v > 0:
-            nil.append(ar)
-        elif v == 0:
-            assert ar in levi
-    assert levi <= set(ambient)
+    ambient = vanishing_affine_roots(rs, j.vertices)
+    levi = set(vanishing_affine_roots(rs, jp.vertices))
+    vals = [(ar, eval_affine_root(rs, ar, jp.witness)) for ar in ambient]
+    nil = [ar for ar, v in vals if v > 0]
+    if levi != {ar for ar, v in vals if v == 0}:
+        raise RuntimeError("Levi roots of J' are not the roots of phi_J "
+                           "vanishing on J' (bug)")
     return ParabolicData(tuple(ambient), tuple(sorted(levi,
                          key=lambda a: (a.root_index, a.level))),
                          tuple(nil))

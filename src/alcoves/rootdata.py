@@ -321,7 +321,8 @@ def build_root_system(ct: CartanType) -> RootSystem:
         inner_product_matrix=ratmat.mat(ip),
         highest_root=highest,
         coweight_lattice_basis=tuple(tuple(r) for r in basis),
-        _coweight_inv=ratmat.inverse(tuple(tuple(r) for r in basis)),
+        # basis rows are the lattice generators, so x = basis^T c
+        _coweight_inv=ratmat.inverse(ratmat.transpose(basis)),
         _grads=tuple(grads),
     )
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .alcove import Face, alcove_vertices, faces_of_alcove
+from .alcove import Face, alcove_vertices
 from .rootdata import RootSystem
-from .weylaff import stabilizer_of_face
+from .weylaff import point_reflection_subgroup
 
 _SCALE = 160.0
 _MARGIN = 20.0
@@ -72,7 +72,7 @@ def render_svg(rs: RootSystem, region: int = 2,
 
     if highlight is not None:
         verts = alcove_vertices(rs)
-        for u in stabilizer_of_face(rs, highlight).elements:
+        for u in point_reflection_subgroup(rs, highlight.witness).elements:
             polygon([u.apply(v) for v in verts], "#ffcc66", "0.6")
     polygon(alcove_vertices(rs), "#99bbee", "0.7")
 
@@ -110,7 +110,3 @@ def render_svg(rs: RootSystem, region: int = 2,
                 )
     out.append("</svg>")
     return "\n".join(out)
-
-
-def face_by_walls(rs: RootSystem, walls) -> Face:
-    return faces_of_alcove(rs).face_by_walls(frozenset(walls))

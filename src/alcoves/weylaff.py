@@ -1,10 +1,10 @@
 """The affine Weyl group: affine actions, stabilizers, stars, reduction.
 
 Elements are pairs (finite Weyl part, coweight translation) acting by
-x -> w(x) + t.  Stabilizers of faces are generated by the reflections in
-the walls through the face; star regions and chart overlaps are handled by
-exact finite enumerations whose windows are derived from the geometry, not
-guessed.
+x -> w(x) + t.  Stabilizers and centralizers come from two scans,
+`root_scan` over roots and `weyl_scan` over the finite Weyl group; star
+regions and chart overlaps are handled by exact finite enumerations whose
+windows are derived from the geometry, not guessed.
 """
 
 from __future__ import annotations
@@ -52,13 +52,15 @@ class AffineWeylElement:
 
 
 @lru_cache(maxsize=None)
-def _weyl_cached(rs: RootSystem) -> tuple[WeylElement, ...]:
+def weyl_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """The finite Weyl group in `weyl_group` order, identity first; cached
+    per root system."""
     return tuple(weyl_group(rs))
 
 
 @lru_cache(maxsize=None)
 def _weyl_by_matrix(rs: RootSystem) -> dict:
-    return {w.matrix: w for w in _weyl_cached(rs)}
+    return {w.matrix: w for w in weyl_elements(rs)}
 
 
 def finite_by_matrix(rs: RootSystem, matrix) -> WeylElement:
@@ -67,7 +69,7 @@ def finite_by_matrix(rs: RootSystem, matrix) -> WeylElement:
 
 
 def identity_element(rs: RootSystem) -> AffineWeylElement:
-    return AffineWeylElement(_weyl_cached(rs)[0], ratmat.zeros(rs.dim))
+    return AffineWeylElement(weyl_elements(rs)[0], ratmat.zeros(rs.dim))
 
 
 def compose(rs: RootSystem, a: AffineWeylElement,
@@ -109,49 +111,22 @@ def transform_affine_root(rs: RootSystem, w: AffineWeylElement,
     idx = rs.root_index(new_coords)
     shift = rs.eval_root(idx, w.translation)
     level = ar.level + shift
-    assert level.denominator == 1
+    if level.denominator != 1:
+        raise ValueError("translation is not a coweight: the image level "
+                         f"{level} is not an integer")
     return AffineRoot(idx, int(level))
 
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
     elements: tuple[AffineWeylElement, ...]
-    generators: tuple[AffineWeylElement, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, w: AffineWeylElement) -> bool:
-        return w in set(self.elements)
-
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
-
-
-def _closure(rs: RootSystem, gens: list[AffineWeylElement],
-             guard: int = _CLOSURE_GUARD) -> FiniteSubgroup:
-    ident = identity_element(rs)
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                c = compose(rs, g, w)
-                if c not in seen:
-                    if len(seen) >= guard:
-                        raise EnumerationGuard("subgroup closure guard hit")
-                    seen.add(c)
-                    elements.append(c)
-                    nxt.append(c)
-        frontier = nxt
-    return FiniteSubgroup(tuple(elements), tuple(gens))
-
-
-def trivial_subgroup(rs: RootSystem) -> FiniteSubgroup:
-    return FiniteSubgroup((identity_element(rs),), ())
 
 
 def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
@@ -176,47 +151,96 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
     raise RuntimeError("alcove reduction failed to terminate (bug)")
 
 
-def _vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]
-                            ) -> list[AffineRoot]:
-    """Affine roots vanishing at every point of the given finite set."""
+def root_scan(rs: RootSystem, fixed: tuple[Vec, ...],
+              points: tuple[Vec, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The roots that vanish at every `fixed` point and take integer values
+    at every one of `points`, in root-index order, each as (root index,
+    its values at `points`)."""
     out = []
     for idx in range(len(rs.all_roots)):
-        vals = {rs.eval_root(idx, p) for p in points}
-        if len(vals) == 1:
-            v = vals.pop()
-            if v.denominator == 1:
-                out.append(AffineRoot(idx, int(v)))
+        if any(rs.eval_root(idx, x) != 0 for x in fixed):
+            continue
+        vals = []
+        for p in points:
+            v = rs.eval_root(idx, p)
+            if v.denominator != 1:
+                break
+            vals.append(int(v))
+        else:
+            out.append((idx, tuple(vals)))
     return out
 
 
-def stabilizer_of_face(rs: RootSystem, j: Face) -> FiniteSubgroup:
-    """Group generated by reflections in all walls containing the face."""
-    if rs.cartan_type.isogeny != "sc":
-        raise ValueError("face stabilizers require simply-connected isogeny")
-    vanishing = _vanishing_affine_roots(rs, j.vertices)
-    gens = [affine_reflection(rs, ar) for ar in vanishing]
-    return _closure(rs, gens)
+def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
+              pairs: tuple[tuple[Vec, Vec], ...]
+              ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
+    """Each w0 in W that fixes every `fixed` point and makes y - w0(x) a
+    coweight for every (x, y) in `pairs`, in `weyl_elements` order, each
+    as (w0, those translations in the order of `pairs`)."""
+    fixed = tuple(tuple(x) for x in fixed)
+    pairs = tuple((tuple(x), tuple(y)) for x, y in pairs)
+    out = []
+    for w0 in weyl_elements(rs):
+        if any(w0.apply(x) != x for x in fixed):
+            continue
+        lams = []
+        for x, y in pairs:
+            lam = ratmat.sub(y, w0.apply(x))
+            if not rs.in_coweight_lattice(lam):
+                break
+            lams.append(lam)
+        else:
+            out.append((w0, tuple(lams)))
+    return out
+
+
+def vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]
+                           ) -> list[AffineRoot]:
+    """Affine roots vanishing at every point of the given finite set."""
+    p0 = tuple(points[0])
+    diffs = tuple(ratmat.sub(tuple(p), p0) for p in points[1:])
+    return [AffineRoot(idx, vals[0])
+            for idx, vals in root_scan(rs, diffs, (p0,))]
 
 
 def stabilizer_of_point(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     """All (w0, lam) in W x X_* fixing x, by solving lam = x - w0(x)."""
-    elements = []
-    gens = []
-    for w0 in _weyl_cached(rs):
-        lam = ratmat.sub(tuple(x), w0.apply(tuple(x)))
-        if rs.in_coweight_lattice(lam):
-            el = AffineWeylElement(w0, lam)
-            elements.append(el)
-            if not el.is_identity():
-                gens.append(el)
-    return FiniteSubgroup(tuple(elements), tuple(gens))
+    return FiniteSubgroup(tuple(
+        AffineWeylElement(w0, lam)
+        for w0, (lam,) in weyl_scan(rs, (), ((x, x),))
+    ))
+
+
+def stabilizer_of_face(rs: RootSystem, j: Face) -> FiniteSubgroup:
+    """The stabilizer of the face, which for simply-connected groups is
+    generated by the reflections in the walls containing it (Steinberg)."""
+    if rs.cartan_type.isogeny != "sc":
+        raise ValueError("face stabilizers require simply-connected isogeny")
+    return stabilizer_of_point(rs, j.witness)
 
 
 def point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
-    """Group generated by reflections in all walls through the point x."""
+    """Group generated by reflections in all walls through the point x,
+    listed breadth-first from the identity, generators in root order."""
     gens = [affine_reflection(rs, ar)
-            for ar in _vanishing_affine_roots(rs, (tuple(x),))]
-    return _closure(rs, gens)
+            for ar in vanishing_affine_roots(rs, (tuple(x),))]
+    ident = identity_element(rs)
+    elements = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                c = compose(rs, g, w)
+                if c not in seen:
+                    if len(seen) >= _CLOSURE_GUARD:
+                        raise EnumerationGuard("subgroup closure guard hit")
+                    seen.add(c)
+                    elements.append(c)
+                    nxt.append(c)
+        frontier = nxt
+    return FiniteSubgroup(tuple(elements))
 
 
 def star_contains(rs: RootSystem, j: Face, x: Vec) -> bool:
@@ -232,12 +256,10 @@ def open_embedding_counterexample(rs: RootSystem, j: Face,
     for x, y in samples:
         if not (star_contains(rs, j, x) and star_contains(rs, j, y)):
             raise ValueError("sample pair not inside the star of the face")
-        for w0 in _weyl_cached(rs):
-            lam = ratmat.sub(tuple(y), w0.apply(tuple(x)))
-            if rs.in_coweight_lattice(lam):
-                w = AffineWeylElement(w0, lam)
-                if w not in wj:
-                    return (x, y, w)
+        for w0, (lam,) in weyl_scan(rs, (), ((x, y),)):
+            w = AffineWeylElement(w0, lam)
+            if w not in wj:
+                return (x, y, w)
     return None
 
 
@@ -246,52 +268,41 @@ def verify_open_embedding(rs: RootSystem, j: Face,
     return open_embedding_counterexample(rs, j, samples) is None
 
 
-def _vertex_faces(rs: RootSystem, cat=None) -> dict:
+def _vertex_faces(rs: RootSystem) -> dict:
     """Map each alcove vertex (as a tuple) to its vertex face."""
-    if cat is None:
-        cat = faces_of_alcove(rs)
-    out = {}
-    for f in cat.faces:
-        if len(f.vertices) == 1:
-            out[f.vertices[0]] = f
+    return {f.vertices[0]: f for f in faces_of_alcove(rs).faces
+            if len(f.vertices) == 1}
+
+
+def _facets_at_vertex(rs: RootSystem, v: Vec) -> dict:
+    """One witness per facet whose closure contains the vertex v, keyed by
+    facet, in order of first appearance.  These facets are the faces of
+    the alcoves at v, the images of C under the reflection group of v."""
+    faces = faces_of_alcove(rs).faces
+    out: dict = {}
+    for u in point_reflection_subgroup(rs, v).elements:
+        for f in faces:
+            p = u.apply(f.witness)
+            out.setdefault(facet_of(rs, p), p)
     return out
 
 
 def star_facet_witnesses(rs: RootSystem, j: Face) -> list[Vec]:
-    """One witness per facet of St_J, by exact finite enumeration.
-
-    Every facet whose closure contains a vertex v is a face of an alcove
-    at v, and the alcoves at v are the orbit of C under the reflection
-    group of v; so images u(witness(F)) over u in that group and faces F
-    of C exhaust the facets of St_v, and filtering by star membership
-    leaves exactly the facets of St_J.
-    """
-    cat = faces_of_alcove(rs)
-    v0 = j.vertices[0]
-    group = point_reflection_subgroup(rs, v0)
-    witnesses: dict = {}
-    for u in group.elements:
-        for f in cat.faces:
-            p = u.apply(f.witness)
-            key = facet_of(rs, p)
-            if key not in witnesses and star_contains(rs, j, p):
-                witnesses[key] = p
-    return list(witnesses.values())
+    """One witness per facet of St_J, by exact finite enumeration: St_J
+    lies in the star of any vertex of J, and star membership is a property
+    of the facet."""
+    return [p for p in _facets_at_vertex(rs, j.vertices[0]).values()
+            if star_contains(rs, j, p)]
 
 
 def verify_star_intersection(rs: RootSystem, j: Face) -> bool:
     """St_J equals the intersection of the stars of its vertices,
     checked on every facet of the union of the vertex stars."""
-    cat = faces_of_alcove(rs)
-    vfaces = _vertex_faces(rs, cat)
+    vfaces = _vertex_faces(rs)
     jverts = [vfaces[v] for v in j.vertices]
     candidates: dict = {}
-    for vf in jverts:
-        group = point_reflection_subgroup(rs, vf.vertices[0])
-        for u in group.elements:
-            for f in cat.faces:
-                p = u.apply(f.witness)
-                candidates.setdefault(facet_of(rs, p), p)
+    for v in j.vertices:
+        candidates.update(_facets_at_vertex(rs, v))
     for p in candidates.values():
         in_star = star_contains(rs, j, p)
         in_all = all(star_contains(rs, vf, p) for vf in jverts)
@@ -302,8 +313,7 @@ def verify_star_intersection(rs: RootSystem, j: Face) -> bool:
 
 def verify_cover(rs: RootSystem, samples: list[Vec]) -> bool:
     """Every point reduces into some vertex star of the alcove."""
-    cat = faces_of_alcove(rs)
-    vfaces = list(_vertex_faces(rs, cat).values())
+    vfaces = list(_vertex_faces(rs).values())
     for x in samples:
         w, xr = reduce_to_alcove(rs, x)
         if w.apply(tuple(x)) != xr:
@@ -324,12 +334,12 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
     # hull points of the two star regions, for the translation window
     def hull_points(j: Face) -> list[Vec]:
         verts = alcove_vertices(rs)
-        group = point_reflection_subgroup(rs, j.vertices[0])
+        group = stabilizer_of_point(rs, j.vertices[0])
         return [u.apply(v) for u in group.elements for v in verts]
 
     h1, h2 = hull_points(j1), hull_points(j2)
     found = []
-    for w0 in _weyl_cached(rs):
+    for w0 in weyl_elements(rs):
         moved = [w0.apply(p) for p in h1]
         box = []
         c2 = [rs.coweight_coords(p) for p in h2]
@@ -378,11 +388,12 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
                 frontier.append(compose(rs, u, a))
             for b in w2.elements:
                 frontier.append(compose(rs, b, u))
-        assert coset <= found_set
+        if not coset <= found_set:
+            raise RuntimeError("double coset leaves the overlap set (bug)")
         seen |= coset
         winv = invert(rs, w)
         conj = {compose(rs, compose(rs, w, a), winv) for a in w1.elements}
         pair = sorted(conj & w2.element_set(),
                       key=lambda e: (e.finite_part.word, e.translation))
-        out.append((w, FiniteSubgroup(tuple(pair), ())))
+        out.append((w, FiniteSubgroup(tuple(pair))))
     return out

@@ -67,7 +67,7 @@ def test_criterion_3_pgl2_component_group(capsys):
     rs = rs_of("A", 1, "adjoint")
     d = centralizer_elliptic(rs, exp_point(rs, (0,), (Fraction(1, 4),)))
     ok = d.phi == ()
-    ok = ok and d.w0.order == 1  # identity component is the torus
+    ok = ok and d.w0_order == 1  # identity component is the torus
     ok = ok and d.pi0_order == 2
     ok = ok and (time.monotonic() - t0) < 1.0
     with capsys.disabled():

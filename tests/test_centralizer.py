@@ -48,7 +48,7 @@ def test_pgl2_half_coweight():
     assert d.phi == ()
     assert d.dim == 1  # the torus alone
     assert d.w.order == 2
-    assert d.w0.order == 1
+    assert d.w0_order == 1
     assert d.pi0_order == 2
     assert not d.connected
     assert d.subsystem_type == "0"
@@ -201,11 +201,11 @@ def test_se_outside_star():
 
 
 def test_w_equivariance():
-    from alcoves.weylaff import _weyl_cached
+    from alcoves.weylaff import weyl_elements
     rng = random.Random(21)
     for family, rank in [("A", 2), ("B", 2)]:
         rs = rs_of(family, rank)
-        group = _weyl_cached(rs)
+        group = weyl_elements(rs)
         for _ in range(15):
             theta = tuple(Fraction(rng.randint(0, 3), 4)
                           for _ in range(rs.dim))
@@ -220,7 +220,7 @@ def test_w_equivariance():
             d2 = centralizer_elliptic(rs, s2)
             assert len(d1.phi) == len(d2.phi)
             assert d1.w.order == d2.w.order
-            assert d1.w0.order == d2.w0.order
+            assert d1.w0_order == d2.w0_order
             assert d1.subsystem_type == d2.subsystem_type
 
 
@@ -277,3 +277,18 @@ def test_sl3_vertex_shapes():
     others = [s for v, s in shapes.items() if v != zero]
     assert [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]] in others
     assert [[0, 0, 1], [0, 0, 1], [-1, -1, 0]] in others
+
+
+def test_adjoint_b2_half_coweight_is_disconnected():
+    # theta = b1 / 2 is the class of diag(-1, -1, -1, -1, 1) in SO(5),
+    # whose centralizer S(O(4) x O(1)) has two components
+    rs = rs_of("B", 2, "adjoint")
+    d = centralizer_elliptic(rs, exp_point(rs, (0, Fraction(1, 2)), (0, 0)))
+    assert d.subsystem_type == "A1+A1"
+    assert (d.w.order, d.w0_order, d.pi0_order) == (8, 4, 2)
+
+
+def test_gl2_double_affine():
+    rs = rs_of("A", 1, "gl")
+    data = double_affine_centralizer(rs, (Fraction(1, 2), 0), (0, 0))
+    assert data.cartesian and data.injective

@@ -173,6 +173,21 @@ def test_usage_errors_exit_2(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # the Weyl-group enumeration guard refuses rank 6
+    ["centralizer", "--type", "E", "--rank", "6", "--a", "0,0,0,0,0,0"],
+    ["centralizer", "--type", "A", "--rank", "2", "--a", "1/0,1"],
+    ["verify", "weierstrass", "--radius", "0"],
+])
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_reports_are_deterministic(capsys):
     _, out1 = run(capsys, [
         "verify", "stars", "--type", "A", "--rank", "2",

@@ -1,0 +1,29 @@
+"""Byte-for-byte pins of outputs whose order follows the reflection closure.
+
+`tests/fixtures/output_digests.json` maps a CLI argument line to the
+sha256 of its standard output: `svg --highlight F` for every face of A2,
+B2 and G2 (polygon order), and `star --face F` for every face of A3
+(facet witness order).
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from alcoves import cli
+
+DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "output_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
+def test_output_digest(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv.split()) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS[argv]

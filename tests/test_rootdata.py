@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -219,3 +220,40 @@ def test_reflect_is_involution(typ, coords, pick):
     x = tuple(coords)
     root = rs.all_roots[pick % len(rs.all_roots)]
     assert reflect(rs, root, reflect(rs, root, x)) == x
+
+
+# every (family, rank, isogeny) the CLI accepts, ranks of A-D up to 8
+CLI_TYPES = [
+    (family, rank, isogeny)
+    for family, ranks in (("A", range(1, 9)), ("B", range(2, 9)),
+                          ("C", range(2, 9)), ("D", range(3, 9)),
+                          ("E", range(6, 9)), ("F", (4,)), ("G", (2,)))
+    for rank in ranks
+    for isogeny in (("sc", "adjoint", "gl") if family == "A"
+                    else ("sc", "adjoint"))
+]
+
+
+@lru_cache(maxsize=None)
+def cached_rs(family, rank, isogeny):
+    return rs_of(family, rank, isogeny)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CLI_TYPES), st.data())
+def test_coweight_coords_round_trip(typ, data):
+    rs = cached_rs(*typ)
+    c = tuple(data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        min_size=rs.dim, max_size=rs.dim)))
+    x = rs.from_coweight_coords(c)
+    assert rs.coweight_coords(x) == c
+    assert rs.in_coweight_lattice(x) == all(t.denominator == 1 for t in c)
+
+
+def test_adjoint_b2_coweight_coords():
+    # the basis is not symmetric here, so rows and columns differ
+    rs = rs_of("B", 2, "adjoint")
+    b0, b1 = rs.coweight_lattice_basis
+    assert rs.coweight_coords(b0) == (1, 0)
+    assert rs.coweight_coords(b1) == (0, 1)
