@@ -2,7 +2,11 @@
 
 Walls of the fundamental alcove are stored as affine roots oriented so each
 is nonnegative on the closed alcove: the simple roots at level 0 plus the
-negated highest root at level -1 (so eval = 1 - theta(x)).
+negated highest root at level -1 (so eval = 1 - theta(x)).  The walls, the
+vertices and the face category are built once per root system.
+`facet_of` and `facet_closure_contains` write their points as integer
+numerators over one common denominator, so each root value is an integer
+dot product and each test a floor-division or a remainder.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import ratmat
 from .ratmat import Vec
@@ -41,8 +46,10 @@ def fundamental_coweights(rs: RootSystem) -> tuple[Vec, ...]:
     return tuple(tuple(cinv[i]) + pad for i in range(rs.rank))
 
 
-def fundamental_alcove(rs: RootSystem) -> list[AffineRoot]:
-    """The ell+1 walls, each oriented to be positive on the open alcove."""
+@lru_cache(maxsize=None)
+def fundamental_alcove(rs: RootSystem) -> tuple[AffineRoot, ...]:
+    """The ell+1 walls, each oriented to be positive on the open alcove;
+    built once per root system."""
     if rs.cartan_type.isogeny == "gl":
         raise ValueError("fundamental alcove requires sc or adjoint isogeny")
     walls = [
@@ -50,9 +57,10 @@ def fundamental_alcove(rs: RootSystem) -> list[AffineRoot]:
     ]
     neg_highest = rs.root_index(ratmat.scale(-1, rs.highest_root))
     walls.append(AffineRoot(neg_highest, -1))
-    return walls
+    return tuple(walls)
 
 
+@lru_cache(maxsize=None)
 def alcove_vertices(rs: RootSystem) -> tuple[Vec, ...]:
     """Vertex opposite each wall: omega_i-check / c_i for wall i, then 0."""
     marks = rs.highest_root  # coefficients of the highest root
@@ -132,7 +140,14 @@ class FaceCategory:
 
 
 def faces_of_alcove(rs: RootSystem) -> FaceCategory:
-    """All 2^(ell+1) - 1 faces, arrows by reverse inclusion of wall sets."""
+    """All 2^(ell+1) - 1 faces, arrows by reverse inclusion of wall sets;
+    built once per root system."""
+    # a plain function in front of the cache, so tracing sees each call
+    return _face_category(rs)
+
+
+@lru_cache(maxsize=None)
+def _face_category(rs: RootSystem) -> FaceCategory:
     nwalls = rs.rank + 1
     subsets = []
     for mask in range(1 << nwalls):
@@ -181,16 +196,15 @@ class FacetKey:
 
 
 def facet_of(rs: RootSystem, x: Vec) -> FacetKey:
+    d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
     key = []
     vanishing = []
     for p in rs.positive_indices:
-        val = rs.eval_root(p, x)
-        fl = val.numerator // val.denominator
-        integral = val.denominator == 1
-        key.append((fl, integral))
-        if integral:
+        fl, rem = divmod(ratmat.int_dot(rs.grads[p], num), d)
+        key.append((fl, rem == 0))
+        if not rem:
             vanishing.append(AffineRoot(p, fl))
-            vanishing.append(AffineRoot(rs.negate_index(p), -fl))
+            vanishing.append(AffineRoot(rs.negation[p], -fl))
     return FacetKey(tuple(key), tuple(vanishing), tuple(x))
 
 
@@ -199,18 +213,20 @@ def facet_closure_contains(rs: RootSystem, x: Vec, y: Vec) -> bool:
 
     Per positive root with value t at x and u at y: if t is on a wall then
     u must equal t; otherwise u must be in the closed interval
-    [floor(t), floor(t)+1].
+    [floor(t), floor(t)+1].  Both points are written over one denominator
+    d, so the test compares the integers d*t and d*u.
     """
+    d, (xn, yn) = ratmat.over_common_denominator((x, y), rs.dim)
     for p in rs.positive_indices:
-        t = rs.eval_root(p, x)
-        u = rs.eval_root(p, y)
-        if t.denominator == 1:
+        g = rs.grads[p]
+        t = ratmat.int_dot(g, xn)
+        u = ratmat.int_dot(g, yn)
+        rem = t % d
+        if rem == 0:
             if u != t:
                 return False
-        else:
-            fl = t.numerator // t.denominator
-            if not (fl <= u <= fl + 1):
-                return False
+        elif not (t - rem <= u <= t - rem + d):
+            return False
     return True
 
 

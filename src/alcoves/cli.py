@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import alcove, centralizer, parabolic, ratmat, svg, weierstrass, weylaff
 from .rootdata import CartanType, EnumerationGuard, InvalidCartanType, \
@@ -49,6 +50,8 @@ def _run_check(reports, rs_label, name, params, fn):
     t0 = time.monotonic()
     try:
         cex = fn()
+    except EnumerationGuard:  # the input is out of range: a usage error
+        raise
     except Exception as e:  # a crash is a failure with the error attached
         cex = f"exception: {e!r}"
     ms = int((time.monotonic() - t0) * 1000)
@@ -470,7 +473,9 @@ def _emit(args, text: str):
         print(text)
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="alcoves",
         description="Exact alcove geometry, loop-group centralizer "
@@ -541,8 +546,11 @@ def main(argv=None) -> int:
     common(p)
     p.add_argument("--region", type=int, default=2)
     p.add_argument("--highlight", default=None, help="wall indices of a face")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (InvalidCartanType, EnumerationGuard, ValueError, KeyError,

@@ -1,13 +1,18 @@
-"""Small exact linear algebra over fractions.Fraction.
+"""Small exact linear algebra over fractions.Fraction and Python ints.
 
-Everything here works on tuples of Fractions so results are hashable and
-immutable.  Matrices are tuples of row tuples.  Sizes are tiny (rank <= 5),
-so plain Gaussian elimination is fine.
+Everything here works on tuples so results are hashable and immutable.
+Matrices are tuples of row tuples.  Sizes are tiny (rank <= 5), so plain
+Gaussian elimination is fine.  The `int_*` kernels work on integer
+matrices and vectors; `over_common_denominator` writes rational points as
+integer numerators over one denominator, so that the hot loops of the
+exact core never build a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -85,6 +90,38 @@ def inverse(m: Mat) -> Mat:
     cols = [solve(m, tuple(Fraction(1 if i == j else 0) for i in range(n)))
             for j in range(n)]
     return transpose(tuple(cols))
+
+
+def int_dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def int_matvec(m, v) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, v)) for row in m)
+
+
+def int_matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
+
+def int_identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def over_common_denominator(points, dim: int
+                            ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, nums) with points[k] == nums[k] / d for every k, d the least
+    common denominator of all entries; entries are ints or Fractions, and
+    every point must have `dim` entries."""
+    d = 1
+    for p in points:
+        if len(p) != dim:
+            raise ValueError(f"expected dimension {dim}, got {len(p)}")
+        for c in p:
+            d = lcm(d, c.denominator)
+    return d, tuple(tuple(c.numerator * (d // c.denominator) for c in p)
+                    for p in points)
 
 
 def is_integral(v: Sequence[Fraction]) -> bool:

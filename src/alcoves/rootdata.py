@@ -5,15 +5,27 @@ points of the (real) Cartan subalgebra t are Fraction vectors in the
 simple-coroot basis (plus one central coordinate for the gl isogeny).  The
 inner product on the root space is normalized so long roots have squared
 length 2.
+
+W preserves the coroot lattice, so every Weyl element is a pair of
+integer matrices (on t and on root coordinates), and `weyl_group`
+enumerates with integer products.  Each root system carries integer
+tables built once (root gradients, coroots, negation, the numerator of
+the coweight-coordinate map), so the kernels in `alcove` and `weylaff`
+work on integer numerators over one common denominator and build
+Fractions only for their results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from . import ratmat
 from .ratmat import Mat, Vec
+
+IntMat = tuple[tuple[int, ...], ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 ISOGENIES = ("sc", "adjoint", "gl")
@@ -116,15 +128,16 @@ def _symmetrizer(c: Mat) -> Vec:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One Weyl group element: exact matrices plus one reduced word.
+    """One Weyl group element: integer matrices plus one reduced word.
 
     ``matrix`` acts on t (coroot-basis coordinates), ``root_matrix`` acts on
-    root coordinates in the simple-root basis.  The word is a reduced
-    representative, not a canonical form.
+    root coordinates in the simple-root basis.  W preserves the coroot and
+    root lattices, so both are integral in these bases.  The word is a
+    reduced representative, not a canonical form.
     """
 
-    matrix: Mat
-    root_matrix: Mat
+    matrix: IntMat
+    root_matrix: IntMat
     word: tuple[int, ...]
 
     def apply(self, x: Vec) -> Vec:
@@ -134,11 +147,21 @@ class WeylElement:
         return ratmat.matvec(self.root_matrix, c)
 
     def is_identity(self) -> bool:
-        return self.matrix == ratmat.identity(len(self.matrix))
+        return self.matrix == ratmat.int_identity(len(self.matrix))
 
 
 @dataclass(frozen=True)
 class RootSystem:
+    """A root system with its coweight lattice.
+
+    Besides the exact data it holds integer tables built once per root
+    system: for root i, alpha_i(x) = grads[i] . x and its coroot is
+    coroots[i], both in ambient t-coordinates; negation[i] is the index
+    of -alpha_i; and coweight_coords(x) = coweight_inv_num x /
+    coweight_inv_den.  The hash is that of the Cartan type, which
+    determines everything else.
+    """
+
     cartan_type: CartanType
     rank: int
     dim: int  # torus rank: rank, or rank + 1 for gl
@@ -150,35 +173,33 @@ class RootSystem:
     inner_product_matrix: Mat
     highest_root: Vec
     coweight_lattice_basis: tuple[Vec, ...]
-    _coweight_inv: Mat = field(repr=False)
-    _grads: tuple[Vec, ...] = field(repr=False)  # gradient of each root on t
+    grads: tuple[tuple[int, ...], ...] = field(repr=False)
+    coroots: tuple[tuple[int, ...], ...] = field(repr=False)
+    negation: tuple[int, ...] = field(repr=False)
+    coweight_inv_num: IntMat = field(repr=False)
+    coweight_inv_den: int = field(repr=False)
+    _index: dict = field(repr=False)  # root coords -> index
+
+    def __hash__(self):
+        return hash(self.cartan_type)
 
     # -- pairings -----------------------------------------------------------
 
     def root_index(self, coords: Vec) -> int:
         try:
-            return self.all_roots.index(tuple(Fraction(c) for c in coords))
-        except ValueError:
+            return self._index[tuple(coords)]
+        except KeyError:
             raise ValueError(f"{coords} is not a root") from None
 
     def negate_index(self, idx: int) -> int:
-        return self.root_index(ratmat.scale(-1, self.all_roots[idx]))
+        return self.negation[idx]
 
     def eval_root(self, idx: int, x: Vec) -> Fraction:
         """alpha(x) for x in ambient t-coordinates."""
-        return ratmat.dot(self._grads[idx], x)
+        return ratmat.dot(self.grads[idx], x)
 
-    def coroot(self, idx: int) -> Vec:
-        c = self.all_roots[idx]
-        half_norm = self.root_length_sq(idx) / 2
-        d = self._symmetrizer_d
-        v = [c[i] * d[i] / half_norm for i in range(self.rank)]
-        v += [Fraction(0)] * (self.dim - self.rank)
-        return tuple(v)
-
-    @property
-    def _symmetrizer_d(self) -> Vec:
-        return tuple(self.inner_product_matrix[i][i] / 2 for i in range(self.rank))
+    def coroot(self, idx: int) -> tuple[int, ...]:
+        return self.coroots[idx]
 
     def root_length_sq(self, idx: int) -> Fraction:
         c = self.all_roots[idx]
@@ -189,11 +210,22 @@ class RootSystem:
         return s
 
     def in_coweight_lattice(self, x: Vec) -> bool:
-        return ratmat.is_integral(ratmat.matvec(self._coweight_inv, x))
+        d, (num,) = ratmat.over_common_denominator((x,), self.dim)
+        return self.is_coweight(num, d)
+
+    def is_coweight(self, num: tuple[int, ...], d: int) -> bool:
+        """Whether num / d is a coweight, for an integer vector num: a
+        remainder test on the integer numerator of coweight_coords."""
+        m = d * self.coweight_inv_den
+        return not any(ratmat.int_dot(row, num) % m
+                       for row in self.coweight_inv_num)
 
     def coweight_coords(self, x: Vec) -> Vec:
         """Coordinates of x in the coweight-lattice basis."""
-        return ratmat.matvec(self._coweight_inv, x)
+        d, (num,) = ratmat.over_common_denominator((x,), self.dim)
+        m = d * self.coweight_inv_den
+        return tuple(Fraction(ratmat.int_dot(row, num), m)
+                     for row in self.coweight_inv_num)
 
     def from_coweight_coords(self, c: Vec) -> Vec:
         out = ratmat.zeros(self.dim)
@@ -244,8 +276,10 @@ def _reflection_closure(cartan: Mat, rank: int) -> list[Vec]:
     return sorted(seen)
 
 
+@lru_cache(maxsize=None)
 def build_root_system(ct: CartanType) -> RootSystem:
-    """Realize a root system in simple-root coordinates.
+    """Realize a root system in simple-root coordinates; built once per
+    Cartan type.
 
     Roots are generated as the reflection closure of the simple roots; the
     inner product comes from the symmetrized Cartan matrix, scaled so long
@@ -304,11 +338,24 @@ def build_root_system(ct: CartanType) -> RootSystem:
         ip.append([Fraction(0)] * dim)
         ip[k][k] = Fraction(1)
 
-    grads = []
-    for r in roots:
-        g = [sum(cartan[i][j] * r[j] for j in range(rank)) for i in range(rank)]
-        grads.append(tuple(g) + (Fraction(0),) * (dim - rank))
-
+    grads = tuple(
+        tuple(int(sum(cartan[i][j] * r[j] for j in range(rank)))
+              for i in range(rank)) + (0,) * (dim - rank)
+        for r in roots
+    )
+    # alpha-check = sum_i r_i d_i alpha_i-check / (|alpha|^2 / 2), where
+    # |alpha|^2 = sum_i r_i d_i alpha(alpha_i-check)
+    coroots = []
+    for r, g in zip(roots, grads):
+        half_norm = sum(r[i] * d[i] * g[i] for i in range(rank)) / 2
+        v = [r[i] * d[i] / half_norm for i in range(rank)]
+        if any(c.denominator != 1 for c in v):
+            raise RuntimeError(f"coroot of {r} is not integral (bug)")
+        coroots.append(tuple(int(c) for c in v) + (0,) * (dim - rank))
+    index = {r: i for i, r in enumerate(roots)}
+    # basis rows are the lattice generators, so x = basis^T c
+    cw_inv = ratmat.inverse(ratmat.transpose(basis))
+    cw_den = lcm(*(c.denominator for row in cw_inv for c in row))
     return RootSystem(
         cartan_type=ct,
         rank=rank,
@@ -321,21 +368,24 @@ def build_root_system(ct: CartanType) -> RootSystem:
         inner_product_matrix=ratmat.mat(ip),
         highest_root=highest,
         coweight_lattice_basis=tuple(tuple(r) for r in basis),
-        # basis rows are the lattice generators, so x = basis^T c
-        _coweight_inv=ratmat.inverse(ratmat.transpose(basis)),
-        _grads=tuple(grads),
+        grads=grads,
+        coroots=tuple(coroots),
+        negation=tuple(index[tuple(-c for c in r)] for r in roots),
+        coweight_inv_num=tuple(tuple(int(c * cw_den) for c in row)
+                               for row in cw_inv),
+        coweight_inv_den=cw_den,
+        _index=index,
     )
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    n, rank = rs.dim, rs.rank
-    m = [list(row) for row in ratmat.identity(n)]
-    for k in range(rank):
-        m[i][k] -= rs.cartan[k][i]
-    rm = [list(row) for row in ratmat.identity(rank)]
-    for k in range(rank):
-        rm[i][k] -= rs.cartan[i][k]
-    return WeylElement(ratmat.mat(m), ratmat.mat(rm), (i,))
+    m = [list(row) for row in ratmat.int_identity(rs.dim)]
+    for k in range(rs.rank):
+        m[i][k] -= int(rs.cartan[k][i])
+    rm = [list(row) for row in ratmat.int_identity(rs.rank)]
+    for k in range(rs.rank):
+        rm[i][k] -= int(rs.cartan[i][k])
+    return WeylElement(tuple(map(tuple, m)), tuple(map(tuple, rm)), (i,))
 
 
 def weyl_group(rs: RootSystem, max_rank: int = 4) -> list[WeylElement]:
@@ -349,7 +399,7 @@ def weyl_group(rs: RootSystem, max_rank: int = 4) -> list[WeylElement]:
         )
     gens = [simple_reflection(rs, i) for i in range(rs.rank)]
     ident = WeylElement(
-        ratmat.identity(rs.dim), ratmat.identity(rs.rank), ()
+        ratmat.int_identity(rs.dim), ratmat.int_identity(rs.rank), ()
     )
     elements = [ident]
     seen = {ident.matrix}
@@ -358,11 +408,11 @@ def weyl_group(rs: RootSystem, max_rank: int = 4) -> list[WeylElement]:
         nxt = []
         for w in frontier:
             for i, s in enumerate(gens):
-                m = ratmat.matmul(s.matrix, w.matrix)
+                m = ratmat.int_matmul(s.matrix, w.matrix)
                 if m not in seen:
                     seen.add(m)
                     elem = WeylElement(
-                        m, ratmat.matmul(s.root_matrix, w.root_matrix),
+                        m, ratmat.int_matmul(s.root_matrix, w.root_matrix),
                         w.word + (i,),
                     )
                     elements.append(elem)
@@ -376,6 +426,6 @@ def reflect(rs: RootSystem, root, x: Vec) -> Vec:
     if isinstance(root, int):
         idx = root
     else:
-        idx = rs.root_index(tuple(Fraction(c) for c in root))
+        idx = rs.root_index(root)
     val = rs.eval_root(idx, x)
     return ratmat.sub(x, ratmat.scale(val, rs.coroot(idx)))

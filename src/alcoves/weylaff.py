@@ -1,10 +1,18 @@
 """The affine Weyl group: affine actions, stabilizers, stars, reduction.
 
 Elements are pairs (finite Weyl part, coweight translation) acting by
-x -> w(x) + t.  Stabilizers and centralizers come from two scans,
-`root_scan` over roots and `weyl_scan` over the finite Weyl group; star
-regions and chart overlaps are handled by exact finite enumerations whose
-windows are derived from the geometry, not guessed.
+x -> w(x) + t; the finite part is a `WeylElement`, whose matrices are
+integral.  Stabilizers and centralizers come from two scans, `root_scan`
+over roots and `weyl_scan` over the finite Weyl group; star regions and
+chart overlaps are handled by exact finite enumerations whose windows are
+derived from the geometry, not guessed.
+
+The kernels (`root_scan`, `weyl_scan`, `reduce_to_alcove`, the closure in
+`point_reflection_subgroup`, `compose` and `invert`) run on Python ints:
+points are written once as integer numerators over one common
+denominator, Weyl elements act by integer matrices, and Fractions are
+built only for the values returned.  The ell+1 wall reflections of the
+alcove and the table of inverses are built once per root system.
 """
 
 from __future__ import annotations
@@ -18,14 +26,19 @@ from .alcove import (
     AffineRoot,
     Face,
     alcove_vertices,
-    eval_affine_root,
     faces_of_alcove,
     facet_closure_contains,
     facet_of,
     fundamental_alcove,
 )
 from .ratmat import Vec
-from .rootdata import EnumerationGuard, RootSystem, WeylElement, weyl_group
+from .rootdata import (
+    EnumerationGuard,
+    RootSystem,
+    WeylElement,
+    simple_reflection,
+    weyl_group,
+)
 
 _CLOSURE_GUARD = 20000
 
@@ -64,8 +77,24 @@ def _weyl_by_matrix(rs: RootSystem) -> dict:
 
 
 def finite_by_matrix(rs: RootSystem, matrix) -> WeylElement:
-    """The cached finite Weyl element with the given t-action."""
+    """The cached finite Weyl element with the given integer t-action."""
     return _weyl_by_matrix(rs)[matrix]
+
+
+@lru_cache(maxsize=None)
+def _inverses(rs: RootSystem) -> dict:
+    """Each element's matrix -> its inverse element.  An element s_i w
+    with word w.word + (i,) has inverse w^-1 s_i, so one integer product
+    per element, in `weyl_elements` order, gives all inverses."""
+    gens = [simple_reflection(rs, i).matrix for i in range(rs.rank)]
+    inv_by_word = {(): ratmat.int_identity(rs.dim)}
+    out = {}
+    for w in weyl_elements(rs):
+        if w.word:
+            inv_by_word[w.word] = ratmat.int_matmul(
+                inv_by_word[w.word[:-1]], gens[w.word[-1]])
+        out[w.matrix] = finite_by_matrix(rs, inv_by_word[w.word])
+    return out
 
 
 def identity_element(rs: RootSystem) -> AffineWeylElement:
@@ -74,7 +103,7 @@ def identity_element(rs: RootSystem) -> AffineWeylElement:
 
 def compose(rs: RootSystem, a: AffineWeylElement,
             b: AffineWeylElement) -> AffineWeylElement:
-    m = ratmat.matmul(a.finite_part.matrix, b.finite_part.matrix)
+    m = ratmat.int_matmul(a.finite_part.matrix, b.finite_part.matrix)
     return AffineWeylElement(
         finite_by_matrix(rs, m),
         ratmat.add(a.finite_part.apply(b.translation), a.translation),
@@ -82,25 +111,22 @@ def compose(rs: RootSystem, a: AffineWeylElement,
 
 
 def invert(rs: RootSystem, a: AffineWeylElement) -> AffineWeylElement:
-    m = ratmat.inverse(a.finite_part.matrix)
-    w = finite_by_matrix(rs, m)
+    w = _inverses(rs)[a.finite_part.matrix]
     return AffineWeylElement(w, ratmat.scale(-1, w.apply(a.translation)))
+
+
+def _reflection_matrix(rs: RootSystem, idx: int) -> tuple:
+    """s_alpha on t, x -> x - alpha(x) alpha-check, as an integer matrix."""
+    g, c = rs.grads[idx], rs.coroots[idx]
+    return tuple(tuple(int(r == k) - c[r] * g[k] for k in range(rs.dim))
+                 for r in range(rs.dim))
 
 
 def affine_reflection(rs: RootSystem, ar: AffineRoot) -> AffineWeylElement:
     """r_{alpha,n} = (s_alpha, n alpha-check), fixing the wall pointwise."""
-    coroot = rs.coroot(ar.root_index)
-    grad = [rs.eval_root(ar.root_index,
-                         tuple(Fraction(1 if k == j else 0)
-                               for k in range(rs.dim)))
-            for j in range(rs.dim)]
-    cols = []
-    for j in range(rs.dim):
-        e = tuple(Fraction(1 if k == j else 0) for k in range(rs.dim))
-        cols.append(ratmat.sub(e, ratmat.scale(grad[j], coroot)))
-    m = ratmat.transpose(ratmat.mat(cols))
     return AffineWeylElement(
-        finite_by_matrix(rs, m), ratmat.scale(ar.level, coroot)
+        finite_by_matrix(rs, _reflection_matrix(rs, ar.root_index)),
+        ratmat.scale(ar.level, rs.coroot(ar.root_index)),
     )
 
 
@@ -129,25 +155,42 @@ class FiniteSubgroup:
         return frozenset(self.elements)
 
 
+@lru_cache(maxsize=None)
+def _alcove_walls(rs: RootSystem) -> tuple:
+    """(gradient, level, coroot, reflection matrix) of each wall of the
+    fundamental alcove, in wall order.  The reflection in the wall
+    (alpha, n) maps x to x - (alpha(x) - n) alpha-check."""
+    return tuple((rs.grads[w.root_index], w.level, rs.coroots[w.root_index],
+                  _reflection_matrix(rs, w.root_index))
+                 for w in fundamental_alcove(rs))
+
+
 def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
-    """Descend x into the closed fundamental alcove by wall reflections."""
-    walls = fundamental_alcove(rs)
+    """Descend x into the closed fundamental alcove by wall reflections,
+    each time in the first wall (in wall order) that x lies beyond.
+
+    x is written as integer numerators over its denominator d, so a wall
+    value is one integer dot product and a reflection one integer update.
+    The linear parts multiply up to the finite part w0 of the result;
+    its translation is then xr - w0(x).
+    """
+    walls = _alcove_walls(rs)
+    d, (cur,) = ratmat.over_common_denominator((x,), rs.dim)
     cap = 100
     for p in rs.positive_indices:
-        v = rs.eval_root(p, x)
-        cap += 4 * (abs(v.numerator) // v.denominator + 1)
-    w = identity_element(rs)
-    cur = tuple(x)
+        cap += 4 * (abs(ratmat.int_dot(rs.grads[p], cur)) // d + 1)
+    m = ratmat.int_identity(rs.dim)
     for _ in range(cap):
-        bad = next(
-            (wall for wall in walls if eval_affine_root(rs, wall, cur) < 0),
-            None,
-        )
-        if bad is None:
-            return w, cur
-        r = affine_reflection(rs, bad)
-        cur = r.apply(cur)
-        w = compose(rs, r, w)
+        for g, level, coroot, s in walls:
+            v = ratmat.int_dot(g, cur) - level * d
+            if v < 0:
+                break
+        else:
+            w0 = finite_by_matrix(rs, m)
+            xr = tuple(Fraction(c, d) for c in cur)
+            return AffineWeylElement(w0, ratmat.sub(xr, w0.apply(x))), xr
+        cur = tuple(a - v * c for a, c in zip(cur, coroot))
+        m = ratmat.int_matmul(s, m)
     raise RuntimeError("alcove reduction failed to terminate (bug)")
 
 
@@ -155,17 +198,22 @@ def root_scan(rs: RootSystem, fixed: tuple[Vec, ...],
               points: tuple[Vec, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """The roots that vanish at every `fixed` point and take integer values
     at every one of `points`, in root-index order, each as (root index,
-    its values at `points`)."""
+    its values at `points`).  All points are written over one common
+    denominator d, so each test is an integer dot product and a remainder
+    mod d."""
+    d, nums = ratmat.over_common_denominator(tuple(fixed) + tuple(points),
+                                             rs.dim)
+    fixed_n, points_n = nums[:len(fixed)], nums[len(fixed):]
     out = []
-    for idx in range(len(rs.all_roots)):
-        if any(rs.eval_root(idx, x) != 0 for x in fixed):
+    for idx, g in enumerate(rs.grads):
+        if any(ratmat.int_dot(g, x) for x in fixed_n):
             continue
         vals = []
-        for p in points:
-            v = rs.eval_root(idx, p)
-            if v.denominator != 1:
+        for p in points_n:
+            v, rem = divmod(ratmat.int_dot(g, p), d)
+            if rem:
                 break
-            vals.append(int(v))
+            vals.append(v)
         else:
             out.append((idx, tuple(vals)))
     return out
@@ -176,21 +224,30 @@ def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
               ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
     """Each w0 in W that fixes every `fixed` point and makes y - w0(x) a
     coweight for every (x, y) in `pairs`, in `weyl_elements` order, each
-    as (w0, those translations in the order of `pairs`)."""
-    fixed = tuple(tuple(x) for x in fixed)
-    pairs = tuple((tuple(x), tuple(y)) for x, y in pairs)
+    as (w0, those translations in the order of `pairs`).
+
+    All points are written over one common denominator d, so w0 acts by
+    integer matrix-vector products and the coweight test is a remainder
+    test (`RootSystem.is_coweight`); the Fraction translations are built
+    only for the elements kept."""
+    pts = tuple(fixed) + tuple(p for xy in pairs for p in xy)
+    d, nums = ratmat.over_common_denominator(pts, rs.dim)
+    fixed_n = nums[:len(fixed)]
+    pairs_n = [(nums[k], nums[k + 1]) for k in range(len(fixed), len(nums), 2)]
     out = []
     for w0 in weyl_elements(rs):
-        if any(w0.apply(x) != x for x in fixed):
+        m = w0.matrix
+        if any(ratmat.int_matvec(m, x) != x for x in fixed_n):
             continue
         lams = []
-        for x, y in pairs:
-            lam = ratmat.sub(y, w0.apply(x))
-            if not rs.in_coweight_lattice(lam):
+        for x, y in pairs_n:
+            lam = tuple(b - a for a, b in zip(ratmat.int_matvec(m, x), y))
+            if not rs.is_coweight(lam, d):
                 break
             lams.append(lam)
         else:
-            out.append((w0, tuple(lams)))
+            out.append((w0, tuple(tuple(Fraction(c, d) for c in lam)
+                                  for lam in lams)))
     return out
 
 
@@ -221,18 +278,24 @@ def stabilizer_of_face(rs: RootSystem, j: Face) -> FiniteSubgroup:
 
 def point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     """Group generated by reflections in all walls through the point x,
-    listed breadth-first from the identity, generators in root order."""
-    gens = [affine_reflection(rs, ar)
+    listed breadth-first from the identity, generators in root order.
+
+    The walls through x have integer levels, so every element is an
+    integer matrix with an integer translation; the closure runs on those
+    pairs and builds the affine elements at the end."""
+    gens = [(_reflection_matrix(rs, ar.root_index),
+             tuple(ar.level * c for c in rs.coroots[ar.root_index]))
             for ar in vanishing_affine_roots(rs, (tuple(x),))]
-    ident = identity_element(rs)
+    ident = (ratmat.int_identity(rs.dim), (0,) * rs.dim)
     elements = [ident]
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
-        for w in frontier:
-            for g in gens:
-                c = compose(rs, g, w)
+        for m, t in frontier:
+            for s, u in gens:
+                c = (ratmat.int_matmul(s, m),
+                     tuple(a + b for a, b in zip(ratmat.int_matvec(s, t), u)))
                 if c not in seen:
                     if len(seen) >= _CLOSURE_GUARD:
                         raise EnumerationGuard("subgroup closure guard hit")
@@ -240,7 +303,9 @@ def point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
                     elements.append(c)
                     nxt.append(c)
         frontier = nxt
-    return FiniteSubgroup(tuple(elements))
+    return FiniteSubgroup(tuple(
+        AffineWeylElement(finite_by_matrix(rs, m), ratmat.vec(t))
+        for m, t in elements))
 
 
 def star_contains(rs: RootSystem, j: Face, x: Vec) -> bool:
@@ -277,12 +342,17 @@ def _vertex_faces(rs: RootSystem) -> dict:
 def _facets_at_vertex(rs: RootSystem, v: Vec) -> dict:
     """One witness per facet whose closure contains the vertex v, keyed by
     facet, in order of first appearance.  These facets are the faces of
-    the alcoves at v, the images of C under the reflection group of v."""
-    faces = faces_of_alcove(rs).faces
+    the alcoves at v, the images of C under the reflection group of v,
+    whose translations are integral."""
+    d, wits = ratmat.over_common_denominator(
+        tuple(f.witness for f in faces_of_alcove(rs).faces), rs.dim)
     out: dict = {}
     for u in point_reflection_subgroup(rs, v).elements:
-        for f in faces:
-            p = u.apply(f.witness)
+        m = u.finite_part.matrix
+        dt = tuple(d * int(c) for c in u.translation)
+        for w in wits:
+            p = tuple(Fraction(a + b, d)
+                      for a, b in zip(ratmat.int_matvec(m, w), dt))
             out.setdefault(facet_of(rs, p), p)
     return out
 

@@ -178,6 +178,9 @@ def test_usage_errors_exit_2(capsys):
     ["centralizer", "--type", "E", "--rank", "6", "--a", "0,0,0,0,0,0"],
     ["centralizer", "--type", "A", "--rank", "2", "--a", "1/0,1"],
     ["verify", "weierstrass", "--radius", "0"],
+    # suites that need the Weyl group refuse a rank above the guard
+    ["verify", "stabilizers", "--type", "E", "--rank", "6"],
+    ["verify", "cover", "--type", "B", "--rank", "5", "--samples", "2"],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.main(argv)

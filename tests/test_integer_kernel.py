@@ -1,0 +1,377 @@
+"""The integer kernels of `rootdata`, `alcove` and `weylaff` against
+Fraction oracles.
+
+The oracles below are the earlier Fraction implementations of
+`weyl_group`, `root_scan`, `weyl_scan`, `facet_of`,
+`facet_closure_contains` and `reduce_to_alcove`.  They use only the
+Fraction data of a root system (Cartan matrix, roots, inner product,
+coweight basis), never its integer tables.  Each kernel must give the
+same values in the same order on seeded points: generic ones with
+numerators near 10^12 over denominators up to 10^6, and special ones
+(W-images of alcove vertices and face witnesses, shifted by large
+coweights) where the scans keep elements.  Alcove reduction walks O(|x|)
+wall reflections, so its points have |x| <= 8, still over denominators
+up to 10^6.
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from alcoves import ratmat
+from alcoves.alcove import (
+    alcove_vertices,
+    faces_of_alcove,
+    facet_closure_contains,
+    facet_of,
+    fundamental_alcove,
+)
+from alcoves.rootdata import CartanType, build_root_system, weyl_group
+from alcoves.weylaff import reduce_to_alcove, root_scan, weyl_scan
+
+# (family, rank, isogeny, generic points, special points)
+CASES = [
+    ("A", 1, "sc", 12, 12), ("A", 2, "sc", 12, 12), ("A", 3, "sc", 10, 10),
+    ("B", 2, "sc", 12, 12), ("B", 3, "sc", 8, 8), ("B", 4, "sc", 4, 4),
+    ("C", 3, "sc", 8, 8), ("G", 2, "sc", 12, 12), ("F", 4, "sc", 2, 2),
+    ("B", 2, "adjoint", 12, 12), ("C", 3, "adjoint", 8, 8),
+    ("F", 4, "adjoint", 2, 2), ("A", 2, "gl", 12, 12),
+]
+IDS = [f"{f}{r}-{i}" for f, r, i, _, _ in CASES]
+
+
+def rs_of(family, rank, isogeny):
+    return build_root_system(CartanType(family, rank, isogeny))
+
+
+# -- Fraction oracles ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def grad(rs, idx):
+    r = rs.all_roots[idx]
+    g = [sum((rs.cartan[i][j] * r[j] for j in range(rs.rank)), Fraction(0))
+         for i in range(rs.rank)]
+    return tuple(g) + (Fraction(0),) * (rs.dim - rs.rank)
+
+
+def ev(rs, idx, x):
+    return ratmat.dot(grad(rs, idx), x)
+
+
+def coroot(rs, idx):
+    c = rs.all_roots[idx]
+    ip = rs.inner_product_matrix
+    half = sum(c[i] * ip[i][j] * c[j]
+               for i in range(rs.rank) for j in range(rs.rank)) / 2
+    v = [c[i] * ip[i][i] / 2 / half for i in range(rs.rank)]
+    return tuple(v) + (Fraction(0),) * (rs.dim - rs.rank)
+
+
+@lru_cache(maxsize=None)
+def coweight_inverse(rs):
+    return ratmat.inverse(ratmat.transpose(rs.coweight_lattice_basis))
+
+
+def in_lattice(rs, x):
+    return ratmat.is_integral(ratmat.matvec(coweight_inverse(rs), x))
+
+
+def negate(rs, idx):
+    return rs.all_roots.index(ratmat.scale(-1, rs.all_roots[idx]))
+
+
+def oracle_weyl_group(rs):
+    """Breadth-first closure under simple reflections, Fraction matrices;
+    the matrices depend only on the Cartan matrix and the dimension."""
+    return _oracle_weyl_group(rs.cartan_type.family, rs.rank, rs.dim)
+
+
+@lru_cache(maxsize=None)
+def _oracle_weyl_group(family, rank, n):
+    rs = build_root_system(CartanType(family, rank))
+    gens = []
+    for i in range(rs.rank):
+        m = [list(row) for row in ratmat.identity(n)]
+        rm = [list(row) for row in ratmat.identity(rs.rank)]
+        for k in range(rs.rank):
+            m[i][k] -= rs.cartan[k][i]
+            rm[i][k] -= rs.cartan[i][k]
+        gens.append((ratmat.mat(m), ratmat.mat(rm)))
+    ident = (ratmat.identity(n), ratmat.identity(rank), ())
+    elements = [ident]
+    seen = {ident[0]}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m, rm, word in frontier:
+            for i, (s, srm) in enumerate(gens):
+                p = ratmat.matmul(s, m)
+                if p not in seen:
+                    seen.add(p)
+                    e = (p, ratmat.matmul(srm, rm), word + (i,))
+                    elements.append(e)
+                    nxt.append(e)
+        frontier = nxt
+    return tuple(elements)
+
+
+def oracle_root_scan(rs, fixed, points):
+    out = []
+    for idx in range(len(rs.all_roots)):
+        if any(ev(rs, idx, x) != 0 for x in fixed):
+            continue
+        vals = []
+        for p in points:
+            v = ev(rs, idx, p)
+            if v.denominator != 1:
+                break
+            vals.append(int(v))
+        else:
+            out.append((idx, tuple(vals)))
+    return out
+
+
+def oracle_weyl_scan(rs, fixed, pairs):
+    out = []
+    for m, _, word in oracle_weyl_group(rs):
+        if any(ratmat.matvec(m, x) != tuple(x) for x in fixed):
+            continue
+        lams = []
+        for x, y in pairs:
+            lam = ratmat.sub(y, ratmat.matvec(m, x))
+            if not in_lattice(rs, lam):
+                break
+            lams.append(lam)
+        else:
+            out.append((m, word, tuple(lams)))
+    return out
+
+
+def oracle_facet_of(rs, x):
+    key, vanishing = [], []
+    for p in rs.positive_indices:
+        val = ev(rs, p, x)
+        fl = val.numerator // val.denominator
+        key.append((fl, val.denominator == 1))
+        if val.denominator == 1:
+            vanishing += [(p, fl), (negate(rs, p), -fl)]
+    return tuple(key), tuple(vanishing)
+
+
+def oracle_facet_closure_contains(rs, x, y):
+    for p in rs.positive_indices:
+        t, u = ev(rs, p, x), ev(rs, p, y)
+        if t.denominator == 1:
+            if u != t:
+                return False
+        else:
+            fl = t.numerator // t.denominator
+            if not fl <= u <= fl + 1:
+                return False
+    return True
+
+
+def oracle_reduce(rs, x):
+    """(finite matrix, translation, reduced point): reflect in the first
+    wall x lies beyond, composing Fraction affine maps."""
+    walls = fundamental_alcove(rs)
+    m, t, cur = ratmat.identity(rs.dim), ratmat.zeros(rs.dim), tuple(x)
+    while True:
+        bad = next((w for w in walls
+                    if ev(rs, w.root_index, cur) - w.level < 0), None)
+        if bad is None:
+            return m, t, cur
+        g, c = grad(rs, bad.root_index), coroot(rs, bad.root_index)
+        s = tuple(tuple(Fraction(int(r == k)) - c[r] * g[k]
+                        for k in range(rs.dim)) for r in range(rs.dim))
+        shift = ratmat.scale(bad.level, c)
+        cur = ratmat.add(ratmat.matvec(s, cur), shift)
+        m = ratmat.matmul(s, m)
+        t = ratmat.add(ratmat.matvec(s, t), shift)
+
+
+# -- seeded points -----------------------------------------------------------
+
+
+def big_point(rng, dim):
+    return tuple(Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                          rng.randint(1, 10 ** 6)) for _ in range(dim))
+
+
+def small_point(rng, dim, bound=8):
+    out = []
+    for _ in range(dim):
+        den = rng.randint(1, 10 ** 6)
+        out.append(Fraction(rng.randint(-bound * den, bound * den), den))
+    return tuple(out)
+
+
+def coweight(rs, rng, size):
+    return rs.from_coweight_coords(
+        tuple(Fraction(rng.randint(-size, size)) for _ in range(rs.dim)))
+
+
+def special_point(rs, rng, size=10 ** 6):
+    """A W-image of a vertex or face witness, shifted by a coweight; for
+    gl, with a random central part."""
+    seeds = list(alcove_vertices(rs)) + [
+        f.witness for f in faces_of_alcove(rs).faces]
+    x = seeds[rng.randrange(len(seeds))]
+    w = rng.choice(oracle_weyl_group(rs))[0]
+    x = ratmat.add(ratmat.matvec(w, x), coweight(rs, rng, size))
+    if rs.cartan_type.isogeny == "gl":
+        x = x[:-1] + (x[-1] + Fraction(rng.randint(-99, 99), 7),)
+    return x
+
+
+def points(rs, seed, generic, special):
+    rng = random.Random(seed)
+    return [special_point(rs, rng) for _ in range(special)] + \
+        [big_point(rng, rs.dim) for _ in range(generic)]
+
+
+def seed_of(family, rank, isogeny):
+    return f"{family}{rank}-{isogeny}"
+
+
+# -- tests -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
+                         ids=IDS)
+def test_weyl_group_matches_fraction_enumeration(family, rank, isogeny,
+                                                 generic, special):
+    rs = rs_of(family, rank, isogeny)
+    got = [(w.matrix, w.root_matrix, w.word) for w in weyl_group(rs)]
+    assert got == list(oracle_weyl_group(rs))
+    for w in weyl_group(rs):
+        assert all(type(c) is int for row in w.matrix for c in row)
+
+
+@pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
+                         ids=IDS)
+def test_root_tables(family, rank, isogeny, generic, special):
+    rs = rs_of(family, rank, isogeny)
+    for idx, root in enumerate(rs.all_roots):
+        assert rs.grads[idx] == grad(rs, idx)
+        assert rs.coroot(idx) == coroot(rs, idx)
+        assert rs.negate_index(idx) == negate(rs, idx)
+        assert rs.root_index(root) == idx
+    rng = random.Random(seed_of(family, rank, isogeny))
+    for x in points(rs, rng.random(), generic, special):
+        lam = ratmat.sub(x, ratmat.matvec(
+            rng.choice(oracle_weyl_group(rs))[0], x))
+        for p in (x, lam, coweight(rs, rng, 10 ** 9)):
+            assert rs.in_coweight_lattice(p) == in_lattice(rs, p)
+            assert rs.coweight_coords(p) == \
+                ratmat.matvec(coweight_inverse(rs), p)
+
+
+@pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
+                         ids=IDS)
+def test_scans_match_fraction_scans(family, rank, isogeny, generic, special):
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(seed_of(family, rank, isogeny))
+    pts = points(rs, rng.random(), generic, special)
+    group = oracle_weyl_group(rs)
+    nontrivial = 0
+    for k, x in enumerate(pts):
+        # y = w(x) + lam is W_aff-related to x; z is another point
+        w = rng.choice(group)[0]
+        y = ratmat.add(ratmat.matvec(w, x), coweight(rs, rng, 10 ** 6))
+        z = pts[(k + 1) % len(pts)]
+        # a fixed set with many vanishing roots: one scaled vertex
+        v = ratmat.scale(rng.randint(1, 10 ** 6),
+                         rng.choice(alcove_vertices(rs)))
+        fixed = [(), (x,), (ratmat.sub(x, y),), (v,)][k % 4]
+        for pair_set in (((x, x),), ((x, y),), ((x, x), (z, z)),
+                         ((x, y), (v, v))):
+            want = oracle_weyl_scan(rs, fixed, pair_set)
+            got = weyl_scan(rs, fixed, pair_set)
+            assert [(w0.matrix, w0.word, lams) for w0, lams in got] == want
+            for _, lams in got:
+                assert all(isinstance(c, Fraction)
+                           for lam in lams for c in lam)
+            nontrivial += len(got) > 1
+        for pt_set in ((x,), (x, y), (x, z), (v,)):
+            assert root_scan(rs, fixed, pt_set) == \
+                oracle_root_scan(rs, fixed, pt_set)
+    assert nontrivial  # the special points keep more than the identity
+
+
+@pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
+                         ids=IDS)
+def test_facets_match_fraction_facets(family, rank, isogeny, generic,
+                                      special):
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(seed_of(family, rank, isogeny))
+    pts = points(rs, rng.random(), generic, special)
+    witnesses = [f.witness for f in faces_of_alcove(rs).faces]
+    for x in pts + witnesses + list(alcove_vertices(rs)):
+        key = facet_of(rs, x)
+        want_key, want_vanishing = oracle_facet_of(rs, x)
+        assert key.key == want_key
+        assert [(a.root_index, a.level) for a in key.vanishing_set] == \
+            list(want_vanishing)
+        assert key.witness == x
+    for k, x in enumerate(pts):
+        # y in the closure of facet(x): on the same walls, or nearby
+        shift = coweight(rs, rng, 10 ** 6)
+        for y in (pts[(k + 1) % len(pts)], ratmat.add(x, shift),
+                  rng.choice(witnesses),
+                  ratmat.add(rng.choice(witnesses), shift)):
+            for a, b in ((x, y), (y, x)):
+                assert facet_closure_contains(rs, a, b) == \
+                    oracle_facet_closure_contains(rs, a, b)
+    for a in witnesses:
+        for b in witnesses:
+            assert facet_closure_contains(rs, a, b) == \
+                oracle_facet_closure_contains(rs, a, b)
+
+
+@pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
+                         ids=IDS)
+def test_reduce_matches_fraction_reduction(family, rank, isogeny, generic,
+                                           special):
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(seed_of(family, rank, isogeny))
+    pts = [small_point(rng, rs.dim) for _ in range(generic + special)]
+    # points on walls: W-images of face witnesses, shifted by coweights
+    for _ in range(special):
+        f = rng.choice(faces_of_alcove(rs).faces)
+        w = rng.choice(oracle_weyl_group(rs))[0]
+        pts.append(ratmat.add(ratmat.matvec(w, f.witness),
+                              coweight(rs, rng, 3)))
+    for x in pts:
+        if isogeny == "gl":
+            with pytest.raises(ValueError):
+                reduce_to_alcove(rs, x)
+            continue
+        w, xr = reduce_to_alcove(rs, x)
+        m, t, cur = oracle_reduce(rs, x)
+        assert (w.finite_part.matrix, w.translation, xr) == (m, t, cur)
+        assert all(isinstance(c, Fraction) for c in w.translation + xr)
+
+
+@pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
+                         ids=IDS)
+def test_hash_and_equality_follow_the_cartan_type(family, rank, isogeny,
+                                                  generic, special):
+    rs = rs_of(family, rank, isogeny)
+    assert hash(rs) == hash(build_root_system(rs.cartan_type))
+    fresh = build_root_system.__wrapped__(rs.cartan_type)
+    assert fresh is not rs
+    assert fresh == rs and hash(fresh) == hash(rs)
+    other = rs_of("A", rank, "gl" if isogeny == "sc" else "sc")
+    assert other != rs
+
+
+def test_alcove_data_is_built_once_and_immutable():
+    rs = rs_of("B", 3, "sc")
+    assert fundamental_alcove(rs) is fundamental_alcove(rs)
+    assert isinstance(fundamental_alcove(rs), tuple)
+    assert alcove_vertices(rs) is alcove_vertices(rs)
+    assert faces_of_alcove(rs) is faces_of_alcove(rs)
