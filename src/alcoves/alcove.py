@@ -4,9 +4,10 @@ Walls of the fundamental alcove are stored as affine roots oriented so each
 is nonnegative on the closed alcove: the simple roots at level 0 plus the
 negated highest root at level -1 (so eval = 1 - theta(x)).  The walls, the
 vertices and the face category are built once per root system.
-`facet_of` and `facet_closure_contains` write their points as integer
-numerators over one common denominator, so each root value is an integer
-dot product and each test a floor-division or a remainder.
+`root_values` writes a point as integer numerators over its denominator,
+so each root value is an integer dot product; `facet_of` keys a facet on
+their floors and remainders, and `FacetKey.closure_contains`, behind
+`facet_closure_contains`, compares them with integer bounds.
 """
 
 from __future__ import annotations
@@ -184,23 +185,37 @@ class FacetKey:
     def __eq__(self, other):
         return isinstance(other, FacetKey) and self.key == other.key
 
-    def sign_vector(self, rs: RootSystem, window: int = 2) -> dict:
-        """Signs of nearby affine roots at the witness; -1/0/+1 values."""
-        out = {}
-        for p, (fl, _) in zip(rs.positive_indices, self.key):
-            val = rs.eval_root(p, self.witness)
-            for n in range(fl - window, fl + window + 1):
-                v = val - n
-                out[(p, n)] = 0 if v == 0 else (1 if v > 0 else -1)
-        return out
+    def closure_contains(self, d: int, values: tuple[int, ...]) -> bool:
+        """Whether a point lies in the closure of this facet, given the
+        positive roots' values at it as integer numerators over d (see
+        `root_values`).  Per positive root with value t at the witness
+        and u at the point: if t is on a wall then u must equal t;
+        otherwise u must be in the closed interval [floor(t),
+        floor(t)+1]."""
+        for (fl, on_wall), u in zip(self.key, values):
+            lo = fl * d
+            if on_wall:
+                if u != lo:
+                    return False
+            elif not lo <= u <= lo + d:
+                return False
+        return True
+
+
+def root_values(rs: RootSystem, x: Vec) -> tuple[int, tuple[int, ...]]:
+    """(d, values): the positive roots at x, as integer numerators over the
+    denominator d of x, in `positive_indices` order."""
+    d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
+    return d, tuple(ratmat.int_dot(rs.grads[p], num)
+                    for p in rs.positive_indices)
 
 
 def facet_of(rs: RootSystem, x: Vec) -> FacetKey:
-    d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
+    d, values = root_values(rs, x)
     key = []
     vanishing = []
-    for p in rs.positive_indices:
-        fl, rem = divmod(ratmat.int_dot(rs.grads[p], num), d)
+    for p, t in zip(rs.positive_indices, values):
+        fl, rem = divmod(t, d)
         key.append((fl, rem == 0))
         if not rem:
             vanishing.append(AffineRoot(p, fl))
@@ -209,25 +224,8 @@ def facet_of(rs: RootSystem, x: Vec) -> FacetKey:
 
 
 def facet_closure_contains(rs: RootSystem, x: Vec, y: Vec) -> bool:
-    """Whether y lies in the closure of the facet of x.
-
-    Per positive root with value t at x and u at y: if t is on a wall then
-    u must equal t; otherwise u must be in the closed interval
-    [floor(t), floor(t)+1].  Both points are written over one denominator
-    d, so the test compares the integers d*t and d*u.
-    """
-    d, (xn, yn) = ratmat.over_common_denominator((x, y), rs.dim)
-    for p in rs.positive_indices:
-        g = rs.grads[p]
-        t = ratmat.int_dot(g, xn)
-        u = ratmat.int_dot(g, yn)
-        rem = t % d
-        if rem == 0:
-            if u != t:
-                return False
-        elif not (t - rem <= u <= t - rem + d):
-            return False
-    return True
+    """Whether y lies in the closure of the facet of x."""
+    return facet_of(rs, x).closure_contains(*root_values(rs, y))
 
 
 def verify_ver_isomorphism(rs: RootSystem) -> bool:

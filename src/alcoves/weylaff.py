@@ -8,28 +8,36 @@ chart overlaps are handled by exact finite enumerations whose windows are
 derived from the geometry, not guessed.
 
 The kernels (`root_scan`, `weyl_scan`, `reduce_to_alcove`, the closure in
-`point_reflection_subgroup`, `compose` and `invert`) run on Python ints:
-points are written once as integer numerators over one common
-denominator, Weyl elements act by integer matrices, and Fractions are
-built only for the values returned.  The ell+1 wall reflections of the
-alcove and the table of inverses are built once per root system.
+`point_reflection_subgroup`, `compose`, `invert`, the facet enumerator
+at a vertex behind the star functions, and `chart_overlap`) run on
+Python ints: points are written once as integer numerators over one
+common denominator, Weyl elements act by integer matrices, and Fractions
+are built only for the values returned.  The ell+1 wall reflections of
+the alcove and the table of inverses are built once per root system, the
+reflection group of a point once per (root system, point), and the facets
+at a vertex, with the hull of its star, once per vertex group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
+from operator import le, mul
+from typing import NamedTuple
 
 from . import ratmat
 from .alcove import (
     AffineRoot,
     Face,
+    FacetKey,
     alcove_vertices,
     faces_of_alcove,
     facet_closure_contains,
     facet_of,
     fundamental_alcove,
+    root_values,
 )
 from .ratmat import Vec
 from .rootdata import (
@@ -146,6 +154,14 @@ def transform_affine_root(rs: RootSystem, w: AffineWeylElement,
 @dataclass(frozen=True)
 class FiniteSubgroup:
     elements: tuple[AffineWeylElement, ...]
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashed once: the vertex groups are cache keys of the star data
+        return hash(self.elements)
 
     @property
     def order(self) -> int:
@@ -276,26 +292,37 @@ def stabilizer_of_face(rs: RootSystem, j: Face) -> FiniteSubgroup:
     return stabilizer_of_point(rs, j.witness)
 
 
+def _pair_product(x: tuple, y: tuple) -> tuple:
+    """The product xy of integer (matrix, translation) pairs: x(y(p))."""
+    return (ratmat.int_matmul(x[0], y[0]),
+            tuple(a + b for a, b in zip(ratmat.int_matvec(x[0], y[1]), x[1])))
+
+
 def point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     """Group generated by reflections in all walls through the point x,
-    listed breadth-first from the identity, generators in root order.
+    listed breadth-first from the identity, generators in root order;
+    built once per (root system, point)."""
+    # a plain function in front of the cache, so tracing sees each call
+    return _point_reflection_subgroup(rs, tuple(x))
 
-    The walls through x have integer levels, so every element is an
+
+@lru_cache(maxsize=None)
+def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
+    """The walls through x have integer levels, so every element is an
     integer matrix with an integer translation; the closure runs on those
     pairs and builds the affine elements at the end."""
     gens = [(_reflection_matrix(rs, ar.root_index),
              tuple(ar.level * c for c in rs.coroots[ar.root_index]))
-            for ar in vanishing_affine_roots(rs, (tuple(x),))]
+            for ar in vanishing_affine_roots(rs, (x,))]
     ident = (ratmat.int_identity(rs.dim), (0,) * rs.dim)
     elements = [ident]
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
-        for m, t in frontier:
-            for s, u in gens:
-                c = (ratmat.int_matmul(s, m),
-                     tuple(a + b for a, b in zip(ratmat.int_matvec(s, t), u)))
+        for u in frontier:
+            for g in gens:
+                c = _pair_product(g, u)
                 if c not in seen:
                     if len(seen) >= _CLOSURE_GUARD:
                         raise EnumerationGuard("subgroup closure guard hit")
@@ -333,49 +360,82 @@ def verify_open_embedding(rs: RootSystem, j: Face,
     return open_embedding_counterexample(rs, j, samples) is None
 
 
-def _vertex_faces(rs: RootSystem) -> dict:
-    """Map each alcove vertex (as a tuple) to its vertex face."""
-    return {f.vertices[0]: f for f in faces_of_alcove(rs).faces
-            if len(f.vertices) == 1}
+class VertexStar(NamedTuple):
+    """The facets at one alcove vertex v and the hull window of its star.
+
+    `facets` holds one `FacetKey` per facet whose closure contains v, in
+    order of first appearance; each key's witness is the first point of
+    its facet.  `hull` holds the images of the alcove vertices under the
+    reflection group of v, as integer numerators over `hull_den`, the
+    common denominator of the alcove vertices (the same at every vertex).
+    """
+
+    facets: tuple[FacetKey, ...]
+    hull_den: int
+    hull: tuple[tuple[int, ...], ...]
 
 
-def _facets_at_vertex(rs: RootSystem, v: Vec) -> dict:
-    """One witness per facet whose closure contains the vertex v, keyed by
-    facet, in order of first appearance.  These facets are the faces of
-    the alcoves at v, the images of C under the reflection group of v,
-    whose translations are integral."""
+def _facets_at_vertex(rs: RootSystem, v: Vec) -> VertexStar:
+    """The facets at the vertex v, built once per vertex group."""
+    # a plain function in front of the cache: the vertex group is asked
+    # for on every call, so tracing sees each time a star reaches here
+    return _vertex_star(rs, point_reflection_subgroup(rs, v))
+
+
+@lru_cache(maxsize=None)
+def _vertex_star(rs: RootSystem, group: FiniteSubgroup) -> VertexStar:
+    """The facets at a vertex v, given the reflection group of v.
+
+    These facets are the faces of the alcoves at v, the images of C under
+    the group, whose translations are integral.  The face witnesses are
+    written over one denominator d, so each image is an integer
+    matrix-vector product; a facet is keyed on the integer (floor,
+    on-wall) values of the positive roots, and its witness and `FacetKey`
+    are built only for its first point."""
+    pairs = [(u.finite_part.matrix, tuple(int(c) for c in u.translation))
+             for u in group.elements]
     d, wits = ratmat.over_common_denominator(
         tuple(f.witness for f in faces_of_alcove(rs).faces), rs.dim)
-    out: dict = {}
-    for u in point_reflection_subgroup(rs, v).elements:
-        m = u.finite_part.matrix
-        dt = tuple(d * int(c) for c in u.translation)
+    pos = [rs.grads[p] for p in rs.positive_indices]
+    first: dict = {}
+    for m, t in pairs:
+        dt = tuple(d * c for c in t)
         for w in wits:
-            p = tuple(Fraction(a + b, d)
-                      for a, b in zip(ratmat.int_matvec(m, w), dt))
-            out.setdefault(facet_of(rs, p), p)
-    return out
+            p = tuple(a + b for a, b in zip(ratmat.int_matvec(m, w), dt))
+            key = []
+            for g in pos:
+                fl, rem = divmod(ratmat.int_dot(g, p), d)
+                key.append((fl, not rem))
+            first.setdefault(tuple(key), p)
+    facets = tuple(facet_of(rs, tuple(Fraction(c, d) for c in p))
+                   for p in first.values())
+    hd, verts = ratmat.over_common_denominator(alcove_vertices(rs), rs.dim)
+    hull = dict.fromkeys(
+        tuple(a + hd * b for a, b in zip(ratmat.int_matvec(m, x), t))
+        for m, t in pairs for x in verts)
+    return VertexStar(facets, hd, tuple(hull))
 
 
 def star_facet_witnesses(rs: RootSystem, j: Face) -> list[Vec]:
     """One witness per facet of St_J, by exact finite enumeration: St_J
     lies in the star of any vertex of J, and star membership is a property
-    of the facet."""
-    return [p for p in _facets_at_vertex(rs, j.vertices[0]).values()
-            if star_contains(rs, j, p)]
+    of the facet: J's witness lies in the facet's closure."""
+    d, u = root_values(rs, j.witness)
+    return [k.witness for k in _facets_at_vertex(rs, j.vertices[0]).facets
+            if k.closure_contains(d, u)]
 
 
 def verify_star_intersection(rs: RootSystem, j: Face) -> bool:
     """St_J equals the intersection of the stars of its vertices,
-    checked on every facet of the union of the vertex stars."""
-    vfaces = _vertex_faces(rs)
-    jverts = [vfaces[v] for v in j.vertices]
-    candidates: dict = {}
-    for v in j.vertices:
-        candidates.update(_facets_at_vertex(rs, v))
-    for p in candidates.values():
-        in_star = star_contains(rs, j, p)
-        in_all = all(star_contains(rs, vf, p) for vf in jverts)
+    checked on every facet of the union of the vertex stars.  The witness
+    of a vertex face is the vertex itself."""
+    star = root_values(rs, j.witness)
+    vertex_stars = [root_values(rs, v) for v in j.vertices]
+    candidates = dict.fromkeys(
+        k for v in j.vertices for k in _facets_at_vertex(rs, v).facets)
+    for k in candidates:
+        in_star = k.closure_contains(*star)
+        in_all = all(k.closure_contains(*s) for s in vertex_stars)
         if in_star != in_all:
             return False
     return True
@@ -383,7 +443,7 @@ def verify_star_intersection(rs: RootSystem, j: Face) -> bool:
 
 def verify_cover(rs: RootSystem, samples: list[Vec]) -> bool:
     """Every point reduces into some vertex star of the alcove."""
-    vfaces = list(_vertex_faces(rs).values())
+    vfaces = [f for f in faces_of_alcove(rs).faces if len(f.vertices) == 1]
     for x in samples:
         w, xr = reduce_to_alcove(rs, x)
         if w.apply(tuple(x)) != xr:
@@ -393,77 +453,101 @@ def verify_cover(rs: RootSystem, samples: list[Vec]) -> bool:
     return True
 
 
+def _int_pair(e: AffineWeylElement, den: int) -> tuple:
+    """e as an integer (matrix, translation numerators over den) pair."""
+    return (e.finite_part.matrix,
+            tuple(c.numerator * (den // c.denominator) for c in e.translation))
+
+
 def chart_overlap(rs: RootSystem, j1: Face, j2: Face
                   ) -> list[tuple[AffineWeylElement, FiniteSubgroup]]:
     """Double cosets W_{J2} \\ {w : w(St_{J1}) meets St_{J2}} / W_{J1},
-    with the pair stabilizer W_{w(J1)} cap W_{J2} for each representative."""
+    with the pair stabilizer W_{w(J1)} cap W_{J2} for each representative.
+
+    For each w0, the translations lam are enumerated in a window: the box,
+    in coweight coordinates, that the hulls of the two vertex stars allow.
+    w = (w0, lam) is kept when w maps some open alcove of St_{J1} into
+    St_{J2}.  Testing the alcoves is enough: St_{J2} is open and a union
+    of facets, so if it holds w(F) for a facet F of St_{J1}, it holds
+    w(C) for the alcoves C of St_{J1} whose closures contain F.  The
+    alcove witnesses and J2's witness are written over one denominator d;
+    a root value at w(p) is its value at w0(p), off every wall, plus the
+    integer alpha(lam), so the closure test at J2's witness gives each
+    alcove an integer range for every alpha(lam).  The double cosets and
+    the pair stabilizers are closed on integer (matrix, translation)
+    pairs; Fractions are built only for the values returned."""
     w1 = stabilizer_of_face(rs, j1)
     w2 = stabilizer_of_face(rs, j2)
-    p1 = star_facet_witnesses(rs, j1)
+    star1 = _facets_at_vertex(rs, j1.vertices[0])
+    star2 = _facets_at_vertex(rs, j2.vertices[0])
+    at_j1 = root_values(rs, j1.witness)
+    alcoves = tuple(k.witness for k in star1.facets
+                    if not any(on for _, on in k.key)
+                    and k.closure_contains(*at_j1))
+    pos = [rs.grads[p] for p in rs.positive_indices]
+    d, nums = ratmat.over_common_denominator(alcoves + (j2.witness,), rs.dim)
+    # floor(t) <= u <= floor(t) + 1 at J2's value u, for t off the walls
+    u2 = [(-(-u // d) - 1, u // d)
+          for u in (ratmat.int_dot(g, nums[-1]) for g in pos)]
+    # lam = sum_i c_i b_i over the lattice basis b_i, written over bd, and
+    # alpha(b_i) for every positive alpha (an integer: b_i is a coweight)
+    bd, basis = ratmat.over_common_denominator(rs.coweight_lattice_basis,
+                                               rs.dim)
+    on_basis = [tuple(ratmat.int_dot(g, b) // bd for b in basis) for g in pos]
+    basis_cols = tuple(zip(*basis))
+    # hulls in coweight coordinates, numerators over e; J2's is w0-free
+    e = star1.hull_den * rs.coweight_inv_den
+    c2 = [ratmat.int_matvec(rs.coweight_inv_num, h) for h in star2.hull]
+    c2_lo = [min(col) for col in zip(*c2)]
+    c2_hi = [max(col) for col in zip(*c2)]
 
-    # hull points of the two star regions, for the translation window
-    def hull_points(j: Face) -> list[Vec]:
-        verts = alcove_vertices(rs)
-        group = stabilizer_of_point(rs, j.vertices[0])
-        return [u.apply(v) for u in group.elements for v in verts]
-
-    h1, h2 = hull_points(j1), hull_points(j2)
-    found = []
+    found = []  # (w0, lam numerators over bd), in output order
     for w0 in weyl_elements(rs):
-        moved = [w0.apply(p) for p in h1]
+        m = w0.matrix
+        cm = ratmat.int_matmul(rs.coweight_inv_num, m)
+        c1 = [ratmat.int_matvec(cm, h) for h in star1.hull]
         box = []
-        c2 = [rs.coweight_coords(p) for p in h2]
-        c1 = [rs.coweight_coords(p) for p in moved]
-        ok = True
-        for k in range(rs.dim):
-            lo = min(t[k] for t in c2) - max(s[k] for s in c1)
-            hi = max(t[k] for t in c2) - min(s[k] for s in c1)
-            lo_i = -((-lo.numerator) // lo.denominator)
-            hi_i = hi.numerator // hi.denominator
+        for lo2, hi2, col in zip(c2_lo, c2_hi, zip(*c1)):
+            lo_i = -((max(col) - lo2) // e)
+            hi_i = (hi2 - min(col)) // e
             if lo_i > hi_i:
-                ok = False
                 break
             box.append(range(lo_i, hi_i + 1))
-        if not ok:
-            continue
+        else:
+            ranges = []  # per alcove, the allowed alpha(lam) per root
+            for p in nums[:-1]:
+                mp = ratmat.int_matvec(m, p)
+                fls = [ratmat.int_dot(g, mp) // d for g in pos]
+                ranges.append(([lo - f for f, (lo, _) in zip(fls, u2)],
+                               [hi - f for f, (_, hi) in zip(fls, u2)]))
+            for coords in product(*box):
+                vals = [sum(map(mul, coords, a)) for a in on_basis]
+                if any(all(map(le, lo, vals)) and all(map(le, vals, hi))
+                       for lo, hi in ranges):
+                    found.append((w0, tuple(sum(map(mul, coords, col))
+                                            for col in basis_cols)))
 
-        def rec(k, coords):
-            if k == rs.dim:
-                lam = rs.from_coweight_coords(tuple(Fraction(c)
-                                                    for c in coords))
-                w = AffineWeylElement(w0, lam)
-                if any(star_contains(rs, j2, w.apply(p)) for p in p1):
-                    found.append(w)
-                return
-            for c in box[k]:
-                rec(k + 1, coords + [c])
-
-        rec(0, [])
-
-    # partition into double cosets
-    found_set = set(found)
+    # partition into double cosets W_J2 w W_J1, on integer pairs
+    g1 = [_int_pair(a, bd) for a in w1.elements]
+    by_pair2 = {_int_pair(b, bd): b for b in w2.elements}
+    found_set = {(w0.matrix, lam) for w0, lam in found}
     seen: set = set()
     out = []
-    for w in found:
+    for w0, lam in found:
+        w = (w0.matrix, lam)
         if w in seen:
             continue
-        coset = set()
-        frontier = [w]
-        while frontier:
-            u = frontier.pop()
-            if u in coset:
-                continue
-            coset.add(u)
-            for a in w1.elements:
-                frontier.append(compose(rs, u, a))
-            for b in w2.elements:
-                frontier.append(compose(rs, b, u))
+        w_w1 = [_pair_product(w, a) for a in g1]
+        coset = {_pair_product(b, x) for b in by_pair2 for x in w_w1}
         if not coset <= found_set:
             raise RuntimeError("double coset leaves the overlap set (bug)")
         seen |= coset
-        winv = invert(rs, w)
-        conj = {compose(rs, compose(rs, w, a), winv) for a in w1.elements}
-        pair = sorted(conj & w2.element_set(),
-                      key=lambda e: (e.finite_part.word, e.translation))
-        out.append((w, FiniteSubgroup(tuple(pair))))
+        # the pair stabilizer: (w a) w^-1 for a in W_J1, within W_J2
+        m_inv = _inverses(rs)[w0.matrix].matrix
+        w_inv = (m_inv, tuple(-c for c in ratmat.int_matvec(m_inv, lam)))
+        pair = [by_pair2[c] for c in (_pair_product(x, w_inv) for x in w_w1)
+                if c in by_pair2]
+        pair.sort(key=lambda el: (el.finite_part.word, el.translation))
+        rep = AffineWeylElement(w0, tuple(Fraction(c, bd) for c in lam))
+        out.append((rep, FiniteSubgroup(tuple(pair))))
     return out

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -164,13 +165,21 @@ def test_closure_test_matches_arrows():
                 assert ((i, j) in arrows) == geo
 
 
-def test_sign_vector():
-    rs = rs_of("A", 1)
-    key = facet_of(rs, (Fraction(1, 4),))
-    sv = key.sign_vector(rs)
-    idx = rs.root_index(rs.simple_roots[0])
-    assert sv[(idx, 0)] == 1
-    assert sv[(idx, 1)] == -1
+def test_facet_key_closure_contains_matches_closure_test():
+    rng = random.Random(5)
+    for family, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("C", 3)]:
+        rs = rs_of(family, rank)
+        wits = [f.witness for f in faces_of_alcove(rs).faces]
+        pts = wits + [tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 6))
+                            for _ in range(rs.dim)) for _ in range(20)]
+        for x in pts:
+            key = facet_of(rs, x)
+            for y in pts:
+                d, (yn,) = ratmat.over_common_denominator((y,), rs.dim)
+                vals = tuple(ratmat.int_dot(rs.grads[p], yn)
+                             for p in rs.positive_indices)
+                assert key.closure_contains(d, vals) == \
+                    facet_closure_contains(rs, x, y)
 
 
 def test_json_export():

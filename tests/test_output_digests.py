@@ -2,8 +2,10 @@
 
 `tests/fixtures/output_digests.json` maps a CLI argument line to the
 sha256 of its standard output: `svg --highlight F` for every face of A2,
-B2 and G2 (polygon order), and `star --face F` for every face of A3
-(facet witness order).
+B2 and G2 (polygon order), `star --face F` for every face of A3 (facet
+witness order), and `overlap --face1 F1 --face2 F2` for every pair of
+faces of A2, B2 and G2 (double-coset representatives, their words and
+translations, and pair-stabilizer orders).
 """
 
 import contextlib

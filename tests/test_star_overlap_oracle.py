@@ -1,0 +1,267 @@
+"""Stars and chart overlaps against Fraction oracles.
+
+The oracles below are the earlier Fraction implementations of the facet
+enumerator at a vertex and of `chart_overlap`: the enumerator applies
+each affine element of the vertex's reflection group to every face
+witness, and the overlap applies every candidate (w0, lam) of its window
+to every star witness of J1 as a Fraction map, then closes the double
+cosets with `compose` and `invert`.  The one change from that code is
+that w0(p) is computed once per w0 and lam added to it, rather than
+w = (w0, lam) applied to p for every lam; the values are the same.
+
+The library must give the same facets with the same witnesses in the same
+order at every vertex of sc A2, B2, G2, A3, B3 and C3, and the same
+double-coset representatives (word and translation, in order) and pair
+stabilizers (in order) on every face pair of sc A2, B2 and G2 and on
+every vertex pair of sc A3.  The cache of the enumerator, and that of
+the vertex groups it is keyed on, must hand out immutable values, and hit
+for an equal root system built a second time.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from alcoves import ratmat, weylaff
+from alcoves.alcove import (
+    FacetKey,
+    alcove_vertices,
+    faces_of_alcove,
+    facet_of,
+)
+from alcoves.rootdata import CartanType, build_root_system
+from alcoves.weylaff import (
+    AffineWeylElement,
+    FiniteSubgroup,
+    chart_overlap,
+    compose,
+    invert,
+    point_reflection_subgroup,
+    stabilizer_of_face,
+    stabilizer_of_point,
+    star_contains,
+    star_facet_witnesses,
+    verify_star_intersection,
+    weyl_elements,
+)
+
+
+def rs_of(family, rank):
+    return build_root_system(CartanType(family, rank))
+
+
+# -- Fraction oracles ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def oracle_facets_at_vertex(rs, v):
+    """One witness per facet whose closure contains v, keyed by facet, in
+    order of first appearance: the reflection group of v applied to the
+    face witnesses."""
+    out = {}
+    for u in point_reflection_subgroup(rs, v).elements:
+        for f in faces_of_alcove(rs).faces:
+            p = u.apply(f.witness)
+            out.setdefault(facet_of(rs, p), p)
+    return out
+
+
+def oracle_star_facet_witnesses(rs, j):
+    return [p for p in oracle_facets_at_vertex(rs, j.vertices[0]).values()
+            if star_contains(rs, j, p)]
+
+
+def oracle_chart_overlap(rs, j1, j2):
+    w1 = stabilizer_of_face(rs, j1)
+    w2 = stabilizer_of_face(rs, j2)
+    p1 = oracle_star_facet_witnesses(rs, j1)
+
+    def hull_points(j):
+        verts = alcove_vertices(rs)
+        group = stabilizer_of_point(rs, j.vertices[0])
+        return [u.apply(v) for u in group.elements for v in verts]
+
+    h1, h2 = hull_points(j1), hull_points(j2)
+    found = []
+    for w0 in weyl_elements(rs):
+        moved = [w0.apply(p) for p in h1]
+        box = []
+        c2 = [rs.coweight_coords(p) for p in h2]
+        c1 = [rs.coweight_coords(p) for p in moved]
+        ok = True
+        for k in range(rs.dim):
+            lo = min(t[k] for t in c2) - max(s[k] for s in c1)
+            hi = max(t[k] for t in c2) - min(s[k] for s in c1)
+            lo_i = -((-lo.numerator) // lo.denominator)
+            hi_i = hi.numerator // hi.denominator
+            if lo_i > hi_i:
+                ok = False
+                break
+            box.append(range(lo_i, hi_i + 1))
+        if not ok:
+            continue
+        moved_p1 = [w0.apply(p) for p in p1]
+
+        def rec(k, coords):
+            if k == rs.dim:
+                lam = rs.from_coweight_coords(tuple(Fraction(c)
+                                                    for c in coords))
+                if any(star_contains(rs, j2, ratmat.add(q, lam))
+                       for q in moved_p1):
+                    found.append(AffineWeylElement(w0, lam))
+                return
+            for c in box[k]:
+                rec(k + 1, coords + [c])
+
+        rec(0, [])
+
+    found_set = set(found)
+    seen = set()
+    out = []
+    for w in found:
+        if w in seen:
+            continue
+        coset = set()
+        frontier = [w]
+        while frontier:
+            u = frontier.pop()
+            if u in coset:
+                continue
+            coset.add(u)
+            for a in w1.elements:
+                frontier.append(compose(rs, u, a))
+            for b in w2.elements:
+                frontier.append(compose(rs, b, u))
+        assert coset <= found_set
+        seen |= coset
+        winv = invert(rs, w)
+        conj = {compose(rs, compose(rs, w, a), winv) for a in w1.elements}
+        pair = sorted(conj & w2.element_set(),
+                      key=lambda e: (e.finite_part.word, e.translation))
+        out.append((w, FiniteSubgroup(tuple(pair))))
+    return out
+
+
+# -- cases -------------------------------------------------------------------
+
+
+def summary(cosets):
+    """(word, translation) of each representative and of each element of
+    its pair stabilizer, in order."""
+    return [((w.finite_part.word, w.translation),
+             [(e.finite_part.word, e.translation) for e in stab.elements])
+            for w, stab in cosets]
+
+
+def face_pairs(family, rank, vertices_only):
+    rs = rs_of(family, rank)
+    faces = [f for f in faces_of_alcove(rs).faces
+             if not vertices_only or len(f.vertices) == 1]
+    return [(family, rank, sorted(a.vanishing_walls),
+             sorted(b.vanishing_walls)) for a in faces for b in faces]
+
+
+OVERLAP_CASES = (face_pairs("A", 2, False) + face_pairs("B", 2, False)
+                 + face_pairs("G", 2, False) + face_pairs("A", 3, True))
+VERTEX_TYPES = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,walls1,walls2", OVERLAP_CASES,
+    ids=[f"{f}{r}-{a}-{b}" for f, r, a, b in OVERLAP_CASES])
+def test_chart_overlap_matches_fraction_overlap(family, rank, walls1,
+                                                walls2):
+    rs = rs_of(family, rank)
+    cat = faces_of_alcove(rs)
+    j1, j2 = cat.face_by_walls(walls1), cat.face_by_walls(walls2)
+    got = chart_overlap(rs, j1, j2)
+    assert summary(got) == summary(oracle_chart_overlap(rs, j1, j2))
+    w2 = stabilizer_of_face(rs, j2).element_set()
+    for w, stab in got:
+        assert all(isinstance(c, Fraction) for c in w.translation)
+        assert stab.element_set() <= w2
+
+
+@pytest.mark.parametrize("family,rank", VERTEX_TYPES,
+                         ids=[f"{f}{r}" for f, r in VERTEX_TYPES])
+def test_facets_at_vertex_match_fraction_enumeration(family, rank):
+    rs = rs_of(family, rank)
+    for v in alcove_vertices(rs):
+        want = oracle_facets_at_vertex(rs, v)
+        got = weylaff._facets_at_vertex(rs, v).facets
+        assert [k.witness for k in got] == list(want.values())
+        assert [k.key for k in got] == [k.key for k in want]
+        assert [k.vanishing_set for k in got] == \
+            [k.vanishing_set for k in want]
+    for f in faces_of_alcove(rs).faces:
+        assert star_facet_witnesses(rs, f) == \
+            oracle_star_facet_witnesses(rs, f)
+
+
+def test_hull_is_the_vertex_group_image_of_the_alcove_vertices():
+    for family, rank in VERTEX_TYPES:
+        rs = rs_of(family, rank)
+        for v in alcove_vertices(rs):
+            entry = weylaff._facets_at_vertex(rs, v)
+            want = {u.apply(x) for u in stabilizer_of_point(rs, v).elements
+                    for x in alcove_vertices(rs)}
+            got = [tuple(Fraction(c, entry.hull_den) for c in h)
+                   for h in entry.hull]
+            assert len(got) == len(want) and set(got) == want
+
+
+# -- the cache -------------------------------------------------------------
+
+
+def test_mutating_results_leaves_the_cache_unchanged():
+    rs = rs_of("A", 3)
+    faces = faces_of_alcove(rs).faces
+    wits = {f: star_facet_witnesses(rs, f) for f in faces}
+    verdicts = {f: verify_star_intersection(rs, f) for f in faces}
+    for f in faces:
+        got = star_facet_witnesses(rs, f)
+        assert got is not star_facet_witnesses(rs, f)
+        got.reverse()
+        got.append(got[0])
+        got[0] = (Fraction(99),) * rs.dim
+        # the candidates of verify_star_intersection: a dict of the
+        # cached facets of every vertex of the face
+        candidates = dict.fromkeys(
+            k for v in f.vertices
+            for k in weylaff._facets_at_vertex(rs, v).facets)
+        candidates.clear()
+        candidates[facet_of(rs, (Fraction(1, 3),) * rs.dim)] = None
+    for f in faces:
+        assert star_facet_witnesses(rs, f) == wits[f]
+        assert verify_star_intersection(rs, f) == verdicts[f]
+
+
+def test_cached_entry_is_an_immutable_tuple():
+    rs = rs_of("B", 3)
+    for v in alcove_vertices(rs):
+        entry = weylaff._facets_at_vertex(rs, v)
+        assert entry is weylaff._facets_at_vertex(rs, v)
+        assert isinstance(entry, tuple)
+        assert isinstance(entry.facets, tuple)
+        assert all(isinstance(k, FacetKey) for k in entry.facets)
+        assert isinstance(entry.hull, tuple)
+        assert all(isinstance(h, tuple) for h in entry.hull)
+        with pytest.raises(AttributeError):
+            entry.facets = ()
+        with pytest.raises(TypeError):
+            entry.facets[0] = None
+
+
+def test_equal_rebuilt_root_system_hits_the_cache():
+    rs = rs_of("G", 2)
+    fresh = build_root_system.__wrapped__(rs.cartan_type)
+    assert fresh is not rs and fresh == rs and hash(fresh) == hash(rs)
+    caches = (weylaff._point_reflection_subgroup, weylaff._vertex_star)
+    for v in alcove_vertices(rs):
+        entry = weylaff._facets_at_vertex(rs, v)
+        hits = [c.cache_info().hits for c in caches]
+        assert weylaff._facets_at_vertex(fresh, v) is entry
+        assert [c.cache_info().hits for c in caches] == [h + 1 for h in hits]
+        assert point_reflection_subgroup(fresh, v) is \
+            point_reflection_subgroup(rs, list(v))
