@@ -5,9 +5,11 @@ is nonnegative on the closed alcove: the simple roots at level 0 plus the
 negated highest root at level -1 (so eval = 1 - theta(x)).  The walls, the
 vertices and the face category are built once per root system.
 `root_values` writes a point as integer numerators over its denominator,
-so each root value is an integer dot product; `facet_of` keys a facet on
-their floors and remainders, and `FacetKey.closure_contains`, behind
-`facet_closure_contains`, compares them with integer bounds.
+so each root value is an integer dot product.  A facet is keyed on their
+floors and remainders; `FacetKey.build` makes the key's vanishing set,
+for `facet_of` and for the facet enumerator at a vertex, and
+`FacetKey.closure_contains`, behind `facet_closure_contains`, compares
+the values with integer bounds.
 """
 
 from __future__ import annotations
@@ -185,6 +187,19 @@ class FacetKey:
     def __eq__(self, other):
         return isinstance(other, FacetKey) and self.key == other.key
 
+    @classmethod
+    def build(cls, rs: RootSystem, key: tuple[tuple[int, bool], ...],
+              witness: Vec) -> FacetKey:
+        """The facet with the given key, one (floor, on-wall) pair per
+        positive root in `positive_indices` order, and witness; the
+        vanishing set holds both signs of each wall through it."""
+        vanishing = []
+        for p, (fl, on_wall) in zip(rs.positive_indices, key):
+            if on_wall:
+                vanishing.append(AffineRoot(p, fl))
+                vanishing.append(AffineRoot(rs.negation[p], -fl))
+        return cls(key, tuple(vanishing), witness)
+
     def closure_contains(self, d: int, values: tuple[int, ...]) -> bool:
         """Whether a point lies in the closure of this facet, given the
         positive roots' values at it as integer numerators over d (see
@@ -212,15 +227,8 @@ def root_values(rs: RootSystem, x: Vec) -> tuple[int, tuple[int, ...]]:
 
 def facet_of(rs: RootSystem, x: Vec) -> FacetKey:
     d, values = root_values(rs, x)
-    key = []
-    vanishing = []
-    for p, t in zip(rs.positive_indices, values):
-        fl, rem = divmod(t, d)
-        key.append((fl, rem == 0))
-        if not rem:
-            vanishing.append(AffineRoot(p, fl))
-            vanishing.append(AffineRoot(rs.negation[p], -fl))
-    return FacetKey(tuple(key), tuple(vanishing), tuple(x))
+    key = tuple((fl, not rem) for fl, rem in (divmod(t, d) for t in values))
+    return FacetKey.build(rs, key, tuple(x))
 
 
 def facet_closure_contains(rs: RootSystem, x: Vec, y: Vec) -> bool:
@@ -247,10 +255,11 @@ def verify_ver_isomorphism(rs: RootSystem) -> bool:
             if ((i, j) in arrow_set) != geometric:
                 return False
     # arrows must also agree with the witness/sign closure test
-    for i, fi in enumerate(cat.faces):
-        for j, fj in enumerate(cat.faces):
-            closure = facet_closure_contains(rs, fj.witness, fi.witness)
-            if ((i, j) in arrow_set) != closure:
+    keys = [facet_of(rs, f.witness) for f in cat.faces]
+    values = [root_values(rs, f.witness) for f in cat.faces]
+    for i, vi in enumerate(values):
+        for j, kj in enumerate(keys):
+            if ((i, j) in arrow_set) != kj.closure_contains(*vi):
                 return False
     return True
 

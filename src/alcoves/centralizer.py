@@ -330,13 +330,12 @@ class MatrixShape:
         )
 
 
-def matrix_shape(rs: RootSystem, phi: tuple[AffineRoot, ...],
-                 n: int | None = None) -> MatrixShape:
-    """Loop-algebra picture of a type-A centralizer as an n x n grid."""
+def matrix_shape(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> MatrixShape:
+    """Loop-algebra picture of a type-A_{n-1} centralizer as an n x n
+    grid."""
     if rs.cartan_type.family != "A":
         raise ValueError("matrix shapes are defined for type A only")
-    if n is None:
-        n = rs.rank + 1
+    n = rs.rank + 1
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         grid[i][i] = 0

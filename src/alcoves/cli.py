@@ -64,12 +64,12 @@ def _run_check(reports, rs_label, name, params, fn):
 # -- sampling helpers ------------------------------------------------------
 
 
-def _rand_frac(rng, lo=-3, hi=3, den=8) -> Fraction:
-    return Fraction(rng.randint(lo * den, hi * den), den)
+def _rand_frac(rng, den=8) -> Fraction:
+    return Fraction(rng.randint(-3 * den, 3 * den), den)
 
 
-def _rand_point(rng, dim, lo=-3, hi=3, den=8):
-    return tuple(_rand_frac(rng, lo, hi, den) for _ in range(dim))
+def _rand_point(rng, dim, den=8):
+    return tuple(_rand_frac(rng, den) for _ in range(dim))
 
 
 def _star_samples(rs, j, rng, count):
@@ -653,6 +653,8 @@ def _dispatch(args) -> int:
     if cmd == "verify":
         if args.radius < 1:
             raise ValueError("--radius must be at least 1")
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1")
         rs = None
         if args.suite != "weierstrass":
             rs = _build(args)

@@ -21,6 +21,8 @@ from .centralizer import centralizer_face, matrix_shape
 from .rootdata import RootSystem
 from .weylaff import vanishing_affine_roots
 
+_DIAGRAM_MAX_RANK = 3
+
 
 @dataclass(frozen=True)
 class ParabolicData:
@@ -61,14 +63,15 @@ def compose_parabolics(rs: RootSystem, j: Face, jp: Face, jpp: Face) -> bool:
     return composed == p13.parabolic_set()
 
 
-def restriction_diagram(rs: RootSystem, max_rank: int = 3) -> dict:
+def restriction_diagram(rs: RootSystem) -> dict:
     """The full diagram over the face poset: Levi data on nodes,
     parabolic data on arrows, verified composition triangles."""
     if rs.cartan_type.isogeny != "sc":
         raise ValueError("restriction diagram requires simply-connected "
                          "isogeny")
-    if rs.rank > max_rank:
-        raise ValueError(f"rank {rs.rank} exceeds diagram guard {max_rank}")
+    if rs.rank > _DIAGRAM_MAX_RANK:
+        raise ValueError(
+            f"rank {rs.rank} exceeds diagram guard {_DIAGRAM_MAX_RANK}")
     cat = faces_of_alcove(rs)
     type_a = rs.cartan_type.family == "A"
     nodes = []

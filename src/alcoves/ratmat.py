@@ -124,10 +124,6 @@ def over_common_denominator(points, dim: int
                     for p in points)
 
 
-def is_integral(v: Sequence[Fraction]) -> bool:
-    return all(x.denominator == 1 for x in v)
-
-
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 

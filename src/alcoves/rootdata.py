@@ -6,9 +6,9 @@ simple-coroot basis (plus one central coordinate for the gl isogeny).  The
 inner product on the root space is normalized so long roots have squared
 length 2.
 
-W preserves the coroot lattice, so every Weyl element is a pair of
-integer matrices (on t and on root coordinates), and `weyl_group`
-enumerates with integer products.  Each root system carries integer
+W preserves the coroot lattice, so every Weyl element is one integer
+matrix on t, and `weyl_group` enumerates with one integer product per
+step.  Each root system carries integer
 tables built once (root gradients, coroots, negation, the numerator of
 the coweight-coordinate map), so the kernels in `alcove` and `weylaff`
 work on integer numerators over one common denominator and build
@@ -128,23 +128,18 @@ def _symmetrizer(c: Mat) -> Vec:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One Weyl group element: integer matrices plus one reduced word.
+    """One Weyl group element: an integer matrix plus one reduced word.
 
-    ``matrix`` acts on t (coroot-basis coordinates), ``root_matrix`` acts on
-    root coordinates in the simple-root basis.  W preserves the coroot and
-    root lattices, so both are integral in these bases.  The word is a
+    ``matrix`` acts on t (coroot-basis coordinates); W preserves the
+    coroot lattice, so it is integral in this basis.  The word is a
     reduced representative, not a canonical form.
     """
 
     matrix: IntMat
-    root_matrix: IntMat
     word: tuple[int, ...]
 
     def apply(self, x: Vec) -> Vec:
         return ratmat.matvec(self.matrix, x)
-
-    def apply_root(self, c: Vec) -> Vec:
-        return ratmat.matvec(self.root_matrix, c)
 
     def is_identity(self) -> bool:
         return self.matrix == ratmat.int_identity(len(self.matrix))
@@ -382,10 +377,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     m = [list(row) for row in ratmat.int_identity(rs.dim)]
     for k in range(rs.rank):
         m[i][k] -= int(rs.cartan[k][i])
-    rm = [list(row) for row in ratmat.int_identity(rs.rank)]
-    for k in range(rs.rank):
-        rm[i][k] -= int(rs.cartan[i][k])
-    return WeylElement(tuple(map(tuple, m)), tuple(map(tuple, rm)), (i,))
+    return WeylElement(tuple(map(tuple, m)), (i,))
 
 
 def weyl_group(rs: RootSystem, max_rank: int = 4) -> list[WeylElement]:
@@ -398,9 +390,7 @@ def weyl_group(rs: RootSystem, max_rank: int = 4) -> list[WeylElement]:
             f"rank {rs.rank} exceeds enumeration guard {max_rank}"
         )
     gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-    ident = WeylElement(
-        ratmat.int_identity(rs.dim), ratmat.int_identity(rs.rank), ()
-    )
+    ident = WeylElement(ratmat.int_identity(rs.dim), ())
     elements = [ident]
     seen = {ident.matrix}
     frontier = [ident]
@@ -411,10 +401,7 @@ def weyl_group(rs: RootSystem, max_rank: int = 4) -> list[WeylElement]:
                 m = ratmat.int_matmul(s.matrix, w.matrix)
                 if m not in seen:
                     seen.add(m)
-                    elem = WeylElement(
-                        m, ratmat.int_matmul(s.root_matrix, w.root_matrix),
-                        w.word + (i,),
-                    )
+                    elem = WeylElement(m, w.word + (i,))
                     elements.append(elem)
                     nxt.append(elem)
         frontier = nxt

@@ -41,6 +41,8 @@ def render_svg(rs: RootSystem, region: int = 2,
     the fundamental alcove shaded, and optionally one face's star."""
     if rs.rank != 2:
         raise ValueError("SVG rendering requires rank 2")
+    if region < 1:
+        raise ValueError("region must be at least 1")
     emb = _embedding(rs)
     lo, hi = -float(region), float(region)
 

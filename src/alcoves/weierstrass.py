@@ -128,16 +128,13 @@ def _truncated_g_table(lat: Lattice, radius: int, kmax: int
     return out
 
 
-def eisenstein(lat: Lattice, k: int, radius: int = 100) -> complex:
+def eisenstein(lat: Lattice, k: int) -> complex:
     """Eisenstein value G_k = sum' omega^-k (k = 4 or 6).
 
     Evaluated through the q-series, so the result carries no truncation
-    error; the radius argument is kept as an interface guard and for
-    parity with the truncated oracle."""
+    error."""
     if k not in (4, 6):
         raise ValueError("k must be 4 or 6")
-    if radius < 10:
-        raise ValueError("radius must be at least 10")
     return _eisenstein_exact_table(lat, k)[k]
 
 

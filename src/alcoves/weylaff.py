@@ -14,8 +14,10 @@ Python ints: points are written once as integer numerators over one
 common denominator, Weyl elements act by integer matrices, and Fractions
 are built only for the values returned.  The ell+1 wall reflections of
 the alcove and the table of inverses are built once per root system, the
-reflection group of a point once per (root system, point), and the facets
-at a vertex, with the hull of its star, once per vertex group.
+reflection group of a point once per (root system, point), closed over
+one generator per wall, and the facets at a vertex, with the hull of its
+star, once per vertex group; each facet's `FacetKey` is built from its
+integer key by `FacetKey.build`, the constructor `facet_of` uses too.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .alcove import (
     alcove_vertices,
     faces_of_alcove,
     facet_closure_contains,
-    facet_of,
     fundamental_alcove,
     root_values,
 )
@@ -128,27 +129,6 @@ def _reflection_matrix(rs: RootSystem, idx: int) -> tuple:
     g, c = rs.grads[idx], rs.coroots[idx]
     return tuple(tuple(int(r == k) - c[r] * g[k] for k in range(rs.dim))
                  for r in range(rs.dim))
-
-
-def affine_reflection(rs: RootSystem, ar: AffineRoot) -> AffineWeylElement:
-    """r_{alpha,n} = (s_alpha, n alpha-check), fixing the wall pointwise."""
-    return AffineWeylElement(
-        finite_by_matrix(rs, _reflection_matrix(rs, ar.root_index)),
-        ratmat.scale(ar.level, rs.coroot(ar.root_index)),
-    )
-
-
-def transform_affine_root(rs: RootSystem, w: AffineWeylElement,
-                          ar: AffineRoot) -> AffineRoot:
-    """The affine root whose wall is w(wall of ar): (w0 a0, n + (w0 a0)(t))."""
-    new_coords = w.finite_part.apply_root(rs.all_roots[ar.root_index])
-    idx = rs.root_index(new_coords)
-    shift = rs.eval_root(idx, w.translation)
-    level = ar.level + shift
-    if level.denominator != 1:
-        raise ValueError("translation is not a coweight: the image level "
-                         f"{level} is not an integer")
-    return AffineRoot(idx, int(level))
 
 
 @dataclass(frozen=True)
@@ -300,8 +280,8 @@ def _pair_product(x: tuple, y: tuple) -> tuple:
 
 def point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     """Group generated by reflections in all walls through the point x,
-    listed breadth-first from the identity, generators in root order;
-    built once per (root system, point)."""
+    listed breadth-first from the identity, one generator per wall in
+    root order; built once per (root system, point)."""
     # a plain function in front of the cache, so tracing sees each call
     return _point_reflection_subgroup(rs, tuple(x))
 
@@ -310,10 +290,13 @@ def point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
 def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     """The walls through x have integer levels, so every element is an
     integer matrix with an integer translation; the closure runs on those
-    pairs and builds the affine elements at the end."""
-    gens = [(_reflection_matrix(rs, ar.root_index),
-             tuple(ar.level * c for c in rs.coroots[ar.root_index]))
-            for ar in vanishing_affine_roots(rs, (x,))]
+    pairs and builds the affine elements at the end.  The affine roots
+    (alpha, n) and (-alpha, -n) give the same reflection, which enters
+    once, at its first root."""
+    gens = list(dict.fromkeys(
+        (_reflection_matrix(rs, ar.root_index),
+         tuple(ar.level * c for c in rs.coroots[ar.root_index]))
+        for ar in vanishing_affine_roots(rs, (x,))))
     ident = (ratmat.int_identity(rs.dim), (0,) * rs.dim)
     elements = [ident]
     seen = {ident}
@@ -390,8 +373,8 @@ def _vertex_star(rs: RootSystem, group: FiniteSubgroup) -> VertexStar:
     the group, whose translations are integral.  The face witnesses are
     written over one denominator d, so each image is an integer
     matrix-vector product; a facet is keyed on the integer (floor,
-    on-wall) values of the positive roots, and its witness and `FacetKey`
-    are built only for its first point."""
+    on-wall) values of the positive roots, and its `FacetKey` is built
+    from that key, with the Fraction witness of its first point."""
     pairs = [(u.finite_part.matrix, tuple(int(c) for c in u.translation))
              for u in group.elements]
     d, wits = ratmat.over_common_denominator(
@@ -407,8 +390,8 @@ def _vertex_star(rs: RootSystem, group: FiniteSubgroup) -> VertexStar:
                 fl, rem = divmod(ratmat.int_dot(g, p), d)
                 key.append((fl, not rem))
             first.setdefault(tuple(key), p)
-    facets = tuple(facet_of(rs, tuple(Fraction(c, d) for c in p))
-                   for p in first.values())
+    facets = tuple(FacetKey.build(rs, key, tuple(Fraction(c, d) for c in p))
+                   for key, p in first.items())
     hd, verts = ratmat.over_common_denominator(alcove_vertices(rs), rs.dim)
     hull = dict.fromkeys(
         tuple(a + hd * b for a, b in zip(ratmat.int_matvec(m, x), t))

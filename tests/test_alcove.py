@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from alcoves import ratmat
+from alcoves import alcove, ratmat
 from alcoves.alcove import (
     AffineRoot,
     alcove_vertices,
@@ -102,6 +102,20 @@ def test_full_wall_set_rejected():
                                          ("G", 2), ("B", 3)])
 def test_ver_isomorphism(family, rank):
     assert verify_ver_isomorphism(rs_of(family, rank))
+
+
+def test_ver_isomorphism_builds_each_facet_once(monkeypatch):
+    """One `facet_of` per face of the A3 alcove (15), not one per pair of
+    faces (225)."""
+    calls = []
+
+    def counting_facet_of(rs, x):
+        calls.append(x)
+        return facet_of(rs, x)
+
+    monkeypatch.setattr(alcove, "facet_of", counting_facet_of)
+    assert verify_ver_isomorphism(rs_of("A", 3))
+    assert 0 < len(calls) <= 15
 
 
 def test_facet_of_examples():

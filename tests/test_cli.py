@@ -181,6 +181,12 @@ def test_usage_errors_exit_2(capsys):
     # suites that need the Weyl group refuse a rank above the guard
     ["verify", "stabilizers", "--type", "E", "--rank", "6"],
     ["verify", "cover", "--type", "B", "--rank", "5", "--samples", "2"],
+    # a sample count below 1 is refused for every suite
+    ["verify", "faces", "--samples", "0"],
+    ["verify", "cover", "--type", "A", "--rank", "2", "--samples", "-3"],
+    ["verify", "weierstrass", "--samples", "0"],
+    ["svg", "--type", "A", "--rank", "2", "--region", "-1"],
+    ["svg", "--type", "B", "--rank", "2", "--region", "0"],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.main(argv)

@@ -3,7 +3,8 @@
 `centralizer_elliptic` reads |W_s°| off the Dynkin type of phi; here the
 group generated by the affine reflections in phi is enumerated
 breadth-first and compared with it, at seeded torus points of simply-
-connected, adjoint and gl types.
+connected, adjoint and gl types.  The affine reflections are built here,
+from the root system's integer tables, not by the library.
 """
 
 import random
@@ -11,6 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from alcoves import ratmat
+from alcoves.alcove import eval_affine_root, faces_of_alcove, \
+    fundamental_alcove
 from alcoves.centralizer import (
     GaugePoint,
     centralizer_elliptic,
@@ -18,7 +22,30 @@ from alcoves.centralizer import (
     gauge_centralizer_circle,
 )
 from alcoves.rootdata import CartanType, build_root_system
-from alcoves.weylaff import affine_reflection, compose, identity_element
+from alcoves.weylaff import AffineWeylElement, compose, finite_by_matrix, \
+    identity_element
+
+
+def affine_reflection(rs, ar) -> AffineWeylElement:
+    """r_{alpha,n} = (s_alpha, n alpha-check), fixing the wall pointwise:
+    s_alpha is x -> x - alpha(x) alpha-check."""
+    g, c = rs.grads[ar.root_index], rs.coroots[ar.root_index]
+    s = tuple(tuple(int(r == k) - c[r] * g[k] for k in range(rs.dim))
+              for r in range(rs.dim))
+    return AffineWeylElement(finite_by_matrix(rs, s),
+                             ratmat.scale(ar.level, c))
+
+
+def test_affine_reflection_fixes_wall():
+    rs = build_root_system(CartanType("B", 2))
+    for wall in fundamental_alcove(rs):
+        r = affine_reflection(rs, wall)
+        assert compose(rs, r, r).is_identity()
+        # a point on the wall is fixed
+        cat = faces_of_alcove(rs)
+        for f in cat.faces:
+            if all(eval_affine_root(rs, wall, v) == 0 for v in f.vertices):
+                assert r.apply(f.witness) == f.witness
 
 
 def reflection_closure(rs, phi) -> set:

@@ -122,22 +122,26 @@ def test_weyl_orders_against_orbit_oracle(family, rank):
 
 
 def test_weyl_matrices_permute_roots_and_preserve_inner_product():
+    """On t, W permutes the coroots (the roots of the dual system) and
+    preserves the invariant form, which in the simple-coroot basis is
+    (a_i-check, a_j-check) = 4 (a_i, a_j) / (|a_i|^2 |a_j|^2)."""
     for family, rank in [("A", 2), ("B", 2), ("G", 2)]:
         rs = rs_of(family, rank)
-        roots = set(rs.all_roots)
+        coroots = set(rs.coroots)
+        b = rs.inner_product_matrix
+        gram = [[4 * b[i][j] / (b[i][i] * b[j][j]) for j in range(rs.rank)]
+                for i in range(rs.rank)]
 
-        def ip(a, b):
-            return sum(
-                a[i] * rs.inner_product_matrix[i][j] * b[j]
-                for i in range(rs.rank) for j in range(rs.rank)
-            )
+        def ip(x, y):
+            return sum(x[i] * gram[i][j] * y[j]
+                       for i in range(rs.rank) for j in range(rs.rank))
 
         for w in weyl_group(rs):
-            images = {w.apply_root(r) for r in rs.all_roots}
-            assert images == roots
-            for a in rs.all_roots[:4]:
-                for b in rs.all_roots[:4]:
-                    assert ip(w.apply_root(a), w.apply_root(b)) == ip(a, b)
+            images = {w.apply(c) for c in rs.coroots}
+            assert images == coroots
+            for x in rs.coroots[:4]:
+                for y in rs.coroots[:4]:
+                    assert ip(w.apply(x), w.apply(y)) == ip(x, y)
 
 
 def test_weyl_group_guard():
@@ -156,13 +160,15 @@ def test_reflect_examples():
     idx = rs.root_index(a1)
     if rs.eval_root(idx, x) == 0:
         assert reflect(rs, a1, x) == x
-    # s1 s2 s1 maps alpha_1 to -alpha_2
+    # s1 s2 s1 maps alpha_1-check to the negative coroot -alpha_2-check
     group = weyl_group(rs)
     w = next(g for g in group if g.word in ((0, 1, 0), (1, 0, 1)))
-    img = w.apply_root(rs.simple_roots[0])
-    assert img in (ratmat.scale(-1, rs.simple_roots[1]),
-                   ratmat.scale(-1, ratmat.add(rs.simple_roots[0],
-                                               rs.simple_roots[1])))
+    img = w.apply(rs.simple_coroots[0])
+    assert img in (ratmat.scale(-1, rs.simple_coroots[1]),
+                   ratmat.scale(-1, ratmat.add(rs.simple_coroots[0],
+                                               rs.simple_coroots[1])))
+    assert ratmat.scale(-1, img) in \
+        {rs.coroots[p] for p in rs.positive_indices}
 
 
 def test_reflect_rejects_non_roots():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcoves import ratmat
-from alcoves.alcove import AffineRoot, eval_affine_root, faces_of_alcove, \
+from alcoves import ratmat, weylaff
+from alcoves.alcove import eval_affine_root, faces_of_alcove, \
     fundamental_alcove
 from alcoves.rootdata import CartanType, build_root_system
 from alcoves.weylaff import (
     AffineWeylElement,
-    affine_reflection,
     chart_overlap,
     compose,
     identity_element,
@@ -23,7 +22,6 @@ from alcoves.weylaff import (
     stabilizer_of_point,
     star_contains,
     star_facet_witnesses,
-    transform_affine_root,
     verify_cover,
     verify_open_embedding,
     verify_star_intersection,
@@ -71,35 +69,6 @@ def test_reduce_lands_in_closed_alcove():
                        for wall in walls)
 
 
-def test_affine_reflection_fixes_wall():
-    rs = rs_of("B", 2)
-    for wall in fundamental_alcove(rs):
-        r = affine_reflection(rs, wall)
-        assert compose(rs, r, r).is_identity()
-        # a point on the wall is fixed
-        cat = faces_of_alcove(rs)
-        for f in cat.faces:
-            if all(eval_affine_root(rs, wall, v) == 0 for v in f.vertices):
-                assert r.apply(f.witness) == f.witness
-
-
-def test_transform_affine_root():
-    rs = rs_of("A", 2)
-    rng = random.Random(5)
-    group = weyl_elements(rs)
-    for _ in range(30):
-        w0 = group[rng.randrange(len(group))]
-        lam = rs.from_coweight_coords(
-            tuple(Fraction(rng.randint(-2, 2)) for _ in range(rs.dim)))
-        w = AffineWeylElement(w0, lam)
-        ar = AffineRoot(rng.randrange(6), rng.randint(-2, 2))
-        img = transform_affine_root(rs, w, ar)
-        x = rand_point(rng, rs.dim)
-        # the image root vanishes exactly where the original did
-        assert eval_affine_root(rs, img, w.apply(x)) == \
-            eval_affine_root(rs, ar, x)
-
-
 def test_stabilizer_examples():
     rs = rs_of("A", 1)
     cat = faces_of_alcove(rs)
@@ -126,6 +95,25 @@ def test_face_stabilizer_equals_point_stabilizer():
         for f in faces_of_alcove(rs).faces:
             assert point_reflection_subgroup(rs, f.witness).element_set() == \
                 stabilizer_of_point(rs, f.witness).element_set()
+
+
+def test_vertex_group_closes_over_one_generator_per_wall(monkeypatch):
+    """(alpha, n) and (-alpha, -n) give one reflection: at the A3 origin
+    the closure of the 24-element group takes 6 generators, so 24 x 6
+    products, not 24 x 12."""
+    rs = rs_of("A", 3)
+    products = []
+    pair_product = weylaff._pair_product
+
+    def counting_pair_product(x, y):
+        products.append(x)
+        return pair_product(x, y)
+
+    monkeypatch.setattr(weylaff, "_pair_product", counting_pair_product)
+    group = weylaff._point_reflection_subgroup.__wrapped__(
+        rs, (Fraction(0),) * 3)
+    assert group.order == 24
+    assert len(set(products)) == len(products) // 24 == 6
 
 
 def test_face_stabilizer_requires_sc():
