@@ -19,6 +19,12 @@ and x = ||Z||_2/(h R) <= 1/2, the omitted part of p is at most
 8 K/(K-1) h^-2 x^(K-1)/(1-x^2), and that of p' at most
 8 K h^-3 R^-1 x^(K-2)/(1-(K+2)/K x^2).  When no shell up to radius meets
 the bound, all of them are summed.
+
+A standalone `wp_matrix` or `wp_prime_matrix` sums only its own series, up
+to its own R*.  `cubic_report` takes p and p' from one pass over the
+shells up to the larger R*, which inverts each Z + wI once; it hands the
+pass to its own `wp_matrix` and `wp_prime_matrix` calls through a slot
+keyed on their arguments, and a call that does not match sums its own.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _TAIL_TERMS = 6  # tail corrected through weight 2*_TAIL_TERMS + 2
+_KMAX = 2 * _TAIL_TERMS + 2  # highest Eisenstein weight of the corrections
+# the shortest period a must keep |a|^k a normal float for every k <= _KMAX
+_PERIOD_RANGE = (2.0 ** (-1000 / _KMAX), 2.0 ** (1000 / _KMAX))
 _TAIL_TOL = 1e-16  # bound on the omitted tail series that stops the sum
 _POLE_TOL = 1e-6
 
@@ -48,10 +57,21 @@ class Lattice:
     omega2: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.omega1) and cmath.isfinite(self.omega2)):
+            raise DegenerateLattice("periods must be finite")
         if self.omega1 == 0 or self.omega2 == 0:
             raise DegenerateLattice("zero period")
-        if abs((self.omega2 / self.omega1).imag) < 1e-12:
+        tau = self.omega2 / self.omega1
+        if not cmath.isfinite(tau):
+            raise DegenerateLattice("period ratio overflows")
+        if abs(tau.imag) < 1e-12:
             raise DegenerateLattice("periods are collinear")
+        a = abs(_reduced_basis(self)[0])
+        lo, hi = _PERIOD_RANGE
+        if not lo <= a <= hi:
+            raise DegenerateLattice(
+                f"shortest period {a:.3g} is outside [{lo:.3g}, {hi:.3g}]: "
+                f"G_k for k <= {_KMAX} would divide by zero or overflow")
 
 
 def _reduced_basis(lat: Lattice) -> tuple[complex, complex]:
@@ -115,16 +135,20 @@ def _shell_points(lat: Lattice, s: int) -> np.ndarray:
     return np.array(pts, dtype=complex)
 
 
+def _add_shell_g(raw: dict[int, complex], w2: np.ndarray):
+    """raw[k] += sum of w^-k over one shell, given w2 = w^-2."""
+    wk = w2 * w2
+    for k in raw:
+        raw[k] += complex(np.sum(wk))
+        wk = wk * w2
+
+
 def _truncated_g_table(lat: Lattice, radius: int, kmax: int
                        ) -> dict[int, complex]:
-    out = {k: 0j for k in range(4, kmax + 1, 2)}
+    out = dict.fromkeys(range(4, kmax + 1, 2), 0j)
     for s in range(1, radius + 1):
         w = _shell_points(lat, s)
-        inv2 = 1.0 / (w * w)
-        p = inv2 * inv2
-        for k in range(4, kmax + 1, 2):
-            out[k] += complex(np.sum(p))
-            p = p * inv2
+        _add_shell_g(out, 1.0 / (w * w))
     return out
 
 
@@ -172,13 +196,6 @@ def _check_poles(z: np.ndarray, lat: Lattice):
                             "lattice point")
 
 
-def _tail_table(lat: Lattice, radius: int) -> dict[int, complex]:
-    kmax = 2 * _TAIL_TERMS + 2
-    exact = _eisenstein_exact_table(lat, kmax)
-    raw = _truncated_g_table(lat, radius, kmax)
-    return {k: exact[k] - raw[k] for k in range(4, kmax + 1, 2)}
-
-
 def _stop_radius(z: np.ndarray, lat: Lattice, radius: int,
                  derivative: bool) -> int:
     """R*: the smallest shell R <= radius at which the bound on the series
@@ -204,6 +221,66 @@ def _stop_radius(z: np.ndarray, lat: Lattice, radius: int,
     return radius
 
 
+def _shell_sums(z: np.ndarray, lat: Lattice, r_p: int, r_dp: int):
+    """One pass over the shells 1..max(r_p, r_dp), each Z + wI inverted once.
+
+    Returns ((p, p_tail), (dp, dp_tail)): the shell sum of p through r_p,
+    started at Z^-2, and that of p' through r_dp, started at -2 Z^-3, each
+    with its tail table G_k - (raw G_k sum through its shell).  A radius of
+    0 skips that series, and its pair is (None, None).  The order of every
+    addition is that of the separate p, p' and G_k loops."""
+    eye = np.eye(z.shape[0], dtype=complex)
+    inv0 = np.linalg.inv(z)
+    p = inv0 @ inv0 if r_p else None
+    dp = -2 * inv0 @ inv0 @ inv0 if r_dp else None
+    raw = dict.fromkeys(range(4, _KMAX + 1, 2), 0j)
+    raw_p = raw_dp = None
+    for s in range(1, max(r_p, r_dp) + 1):
+        w = _shell_points(lat, s)
+        shifted = z[None, :, :] + w[:, None, None] * eye[None, :, :]
+        inv = np.linalg.inv(shifted)
+        inv2 = inv @ inv
+        w2 = 1.0 / (w * w)
+        if s <= r_p:
+            p = p + np.sum(inv2, axis=0) - complex(np.sum(w2)) * eye
+        if s <= r_dp:
+            dp = dp - 2 * np.sum(inv2 @ inv, axis=0)
+        _add_shell_g(raw, w2)
+        if s == r_p:
+            raw_p = dict(raw)
+        if s == r_dp:
+            raw_dp = dict(raw)
+    exact = _eisenstein_exact_table(lat, _KMAX)
+
+    def tail(raw_r):
+        return None if raw_r is None else {k: exact[k] - raw_r[k]
+                                           for k in raw_r}
+
+    return (p, tail(raw_p)), (dp, tail(raw_dp))
+
+
+# cubic_report's shell pass while it runs: (key, _shell_sums result)
+_shared = None
+
+
+def _pass_key(z: np.ndarray, lat: Lattice, radius: int) -> tuple:
+    return z.tobytes(), z.shape, lat, radius
+
+
+def _series(z: np.ndarray, lat: Lattice, radius: int, derivative: bool):
+    """(shell sum, tail table) of p', or of p if not derivative: from
+    cubic_report's pass if it was made for these arguments, else summed
+    up to the series' own R*."""
+    shared = _shared
+    if shared is not None and shared[0] == _pass_key(z, lat, radius):
+        return shared[1][1 if derivative else 0]
+    _check_poles(z, lat)
+    r = _stop_radius(z, lat, radius, derivative)
+    if derivative:
+        return _shell_sums(z, lat, 0, r)[1]
+    return _shell_sums(z, lat, r, 0)[0]
+
+
 def wp_matrix(z, lat: Lattice, radius: int = 100) -> np.ndarray:
     """Matrix Weierstrass p: Z^-2 + sum'((Z+wI)^-2 - w^-2 I), tail-corrected.
 
@@ -211,21 +288,9 @@ def wp_matrix(z, lat: Lattice, radius: int = 100) -> np.ndarray:
     tail series is certified below _TAIL_TOL (module docstring); radius is
     the largest shell summed and must be at least 1."""
     z = _as_matrix(z)
-    _check_poles(z, lat)
-    r = _stop_radius(z, lat, radius, derivative=False)
-    n = z.shape[0]
-    eye = np.eye(n, dtype=complex)
-    acc = np.linalg.inv(z)
-    acc = acc @ acc
-    for s in range(1, r + 1):
-        w = _shell_points(lat, s)
-        shifted = z[None, :, :] + w[:, None, None] * eye[None, :, :]
-        inv = np.linalg.inv(shifted)
-        acc = acc + np.sum(inv @ inv, axis=0) \
-            - complex(np.sum(1.0 / (w * w))) * eye
-    tail = _tail_table(lat, r)
+    acc, tail = _series(z, lat, radius, derivative=False)
     zp = z @ z
-    pw = eye
+    pw = np.eye(z.shape[0], dtype=complex)
     for m in range(1, _TAIL_TERMS + 1):
         pw = pw @ zp
         acc = acc + (2 * m + 1) * tail[2 * m + 2] * pw
@@ -239,18 +304,7 @@ def wp_prime_matrix(z, lat: Lattice, radius: int = 100) -> np.ndarray:
     bound on the omitted part of p'; radius is the largest shell summed
     and must be at least 1."""
     z = _as_matrix(z)
-    _check_poles(z, lat)
-    r = _stop_radius(z, lat, radius, derivative=True)
-    n = z.shape[0]
-    eye = np.eye(n, dtype=complex)
-    inv0 = np.linalg.inv(z)
-    acc = -2 * inv0 @ inv0 @ inv0
-    for s in range(1, r + 1):
-        w = _shell_points(lat, s)
-        shifted = z[None, :, :] + w[:, None, None] * eye[None, :, :]
-        inv = np.linalg.inv(shifted)
-        acc = acc - 2 * np.sum(inv @ inv @ inv, axis=0)
-    tail = _tail_table(lat, r)
+    acc, tail = _series(z, lat, radius, derivative=True)
     zp = z @ z
     pw = z
     for m in range(1, _TAIL_TERMS + 1):
@@ -274,11 +328,22 @@ def invariants(lat: Lattice) -> tuple[complex, complex]:
 
 
 def cubic_report(z, lat: Lattice, radius: int = 100) -> dict:
-    """Residuals of p'^2 = 4p^3 - g2 p - g3 and of [p, p']."""
+    """Residuals of p'^2 = 4p^3 - g2 p - g3 and of [p, p'].
+
+    p and p' come from one shell pass up to the larger of their stop
+    shells, read by the module's `wp_matrix` and `wp_prime_matrix`."""
+    global _shared
     z = _as_matrix(z)
     g2, g3 = invariants(lat)
-    x = wp_matrix(z, lat, radius)
-    y = wp_prime_matrix(z, lat, radius)
+    _check_poles(z, lat)
+    r_p = _stop_radius(z, lat, radius, derivative=False)
+    r_dp = _stop_radius(z, lat, radius, derivative=True)
+    try:
+        _shared = _pass_key(z, lat, radius), _shell_sums(z, lat, r_p, r_dp)
+        x = wp_matrix(z, lat, radius)
+        y = wp_prime_matrix(z, lat, radius)
+    finally:
+        _shared = None
     eye = np.eye(z.shape[0], dtype=complex)
     cubic = y @ y - (4 * x @ x @ x - g2 * x - g3 * eye)
     comm = x @ y - y @ x

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from alcoves import cli
+
+WP_MATRIX = str(Path(__file__).parent / "fixtures" / "wp_1x1.json")
 
 
 def run(capsys, argv):
@@ -187,6 +190,11 @@ def test_usage_errors_exit_2(capsys):
     ["verify", "weierstrass", "--samples", "0"],
     ["svg", "--type", "A", "--rank", "2", "--region", "-1"],
     ["svg", "--type", "B", "--rank", "2", "--region", "0"],
+    # periods whose Eisenstein values are not finite floats
+    ["wp", "--omega1", "1e-300,0", "--omega2", "0,1e-300",
+     "--matrix", WP_MATRIX],
+    ["wp", "--omega1", "nan,0", "--omega2", "0,1", "--matrix", WP_MATRIX],
+    ["wp", "--omega1", "1,0", "--omega2", "0,inf", "--matrix", WP_MATRIX],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.main(argv)

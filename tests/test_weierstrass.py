@@ -33,6 +33,27 @@ def test_degenerate_lattice_rejected():
         Lattice(0.0, 1.0j)
 
 
+@pytest.mark.parametrize("periods,match", [
+    ((complex("nan"), 1.0j), "finite"),
+    ((1.0, complex(0, float("inf"))), "finite"),
+    ((5e-324, 1.0j), "ratio"),
+    # |a|^4 underflows to 0, and |a|^6 overflows, in G_4 and G_6
+    ((1e-300, 1e-300j), "shortest period"),
+    ((1e60, 1e60j), "shortest period"),
+    # G_14 = sum' omega^-14 overflows
+    ((1e-25, 1e-25j), "shortest period"),
+])
+def test_lattice_without_finite_eisenstein_values_rejected(periods, match):
+    with pytest.raises(DegenerateLattice, match=match):
+        Lattice(*periods)
+
+
+def test_lattice_inside_period_range_accepted():
+    for scale in (1e-20, 1e20):
+        g2, g3 = invariants(Lattice(scale, 2j * scale))
+        assert cmath.isfinite(g2) and cmath.isfinite(g3)
+
+
 def test_eisenstein_guards():
     with pytest.raises(ValueError):
         eisenstein(LAT, 5)

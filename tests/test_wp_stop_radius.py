@@ -10,15 +10,24 @@ import pytest
 from alcoves.weierstrass import (
     Lattice,
     _TAIL_TERMS,
+    _eisenstein_exact_table,
     _shell_points,
     _stop_radius,
-    _tail_table,
+    _truncated_g_table,
     wp_matrix,
     wp_prime_matrix,
 )
 
 RECT = Lattice(1.0, 2.0j)
 HEX = Lattice(1.0, cmath.exp(1j * cmath.pi / 3))
+
+
+def _tail_table(lat, radius):
+    """G_k minus its shell sum through radius, for the corrected weights."""
+    kmax = 2 * _TAIL_TERMS + 2
+    exact = _eisenstein_exact_table(lat, kmax)
+    raw = _truncated_g_table(lat, radius, kmax)
+    return {k: exact[k] - raw[k] for k in range(4, kmax + 1, 2)}
 
 
 def reference_wp(z, lat, radius):
