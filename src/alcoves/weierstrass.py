@@ -25,13 +25,26 @@ to its own R*.  `cubic_report` takes p and p' from one pass over the
 shells up to the larger R*, which inverts each Z + wI once; it hands the
 pass to its own `wp_matrix` and `wp_prime_matrix` calls through a slot
 keyed on their arguments, and a call that does not match sums its own.
+
+What a shell contributes apart from Z is built once per lattice and kept
+in a table (`_ShellTable`) that grows to the largest shell asked for so
+far: the points of each shell, the sum of w^-2 over it, the running raw
+sums of w^-k (k = 4..14) through it, and the exact G_k.  A pass reads the
+table and only inverts Z + wI, so p and p' keep every bit of a pass that
+builds them itself.  Points are kept only for shells up to _POINTS_CAP,
+about 1.1 MB a lattice; farther shells are rebuilt on each pass, so a
+large radius holds O(radius) memory, not O(radius^2).  The tables of the
+last 8 lattices used are kept.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,6 +54,7 @@ _KMAX = 2 * _TAIL_TERMS + 2  # highest Eisenstein weight of the corrections
 _PERIOD_RANGE = (2.0 ** (-1000 / _KMAX), 2.0 ** (1000 / _KMAX))
 _TAIL_TOL = 1e-16  # bound on the omitted tail series that stops the sum
 _POLE_TOL = 1e-6
+_POINTS_CAP = 128  # shells whose points a lattice's table keeps
 
 
 class DegenerateLattice(ValueError):
@@ -124,32 +138,61 @@ def _eisenstein_exact_table(lat: Lattice, kmax: int) -> dict[int, complex]:
 
 def _shell_points(lat: Lattice, s: int) -> np.ndarray:
     """Lattice points m*w1 + n*w2 with max(|m|,|n|) = s, lexicographic."""
-    pts = []
-    for m in range(-s, s + 1):
-        if abs(m) == s:
-            ns = range(-s, s + 1)
-        else:
-            ns = (-s, s)
-        for n in ns:
-            pts.append(m * lat.omega1 + n * lat.omega2)
-    return np.array(pts, dtype=complex)
+    side = np.arange(-s, s + 1)
+    m = np.concatenate((np.full(2 * s + 1, -s), np.repeat(side[1:-1], 2),
+                        np.full(2 * s + 1, s)))
+    n = np.concatenate((side, np.tile([-s, s], 2 * s - 1), side))
+    return m * lat.omega1 + n * lat.omega2
 
 
-def _add_shell_g(raw: dict[int, complex], w2: np.ndarray):
-    """raw[k] += sum of w^-k over one shell, given w2 = w^-2."""
+def _add_shell_g(raw: tuple, w2: np.ndarray) -> tuple:
+    """raw, the sums of w^-k for k = 4, 6, ..., with one shell's sums
+    added, given w2 = w^-2 on that shell."""
+    out = []
     wk = w2 * w2
-    for k in raw:
-        raw[k] += complex(np.sum(wk))
+    for g in raw:
+        out.append(g + complex(np.sum(wk)))
         wk = wk * w2
+    return tuple(out)
 
 
-def _truncated_g_table(lat: Lattice, radius: int, kmax: int
-                       ) -> dict[int, complex]:
-    out = dict.fromkeys(range(4, kmax + 1, 2), 0j)
-    for s in range(1, radius + 1):
-        w = _shell_points(lat, s)
-        _add_shell_g(out, 1.0 / (w * w))
-    return out
+class _ShellTable:
+    """The Z-independent data of one lattice's shells, grown on demand.
+
+    `shells[s - 1]` is (points, sum of w^-2, raw sums) of shell s: the
+    points of the shell (read-only) for s <= _POINTS_CAP and None beyond,
+    so memory stays bounded at large radii; complex(np.sum(1/(w*w))); and
+    the running sums of w^-k through shell s for k = 4..._KMAX.  A shell
+    is appended as one tuple once all of it is computed, so an error
+    while growing leaves the table whole.  `exact` holds G_k for the
+    same weights."""
+
+    def __init__(self, lat: Lattice):
+        self.lat = lat
+        self.exact = MappingProxyType(_eisenstein_exact_table(lat, _KMAX))
+        self.shells = []
+        self._lock = threading.Lock()
+
+    def grow(self, radius: int) -> list:
+        """The entries of shells 1..radius, built where missing."""
+        with self._lock:
+            for s in range(len(self.shells) + 1, radius + 1):
+                w = _shell_points(self.lat, s)
+                w2 = 1.0 / (w * w)
+                raw = self.shells[-1][2] if self.shells else \
+                    (0j,) * len(self.exact)
+                if s <= _POINTS_CAP:
+                    w.flags.writeable = False
+                else:
+                    w = None
+                self.shells.append(
+                    (w, complex(np.sum(w2)), _add_shell_g(raw, w2)))
+            return self.shells[:radius]
+
+
+@lru_cache(maxsize=8)
+def _shell_table(lat: Lattice) -> _ShellTable:
+    return _ShellTable(lat)
 
 
 def eisenstein(lat: Lattice, k: int) -> complex:
@@ -168,7 +211,11 @@ def eisenstein_truncated(lat: Lattice, k: int, radius: int) -> complex:
         raise ValueError("k must be even and at least 4")
     if radius < 10:
         raise ValueError("radius must be at least 10")
-    return _truncated_g_table(lat, radius, k)[k]
+    raw = (0j,) * (k // 2 - 1)  # the sums for weights 4, 6, ..., k
+    for s in range(1, radius + 1):
+        w = _shell_points(lat, s)
+        raw = _add_shell_g(raw, 1.0 / (w * w))
+    return raw[-1]
 
 
 def _as_matrix(z) -> np.ndarray:
@@ -227,36 +274,33 @@ def _shell_sums(z: np.ndarray, lat: Lattice, r_p: int, r_dp: int):
     Returns ((p, p_tail), (dp, dp_tail)): the shell sum of p through r_p,
     started at Z^-2, and that of p' through r_dp, started at -2 Z^-3, each
     with its tail table G_k - (raw G_k sum through its shell).  A radius of
-    0 skips that series, and its pair is (None, None).  The order of every
-    addition is that of the separate p, p' and G_k loops."""
+    0 skips that series, and its pair is (None, None).  The points, the
+    w^-2 sums and the raw G_k sums come from the lattice's table.  The
+    order of every addition is that of the separate p, p' and G_k loops."""
+    table = _shell_table(lat)
     eye = np.eye(z.shape[0], dtype=complex)
     inv0 = np.linalg.inv(z)
     p = inv0 @ inv0 if r_p else None
     dp = -2 * inv0 @ inv0 @ inv0 if r_dp else None
-    raw = dict.fromkeys(range(4, _KMAX + 1, 2), 0j)
-    raw_p = raw_dp = None
-    for s in range(1, max(r_p, r_dp) + 1):
-        w = _shell_points(lat, s)
+    shells = table.grow(max(r_p, r_dp))
+    for s, (w, w2_sum, _) in enumerate(shells, 1):
+        if w is None:
+            w = _shell_points(lat, s)
         shifted = z[None, :, :] + w[:, None, None] * eye[None, :, :]
         inv = np.linalg.inv(shifted)
         inv2 = inv @ inv
-        w2 = 1.0 / (w * w)
         if s <= r_p:
-            p = p + np.sum(inv2, axis=0) - complex(np.sum(w2)) * eye
+            p = p + np.sum(inv2, axis=0) - w2_sum * eye
         if s <= r_dp:
             dp = dp - 2 * np.sum(inv2 @ inv, axis=0)
-        _add_shell_g(raw, w2)
-        if s == r_p:
-            raw_p = dict(raw)
-        if s == r_dp:
-            raw_dp = dict(raw)
-    exact = _eisenstein_exact_table(lat, _KMAX)
 
-    def tail(raw_r):
-        return None if raw_r is None else {k: exact[k] - raw_r[k]
-                                           for k in raw_r}
+    def tail(r):
+        if not r:
+            return None
+        return {k: g - raw for (k, g), raw in zip(table.exact.items(),
+                                                   shells[r - 1][2])}
 
-    return (p, tail(raw_p)), (dp, tail(raw_dp))
+    return (p, tail(r_p)), (dp, tail(r_dp))
 
 
 # cubic_report's shell pass while it runs: (key, _shell_sums result)
@@ -323,7 +367,7 @@ def wp_prime_scalar(z: complex, lat: Lattice, radius: int = 100) -> complex:
 
 def invariants(lat: Lattice) -> tuple[complex, complex]:
     """(g2, g3) = (60 G4, 140 G6)."""
-    g = _eisenstein_exact_table(lat, 6)
+    g = _shell_table(lat).exact
     return 60 * g[4], 140 * g[6]
 
 
