@@ -123,30 +123,22 @@ def _classify_component(cmat: list[list[int]]) -> str:
 
 def subsystem_type(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> str:
     """Dynkin type of the root subsystem spanned by the linear parts."""
-    roots = {rs.all_roots[ar.root_index] for ar in phi}
-    if not roots:
+    by_root = {rs.all_roots[ar.root_index]: ar.root_index for ar in phi}
+    if not by_root:
         return "0"
-    positives = {r for r in roots
+    positives = {r for r in by_root
                  if next(c for c in r if c != 0) > 0}
-    simples = sorted(
+    simples = [by_root[r] for r in sorted(
         r for r in positives
         if not any(
             ratmat.sub(r, s) in positives for s in positives if s != r
         )
-    )
+    )]
 
-    def pairing(a, b):
-        # 2(a,b)/(a,a) in the root-space inner product
-        ip = rs.inner_product_matrix
-        num = sum(a[i] * ip[i][j] * b[j]
-                  for i in range(rs.rank) for j in range(rs.rank))
-        den = sum(a[i] * ip[i][j] * a[j]
-                  for i in range(rs.rank) for j in range(rs.rank))
-        return int(2 * num / den)
-
+    # the Cartan pairing 2(a_i, a_j)/(a_i, a_i) = a_j(a_i-check)
     k = len(simples)
-    cmat = [[pairing(simples[i], simples[j]) for j in range(k)]
-            for i in range(k)]
+    cmat = [[ratmat.int_dot(rs.grads[simples[j]], rs.coroots[simples[i]])
+             for j in range(k)] for i in range(k)]
 
     # split into connected components of the Dynkin graph
     labels = []

@@ -205,12 +205,8 @@ class RootSystem:
         return s
 
     def in_coweight_lattice(self, x: Vec) -> bool:
+        """A remainder test on the integer numerator of coweight_coords."""
         d, (num,) = ratmat.over_common_denominator((x,), self.dim)
-        return self.is_coweight(num, d)
-
-    def is_coweight(self, num: tuple[int, ...], d: int) -> bool:
-        """Whether num / d is a coweight, for an integer vector num: a
-        remainder test on the integer numerator of coweight_coords."""
         m = d * self.coweight_inv_den
         return not any(ratmat.int_dot(row, num) % m
                        for row in self.coweight_inv_num)

@@ -7,17 +7,23 @@ over roots and `weyl_scan` over the finite Weyl group; star regions and
 chart overlaps are handled by exact finite enumerations whose windows are
 derived from the geometry, not guessed.
 
-The kernels (`root_scan`, `weyl_scan`, `reduce_to_alcove`, the closure in
-`point_reflection_subgroup`, `compose`, `invert`, the facet enumerator
-at a vertex behind the star functions, and `chart_overlap`) run on
-Python ints: points are written once as integer numerators over one
+The kernels write their points once as integer numerators over one
 common denominator, Weyl elements act by integer matrices, and Fractions
-are built only for the values returned.  The ell+1 wall reflections of
-the alcove and the table of inverses are built once per root system, the
-reflection group of a point once per (root system, point), closed over
-one generator per wall, and the facets at a vertex, with the hull of its
-star, once per vertex group; each facet's `FacetKey` is built from its
-integer key by `FacetKey.build`, the constructor `facet_of` uses too.
+are built only for the values returned.  `weyl_scan` tests all of W at
+once with numpy, on one read-only (|W|, dim, dim) int64 stack of the
+Weyl matrices per root system.  It runs in int64 only where a stated
+bound rules out overflow (n K (n A + 1) X < 2^63 and
+d * coweight_inv_den < 2^63, see `_weyl_stack`), and otherwise runs the
+same array code with dtype object, on Python ints.  The other kernels
+(`root_scan`, `reduce_to_alcove`, the closure in
+`point_reflection_subgroup`, `compose`, `invert`, the facet enumerator at
+a vertex behind the star functions, and `chart_overlap`) run on Python
+ints.  The ell+1 wall reflections of the alcove and the table of
+inverses are built once per root system, the reflection group of a point
+once per (root system, point), closed over one generator per wall, and
+the facets at a vertex, with the hull of its star, once per vertex group;
+each facet's `FacetKey` is built from its integer key by
+`FacetKey.build`, the constructor `facet_of` uses too.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from functools import cached_property, lru_cache
 from itertools import product
 from operator import le, mul
 from typing import NamedTuple
+
+import numpy as np
 
 from . import ratmat
 from .alcove import (
@@ -153,11 +161,10 @@ class FiniteSubgroup:
 
 @lru_cache(maxsize=None)
 def _alcove_walls(rs: RootSystem) -> tuple:
-    """(gradient, level, coroot, reflection matrix) of each wall of the
-    fundamental alcove, in wall order.  The reflection in the wall
-    (alpha, n) maps x to x - (alpha(x) - n) alpha-check."""
-    return tuple((rs.grads[w.root_index], w.level, rs.coroots[w.root_index],
-                  _reflection_matrix(rs, w.root_index))
+    """(gradient, level, coroot) of each wall of the fundamental alcove,
+    in wall order.  The reflection in the wall (alpha, n) maps x to
+    x - (alpha(x) - n) alpha-check."""
+    return tuple((rs.grads[w.root_index], w.level, rs.coroots[w.root_index])
                  for w in fundamental_alcove(rs))
 
 
@@ -167,8 +174,9 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
 
     x is written as integer numerators over its denominator d, so a wall
     value is one integer dot product and a reflection one integer update.
-    The linear parts multiply up to the finite part w0 of the result;
-    its translation is then xr - w0(x).
+    The linear parts multiply up to the finite part w0 of the result, each
+    as the rank-one update m - c (g^T m) by I - c g^T, the reflection with
+    gradient g and coroot c; the translation of w0 is then xr - w0(x).
     """
     walls = _alcove_walls(rs)
     d, (cur,) = ratmat.over_common_denominator((x,), rs.dim)
@@ -177,7 +185,7 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
         cap += 4 * (abs(ratmat.int_dot(rs.grads[p], cur)) // d + 1)
     m = ratmat.int_identity(rs.dim)
     for _ in range(cap):
-        for g, level, coroot, s in walls:
+        for g, level, coroot in walls:
             v = ratmat.int_dot(g, cur) - level * d
             if v < 0:
                 break
@@ -186,7 +194,9 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
             xr = tuple(Fraction(c, d) for c in cur)
             return AffineWeylElement(w0, ratmat.sub(xr, w0.apply(x))), xr
         cur = tuple(a - v * c for a, c in zip(cur, coroot))
-        m = ratmat.int_matmul(s, m)
+        gm = [sum(map(mul, g, col)) for col in zip(*m)]
+        m = tuple(tuple([a - c * b for a, b in zip(row, gm)])
+                  for row, c in zip(m, coroot))
     raise RuntimeError("alcove reduction failed to terminate (bug)")
 
 
@@ -215,6 +225,30 @@ def root_scan(rs: RootSystem, fixed: tuple[Vec, ...],
     return out
 
 
+@lru_cache(maxsize=None)
+def _weyl_stack(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
+    """(stack, cinv, x_limit), built once per root system: the matrices of
+    `weyl_elements` as one read-only (|W|, dim, dim) int64 array, in that
+    order; `coweight_inv_num` as a read-only int64 array; and the largest
+    |numerator| X with n K (n A + 1) X < 2^63, where n = dim, A is the
+    largest |entry| of the stack and K that of `coweight_inv_num`."""
+    stack = np.array([w.matrix for w in weyl_elements(rs)], dtype=np.int64)
+    cinv = np.array(rs.coweight_inv_num, dtype=np.int64)
+    stack.flags.writeable = cinv.flags.writeable = False
+    n = rs.dim
+    bound = n * int(abs(cinv).max()) * (n * int(abs(stack).max()) + 1)
+    return stack, cinv, (2 ** 63 - 1) // bound
+
+
+def _scan_dtype(rs: RootSystem, d: int, nums) -> type:
+    """np.int64 when the numerators `nums` over d are within the bound of
+    `_weyl_stack` and d * coweight_inv_den < 2^63; object otherwise."""
+    x_max = max((abs(c) for p in nums for c in p), default=0)
+    if x_max <= _weyl_stack(rs)[2] and d * rs.coweight_inv_den < 2 ** 63:
+        return np.int64
+    return object
+
+
 def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
               pairs: tuple[tuple[Vec, Vec], ...]
               ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
@@ -222,29 +256,31 @@ def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
     coweight for every (x, y) in `pairs`, in `weyl_elements` order, each
     as (w0, those translations in the order of `pairs`).
 
-    All points are written over one common denominator d, so w0 acts by
-    integer matrix-vector products and the coweight test is a remainder
-    test (`RootSystem.is_coweight`); the Fraction translations are built
-    only for the elements kept."""
-    pts = tuple(fixed) + tuple(p for xy in pairs for p in xy)
-    d, nums = ratmat.over_common_denominator(pts, rs.dim)
-    fixed_n = nums[:len(fixed)]
-    pairs_n = [(nums[k], nums[k + 1]) for k in range(len(fixed), len(nums), 2)]
-    out = []
-    for w0 in weyl_elements(rs):
-        m = w0.matrix
-        if any(ratmat.int_matvec(m, x) != x for x in fixed_n):
-            continue
-        lams = []
-        for x, y in pairs_n:
-            lam = tuple(b - a for a, b in zip(ratmat.int_matvec(m, x), y))
-            if not rs.is_coweight(lam, d):
-                break
-            lams.append(lam)
-        else:
-            out.append((w0, tuple(tuple(Fraction(c, d) for c in lam)
-                                  for lam in lams)))
-    return out
+    All points are written over one common denominator d and all of W is
+    tested at once, on the cached matrix stack: the fixed-point test is
+    stack @ x == x, each pair gives lam = y - stack @ x, and lam is a
+    coweight when coweight_inv_num @ lam is divisible by
+    d * coweight_inv_den.  No value in these products exceeds
+    n K (n A + 1) X (see `_weyl_stack`), X the largest |numerator|, so
+    the arrays are int64 when that and d * coweight_inv_den are below
+    2^63, and Python ints (dtype object) otherwise.  The Fraction
+    translations are built only for the elements kept."""
+    xs = tuple(fixed) + tuple(x for x, _ in pairs)
+    d, nums = ratmat.over_common_denominator(
+        xs + tuple(y for _, y in pairs), rs.dim)
+    dtype = _scan_dtype(rs, d, nums)
+    stack, cinv = (a.astype(dtype, copy=False) for a in _weyl_stack(rs)[:2])
+    mod = d * rs.coweight_inv_den
+    cols = np.array(nums, dtype=dtype).reshape(len(nums), rs.dim).T
+    nf = len(fixed)
+    img = stack @ cols[:, :len(xs)]
+    lam = cols[:, len(xs):] - img[:, :, nf:]
+    keep = ((img[:, :, :nf] == cols[:, :nf]).all(axis=(1, 2))
+            & ((cinv @ lam) % mod == 0).all(axis=(1, 2)))
+    elements = weyl_elements(rs)
+    return [(elements[i], tuple(tuple(Fraction(c, d) for c in col)
+                                for col in lam[i].T.tolist()))
+            for i in np.flatnonzero(keep)]
 
 
 def vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]

@@ -9,18 +9,22 @@ coweight basis), never its integer tables.  Each kernel must give the
 same values in the same order on seeded points: generic ones with
 numerators near 10^12 over denominators up to 10^6, and special ones
 (W-images of alcove vertices and face witnesses, shifted by large
-coweights) where the scans keep elements.  Alcove reduction walks O(|x|)
-wall reflections, so its points have |x| <= 8, still over denominators
-up to 10^6.
+coweights) where the scans keep elements.  `weyl_scan` runs on int64
+arrays inside a stated bound and on Python ints past it; it is checked
+on both, with points on either side of the bound and far past it.
+Alcove reduction walks O(|x|) wall reflections, so its points have
+|x| <= 8, still over denominators up to 10^6.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
+import numpy as np
 import pytest
 
-from alcoves import ratmat
+from alcoves import ratmat, weylaff
 from alcoves.alcove import (
     alcove_vertices,
     faces_of_alcove,
@@ -29,7 +33,12 @@ from alcoves.alcove import (
     fundamental_alcove,
 )
 from alcoves.rootdata import CartanType, build_root_system, weyl_group
-from alcoves.weylaff import reduce_to_alcove, root_scan, weyl_scan
+from alcoves.weylaff import (
+    reduce_to_alcove,
+    root_scan,
+    weyl_elements,
+    weyl_scan,
+)
 
 # (family, rank, isogeny, generic points, special points)
 CASES = [
@@ -236,6 +245,74 @@ def seed_of(family, rank, isogeny):
     return f"{family}{rank}-{isogeny}"
 
 
+# -- the int64 bound of weyl_scan ------------------------------------------
+
+
+def coweight_den(rs):
+    return lcm(*(c.denominator for row in coweight_inverse(rs) for c in row))
+
+
+def int64_limit(rs):
+    """The largest |numerator| X with n K (n A + 1) X < 2^63: n = dim, A
+    the largest |entry| of a Weyl matrix, K that of the coweight inverse
+    written over its least common denominator."""
+    n, den = rs.dim, coweight_den(rs)
+    a = max(abs(c) for m, _ in oracle_weyl_group(rs) for row in m for c in row)
+    k = max(abs(c * den) for row in coweight_inverse(rs) for c in row)
+    return (2 ** 63 - 1) // (n * k * (n * a + 1))
+
+
+def near(rng, size):
+    return rng.choice((-1, 1)) * (size - rng.randrange(2 ** 20))
+
+
+def large_points(rs, rng):
+    """Points on both sides of the int64 bound and far past it: integer
+    points whose largest |entry| is the bound and one more; special points
+    shifted by coweights with coordinates near 2^61, 2^63 and 10^30;
+    points with such numerators over 3 * 2^40; and small numerators over
+    the least d with d * (coweight denominator) >= 2^63."""
+    limit = int64_limit(rs)
+    out = [(Fraction(-x_max),) + tuple(Fraction(rng.randint(-x_max, x_max))
+                                       for _ in range(rs.dim - 1))
+           for x_max in (limit, limit + 1)]
+    for size in (2 ** 61, 2 ** 63, 10 ** 30):
+        big = rs.from_coweight_coords(
+            tuple(Fraction(near(rng, size)) for _ in range(rs.dim)))
+        out.append(ratmat.add(special_point(rs, rng, 10), big))
+        out.append(tuple(Fraction(near(rng, size), 3 * 2 ** 40)
+                         for _ in range(rs.dim)))
+    d = -(-2 ** 63 // coweight_den(rs))
+    out.append(tuple(Fraction(rng.randint(1, 99), d) for _ in range(rs.dim)))
+    return out
+
+
+class DtypeSpy:
+    """Replaces `weylaff._scan_dtype`: records the dtype it picks, or
+    forces dtype object while `force_object` is set."""
+
+    def __init__(self, monkeypatch):
+        self.pick = weylaff._scan_dtype
+        self.seen = set()
+        self.force_object = False
+        monkeypatch.setattr(weylaff, "_scan_dtype", self)
+
+    def __call__(self, *args):
+        if self.force_object:
+            return object
+        dtype = self.pick(*args)
+        self.seen.add(dtype)
+        return dtype
+
+    def both_scans(self, rs, fixed, pairs):
+        natural = weyl_scan(rs, fixed, pairs)
+        self.force_object = True
+        try:
+            return natural, weyl_scan(rs, fixed, pairs)
+        finally:
+            self.force_object = False
+
+
 # -- tests -------------------------------------------------------------------
 
 
@@ -271,11 +348,15 @@ def test_root_tables(family, rank, isogeny, generic, special):
 
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
                          ids=IDS)
-def test_scans_match_fraction_scans(family, rank, isogeny, generic, special):
+def test_scans_match_fraction_scans(family, rank, isogeny, generic, special,
+                                    monkeypatch):
+    """Both dtypes of `weyl_scan` against the oracle: the one it picks,
+    and dtype object forced on every input."""
     rs = rs_of(family, rank, isogeny)
     rng = random.Random(seed_of(family, rank, isogeny))
-    pts = points(rs, rng.random(), generic, special)
+    pts = points(rs, rng.random(), generic, special) + large_points(rs, rng)
     group = oracle_weyl_group(rs)
+    spy = DtypeSpy(monkeypatch)
     nontrivial = 0
     for k, x in enumerate(pts):
         # y = w(x) + lam is W_aff-related to x; z is another point
@@ -289,16 +370,79 @@ def test_scans_match_fraction_scans(family, rank, isogeny, generic, special):
         for pair_set in (((x, x),), ((x, y),), ((x, x), (z, z)),
                          ((x, y), (v, v))):
             want = oracle_weyl_scan(rs, fixed, pair_set)
-            got = weyl_scan(rs, fixed, pair_set)
-            assert [(w0.matrix, w0.word, lams) for w0, lams in got] == want
-            for _, lams in got:
-                assert all(isinstance(c, Fraction)
-                           for lam in lams for c in lam)
+            for got in spy.both_scans(rs, fixed, pair_set):
+                assert [(w0.matrix, w0.word, lams)
+                        for w0, lams in got] == want
+                for _, lams in got:
+                    assert all(isinstance(c, Fraction)
+                               for lam in lams for c in lam)
             nontrivial += len(got) > 1
         for pt_set in ((x,), (x, y), (x, z), (v,)):
             assert root_scan(rs, fixed, pt_set) == \
                 oracle_root_scan(rs, fixed, pt_set)
     assert nontrivial  # the special points keep more than the identity
+    assert spy.seen == {np.int64, object}
+
+
+@pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
+                         ids=IDS)
+def test_scan_dtype_follows_the_int64_bound(family, rank, isogeny, generic,
+                                            special):
+    """int64 exactly while n K (n A + 1) X < 2^63 and
+    d * coweight_inv_den < 2^63; the stack and the coweight inverse are
+    cached, read-only and in `weyl_elements` order."""
+    rs = rs_of(family, rank, isogeny)
+    stack, cinv, _ = weylaff._weyl_stack(rs)
+    assert weylaff._weyl_stack(rs)[0] is stack
+    assert stack.dtype == cinv.dtype == np.int64
+    assert not stack.flags.writeable and not cinv.flags.writeable
+    assert [tuple(map(tuple, m)) for m in stack.tolist()] == \
+        [w.matrix for w in weyl_elements(rs)]
+    assert cinv.tolist() == [list(r) for r in rs.coweight_inv_num]
+    assert rs.coweight_inv_den == coweight_den(rs)
+    pick = weylaff._scan_dtype
+    limit, top = int64_limit(rs), (2 ** 63 - 1) // coweight_den(rs)
+    rest = (0,) * (rs.dim - 1)
+    for sign in (1, -1):
+        assert pick(rs, 1, ((sign * limit,) + rest,)) is np.int64
+        assert pick(rs, 1, (rest + (sign * (limit + 1),),)) is object
+        assert pick(rs, 1, ((1,) + rest, (sign * (limit + 1),) + rest)) \
+            is object
+    assert pick(rs, top, ((1,) + rest,)) is np.int64
+    assert pick(rs, top + 1, ((1,) + rest,)) is object
+    assert pick(rs, 1, ()) is np.int64
+
+
+def test_one_f4_scan_calls_no_python_matvec(monkeypatch):
+    rs = rs_of("F", 4, "sc")
+    weylaff._weyl_stack.cache_clear()
+    calls = []
+    matvec = ratmat.int_matvec
+    monkeypatch.setattr(ratmat, "int_matvec",
+                        lambda m, v: calls.append(v) or matvec(m, v))
+    x = tuple(map(Fraction, ("1/2", "1/2", "0", "0")))
+    assert len(weyl_scan(rs, (), ((x, x),))) == 96
+    assert calls == []
+
+
+@pytest.mark.parametrize("family,rank,isogeny", [
+    ("A", 3, "sc"), ("A", 3, "adjoint"), ("A", 2, "gl"), ("B", 2, "sc"),
+    ("B", 4, "adjoint"), ("C", 3, "sc"), ("D", 4, "sc"), ("D", 4, "adjoint"),
+    ("F", 4, "sc"), ("G", 2, "adjoint")])
+def test_cartan_pairing_is_an_integer_dot(family, rank, isogeny):
+    """2(a, b)/(a, a) in the root-space inner product is b(a-check), the
+    integer dot product of b's gradient with a's coroot."""
+    rs = rs_of(family, rank, isogeny)
+    ip = rs.inner_product_matrix
+
+    def form(a, b):
+        return sum(a[i] * ip[i][j] * b[j]
+                   for i in range(rs.rank) for j in range(rs.rank))
+
+    for i, a in enumerate(rs.all_roots):
+        for j, b in enumerate(rs.all_roots):
+            assert ratmat.int_dot(rs.grads[j], rs.coroots[i]) == \
+                2 * form(a, b) / form(a, a)
 
 
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
