@@ -119,7 +119,7 @@ class FaceCategory:
         for f in self.faces:
             if f.vanishing_walls == key:
                 return f
-        raise KeyError(f"no face with vanishing walls {sorted(key)}")
+        raise ValueError(f"no face with vanishing walls {sorted(key)}")
 
     def to_json(self, rs: RootSystem) -> dict:
         walls = fundamental_alcove(rs)

@@ -3,11 +3,19 @@
 All combinatorial inputs are exact: rational arguments are given as
 comma-separated "p/q" strings, faces as comma-separated wall indices.
 Exit codes: 0 all passed, 1 a verification failed, 2 usage error.
+
+`_COMMANDS` maps a command to a handler `(rs, args)` that returns a JSON
+value or a string.  `SUITES` maps a `verify` suite to a generator
+`(rs, rng, seed, samples, radius)`.  To add a check, yield one more
+`(name, parameters, check)` from a suite, in report order: `run_suite`
+runs and times each check before the suite resumes, and a check returns
+None or a counterexample.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import random
 import sys
@@ -15,6 +23,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from . import alcove, centralizer, parabolic, ratmat, svg, weierstrass, weylaff
 from .rootdata import CartanType, EnumerationGuard, InvalidCartanType, \
@@ -34,42 +44,38 @@ class VerificationReport:
     elapsed_ms: int = 0
 
     def to_json(self) -> dict:
-        out = {
-            "check": self.check_name,
-            "cartan_type": self.cartan_type,
-            "parameters": self.parameters,
-            "passed": self.passed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        out = {"check": self.check_name, "cartan_type": self.cartan_type,
+               "parameters": self.parameters, "passed": self.passed,
+               "elapsed_ms": self.elapsed_ms}
         if not self.passed:
             out["counterexample"] = repr(self.counterexample)
         return out
 
 
-def _run_check(reports, rs_label, name, params, fn):
-    t0 = time.monotonic()
-    try:
-        cex = fn()
-    except EnumerationGuard:  # the input is out of range: a usage error
-        raise
-    except Exception as e:  # a crash is a failure with the error attached
-        cex = f"exception: {e!r}"
-    ms = int((time.monotonic() - t0) * 1000)
-    reports.append(VerificationReport(
-        check_name=name, cartan_type=rs_label, parameters=params,
-        passed=cex is None, counterexample=cex, elapsed_ms=ms,
-    ))
+def _unless(ok, msg):
+    """The verdict of a one-line check: None if ok, else msg."""
+    return None if ok else msg
 
 
 # -- sampling helpers ------------------------------------------------------
 
 
-def _rand_frac(rng, den=8) -> Fraction:
-    return Fraction(rng.randint(-3 * den, 3 * den), den)
-
-
 def _rand_point(rng, dim, den=8):
-    return tuple(_rand_frac(rng, den) for _ in range(dim))
+    return tuple(Fraction(rng.randint(-3 * den, 3 * den), den)
+                 for _ in range(dim))
+
+
+def _rand_theta(rng, dim):
+    """A point of the 1/4-grid in [0, 3/4]^dim (coweight coordinates)."""
+    return tuple(Fraction(rng.randint(0, 3), 4) for _ in range(dim))
+
+
+def _rand_affine(rs, rng):
+    """A Weyl element, then a coweight with coordinates in [-2, 2]."""
+    w0 = rng.choice(weylaff.weyl_elements(rs))
+    lam = rs.from_coweight_coords(tuple(Fraction(rng.randint(-2, 2))
+                                        for _ in range(rs.dim)))
+    return weylaff.AffineWeylElement(w0, lam)
 
 
 def _star_samples(rs, j, rng, count):
@@ -91,121 +97,79 @@ def _star_samples(rs, j, rng, count):
 # -- verification suites ---------------------------------------------------
 
 
-def suite_faces(rs: RootSystem, seed: int, samples: int):
-    reports = []
-    label = rs.cartan_type.label()
-    cat = alcove.faces_of_alcove(rs)
-
-    def check_count():
-        expect = (1 << (rs.rank + 1)) - 1
-        return None if len(cat.faces) == expect \
-            else f"{len(cat.faces)} faces, expected {expect}"
-
-    def check_ver():
-        return None if alcove.verify_ver_isomorphism(rs) \
-            else "vertex-subset map is not an isomorphism"
-
-    _run_check(reports, label, "face_count", {}, check_count)
-    _run_check(reports, label, "ver_isomorphism", {}, check_ver)
-    return reports
+def suite_faces(rs, rng, seed, samples, radius):
+    n, expect = len(alcove.faces_of_alcove(rs).faces), (1 << (rs.rank + 1)) - 1
+    yield "face_count", {}, lambda: _unless(
+        n == expect, f"{n} faces, expected {expect}")
+    yield "ver_isomorphism", {}, lambda: _unless(
+        alcove.verify_ver_isomorphism(rs),
+        "vertex-subset map is not an isomorphism")
 
 
-def suite_stabilizers(rs: RootSystem, seed: int, samples: int):
-    reports = []
-    label = rs.cartan_type.label()
-    cat = alcove.faces_of_alcove(rs)
-    for f in cat.faces:
+def suite_stabilizers(rs, rng, seed, samples, radius):
+    for f in alcove.faces_of_alcove(rs).faces:
         def check(f=f):
             # stabilizer_of_face refuses non-sc groups: Steinberg needs sc
             full = weylaff.stabilizer_of_face(rs, f)
             gen = weylaff.point_reflection_subgroup(rs, f.witness)
-            return None if gen.element_set() == full.element_set() else (
-                f"reflection group order {gen.order} != "
-                f"stabilizer order {full.order}"
-            )
-        _run_check(reports, label, "face_stabilizer_equals_point_stabilizer",
-                   {"face": sorted(f.vanishing_walls)}, check)
-    return reports
+            return _unless(gen.element_set() == full.element_set(),
+                           f"reflection group order {gen.order} != "
+                           f"stabilizer order {full.order}")
+        yield ("face_stabilizer_equals_point_stabilizer",
+               {"face": sorted(f.vanishing_walls)}, check)
 
 
-def suite_stars(rs: RootSystem, seed: int, samples: int):
-    reports = []
-    label = rs.cartan_type.label()
-    rng = random.Random(seed)
-    cat = alcove.faces_of_alcove(rs)
-    for f in cat.faces:
+def suite_stars(rs, rng, seed, samples, radius):
+    for f in alcove.faces_of_alcove(rs).faces:
+        face = sorted(f.vanishing_walls)
+
         def check_int(f=f):
-            return None if weylaff.verify_star_intersection(rs, f) \
-                else "star differs from intersection of vertex stars"
-        _run_check(reports, label, "star_intersection",
-                   {"face": sorted(f.vanishing_walls)}, check_int)
+            return _unless(weylaff.verify_star_intersection(rs, f),
+                           "star differs from intersection of vertex stars")
+        yield "star_intersection", {"face": face}, check_int
 
         def check_emb(f=f):
             pts = _star_samples(rs, f, rng, max(4, samples // 10))
-            pairs = [(pts[i], pts[(i + 1) % len(pts)])
-                     for i in range(len(pts))]
+            pairs = list(zip(pts, pts[1:] + pts[:1]))  # each to the next
             return weylaff.open_embedding_counterexample(rs, f, pairs)
-        _run_check(reports, label, "open_embedding",
-                   {"face": sorted(f.vanishing_walls), "seed": seed}, check_emb)
-    return reports
+        yield "open_embedding", {"face": face, "seed": seed}, check_emb
 
 
-def suite_cover(rs: RootSystem, seed: int, samples: int):
-    reports = []
-    label = rs.cartan_type.label()
-    rng = random.Random(seed)
-
+def suite_cover(rs, rng, seed, samples, radius):
     def check_cover():
         pts = [_rand_point(rng, rs.dim) for _ in range(samples)]
-        return None if weylaff.verify_cover(rs, pts) else "uncovered point"
+        return _unless(weylaff.verify_cover(rs, pts), "uncovered point")
 
     def check_group_law():
         for _ in range(min(samples, 100)):
-            w0 = rng.choice(weylaff.weyl_elements(rs))
-            lam = rs.from_coweight_coords(
-                tuple(Fraction(rng.randint(-2, 2)) for _ in range(rs.dim))
-            )
-            el = weylaff.AffineWeylElement(w0, lam)
+            el = _rand_affine(rs, rng)
             if not compose(rs, el, invert(rs, el)).is_identity():
                 return f"group law failed at {el}"
         return None
 
-    def check_idempotent():
+    def check_equivariant():
         for _ in range(min(samples, 50)):
             x = _rand_point(rng, rs.dim)
             _, xr = weylaff.reduce_to_alcove(rs, x)
-            w0 = rng.choice(weylaff.weyl_elements(rs))
-            lam = rs.from_coweight_coords(
-                tuple(Fraction(rng.randint(-2, 2)) for _ in range(rs.dim))
-            )
-            y = weylaff.AffineWeylElement(w0, lam).apply(x)
+            y = _rand_affine(rs, rng).apply(x)
             _, yr = weylaff.reduce_to_alcove(rs, y)
             if xr != yr:
                 return f"reduction not equivariant at {x}"
         return None
 
-    _run_check(reports, label, "star_cover", {"samples": samples,
-                                              "seed": seed}, check_cover)
-    _run_check(reports, label, "group_law", {"seed": seed}, check_group_law)
-    _run_check(reports, label, "reduction_equivariant", {"seed": seed},
-               check_idempotent)
-    return reports
+    yield "star_cover", {"samples": samples, "seed": seed}, check_cover
+    yield "group_law", {"seed": seed}, check_group_law
+    yield "reduction_equivariant", {"seed": seed}, check_equivariant
 
 
-def suite_centralizer(rs: RootSystem, seed: int, samples: int):
-    reports = []
-    label = rs.cartan_type.label()
-    rng = random.Random(seed)
+def suite_centralizer(rs, rng, seed, samples, radius):
     cat = alcove.faces_of_alcove(rs)
 
     def check_connected():
-        if rs.cartan_type.isogeny != "sc":
-            return None
         for _ in range(samples):
             a = _rand_point(rng, rs.dim, den=6)
-            data = centralizer.centralizer_elliptic(
-                rs, centralizer.exp_point(rs, ratmat.zeros(rs.dim), a)
-            )
+            data = centralizer.centralizer_elliptic(rs, centralizer.exp_point(
+                rs, ratmat.zeros(rs.dim), a))
             if data.pi0_order != 1:
                 return f"pi0 = {data.pi0_order} at theta=0, a={a}"
         return None
@@ -217,9 +181,7 @@ def suite_centralizer(rs: RootSystem, seed: int, samples: int):
             fphi = set(fdata.phi)
             fw = fdata.w.element_set()
             for a in _star_samples(rs, f, rng, per_face):
-                theta = tuple(Fraction(rng.randint(0, 3), 4)
-                              for _ in range(rs.dim))
-                s = centralizer.exp_point(rs, theta, a)
+                s = centralizer.exp_point(rs, _rand_theta(rng, rs.dim), a)
                 if not centralizer.se_contains(rs, f, s):
                     return f"sampled point left the star at face {f}"
                 sdata = centralizer.centralizer_elliptic(rs, s)
@@ -232,15 +194,12 @@ def suite_centralizer(rs: RootSystem, seed: int, samples: int):
     def check_equivariance():
         group = weylaff.weyl_elements(rs)
         for _ in range(min(samples, 40)):
-            theta = tuple(Fraction(rng.randint(0, 3), 4)
-                          for _ in range(rs.dim))
-            a = _rand_point(rng, rs.dim, den=6)
-            s = centralizer.exp_point(rs, theta, a)
+            s = centralizer.exp_point(rs, _rand_theta(rng, rs.dim),
+                                      _rand_point(rng, rs.dim, den=6))
             d1 = centralizer.centralizer_elliptic(rs, s)
             w0 = group[rng.randrange(len(group))]
-            theta2 = rs.coweight_coords(
-                w0.apply(rs.from_coweight_coords(s.theta))
-            )
+            theta2 = rs.coweight_coords(w0.apply(
+                rs.from_coweight_coords(s.theta)))
             s2 = centralizer.exp_point(rs, theta2, w0.apply(s.a))
             d2 = centralizer.centralizer_elliptic(rs, s2)
             if (len(d1.phi) != len(d2.phi) or d1.w.order != d2.w.order
@@ -250,40 +209,33 @@ def suite_centralizer(rs: RootSystem, seed: int, samples: int):
 
     def check_negation_closed():
         for f in cat.faces:
-            data = centralizer.centralizer_face(rs, f)
-            phi = set(data.phi)
+            phi = set(centralizer.centralizer_face(rs, f).phi)
             for ar in phi:
                 if alcove.negate_affine_root(rs, ar) not in phi:
                     return f"phi not negation-closed at face {f}"
         return None
 
     if rs.cartan_type.isogeny == "sc":
-        _run_check(reports, label, "connected_at_theta_zero",
-                   {"samples": samples, "seed": seed}, check_connected)
-        _run_check(reports, label, "se_inside_et", {"seed": seed}, check_se_et)
-        _run_check(reports, label, "phi_negation_closed", {},
-                   check_negation_closed)
-    _run_check(reports, label, "w_equivariance", {"seed": seed},
-               check_equivariance)
-    return reports
+        yield ("connected_at_theta_zero", {"samples": samples, "seed": seed},
+               check_connected)
+        yield "se_inside_et", {"seed": seed}, check_se_et
+        yield "phi_negation_closed", {}, check_negation_closed
+    yield "w_equivariance", {"seed": seed}, check_equivariance
 
 
-def suite_parabolic(rs: RootSystem, seed: int, samples: int):
-    reports = []
-    label = rs.cartan_type.label()
+def suite_parabolic(rs, rng, seed, samples, radius):
     cat = alcove.faces_of_alcove(rs)
     arrows = [a for a in cat.arrows if a[0] != a[1]]
 
     def check_decomposition():
         for i, j in cat.arrows:
             p = parabolic.parabolic(rs, cat.faces[i], cat.faces[j])
-            amb = set(p.ambient)
             levi = set(p.levi)
             nil = set(p.nilradical)
             neg = {alcove.negate_affine_root(rs, ar) for ar in nil}
             if nil & neg or not levi.isdisjoint(nil):
                 return f"overlap in decomposition at arrow {(i, j)}"
-            if levi | nil | neg != amb:
+            if levi | nil | neg != set(p.ambient):
                 return f"ambient not exhausted at arrow {(i, j)}"
         return None
 
@@ -294,8 +246,7 @@ def suite_parabolic(rs: RootSystem, seed: int, samples: int):
                 if j2 != j or (i, k) not in arrow_set:
                     continue
                 if not parabolic.compose_parabolics(
-                    rs, cat.faces[i], cat.faces[j], cat.faces[k]
-                ):
+                        rs, cat.faces[i], cat.faces[j], cat.faces[k]):
                     return f"composition failed on chain {(i, j, k)}"
         return None
 
@@ -312,19 +263,12 @@ def suite_parabolic(rs: RootSystem, seed: int, samples: int):
                         return f"nilradical not closed at arrow {(i, j)}"
         return None
 
-    _run_check(reports, label, "parabolic_decomposition", {},
-               check_decomposition)
-    _run_check(reports, label, "parabolic_composition", {}, check_compose)
-    _run_check(reports, label, "nilradical_closed", {},
-               check_nilradical_closed)
-    return reports
+    yield "parabolic_decomposition", {}, check_decomposition
+    yield "parabolic_composition", {}, check_compose
+    yield "nilradical_closed", {}, check_nilradical_closed
 
 
-def suite_double_affine(rs: RootSystem, seed: int, samples: int):
-    reports = []
-    label = rs.cartan_type.label()
-    rng = random.Random(seed)
-
+def suite_double_affine(rs, rng, seed, samples, radius):
     def check():
         for _ in range(samples):
             a1 = _rand_point(rng, rs.dim, den=6)
@@ -336,29 +280,22 @@ def suite_double_affine(rs: RootSystem, seed: int, samples: int):
                 return f"injectivity failed at B=({a1}, {a2})"
         return None
 
-    _run_check(reports, label, "double_affine_cartesian",
-               {"samples": samples, "seed": seed}, check)
-    return reports
+    yield "double_affine_cartesian", {"samples": samples, "seed": seed}, check
 
 
-def suite_weierstrass(seed: int, radius: int = 100):
-    reports = []
-    rng = random.Random(seed)
+def suite_weierstrass(rs, rng, seed, samples, radius):
+    """The numeric checks; `rs` is unused (None under `verify weierstrass`)."""
     lat = weierstrass.Lattice(1.0, 2.0j)
 
     def check_cubic():
-        import numpy as np
+        ev = 0.4 + 0.3j  # a 1x1, a Jordan block, then two random 3x3
+        fixed = (np.array([[0.3 + 0.2j]]),
+                 np.array([[ev, 1, 0], [0, ev, 1], [0, 0, ev]]))
         for i in range(4):
-            if i == 0:
-                z = np.array([[0.3 + 0.2j]])
-            elif i == 1:
-                ev = 0.4 + 0.3j
-                z = np.array([[ev, 1, 0], [0, ev, 1], [0, 0, ev]])
-            else:
-                z = np.array(
-                    [[complex(rng.uniform(0.1, 0.9), rng.uniform(0.2, 1.8))
-                      for _ in range(3)] for _ in range(3)]
-                ) * 0.4 + 0.3 * np.eye(3)
+            z = fixed[i] if i < 2 else np.array(
+                [[complex(rng.uniform(0.1, 0.9), rng.uniform(0.2, 1.8))
+                  for _ in range(3)] for _ in range(3)]
+            ) * 0.4 + 0.3 * np.eye(3)
             rep = weierstrass.cubic_report(z, lat, radius)
             if rep["residual_cubic"] > 1e-5:
                 return f"cubic residual {rep['residual_cubic']}"
@@ -367,58 +304,63 @@ def suite_weierstrass(seed: int, radius: int = 100):
         return None
 
     def check_half_periods():
-        e = [weierstrass.wp_scalar(w / 2, lat, radius)
-             for w in (1.0, 2.0j, 1.0 + 2.0j)]
-        s = abs(sum(e))
-        return None if s < 1e-7 else f"half-period sum {s}"
+        s = abs(sum(weierstrass.wp_scalar(w / 2, lat, radius)
+                    for w in (1.0, 2.0j, 1.0 + 2.0j)))
+        return _unless(s < 1e-7, f"half-period sum {s}")
 
     def check_symmetric_lattices():
         g3 = weierstrass.eisenstein(weierstrass.Lattice(1.0, 1.0j), 6)
-        import cmath
-        g2 = weierstrass.eisenstein(
-            weierstrass.Lattice(1.0, cmath.exp(1j * cmath.pi / 3)), 4
-        )
+        hexagonal = weierstrass.Lattice(1.0, cmath.exp(1j * cmath.pi / 3))
+        g2 = weierstrass.eisenstein(hexagonal, 4)
         if abs(g3) > 1e-7:
             return f"square-lattice G6 = {g3}"
         if abs(g2) > 1e-7:
             return f"hexagonal G4 = {g2}"
         return None
 
-    _run_check(reports, "-", "weierstrass_cubic",
-               {"radius": radius, "seed": seed}, check_cubic)
-    _run_check(reports, "-", "weierstrass_half_periods",
-               {"radius": radius}, check_half_periods)
-    _run_check(reports, "-", "weierstrass_symmetric_lattices", {},
-               check_symmetric_lattices)
-    return reports
+    yield "weierstrass_cubic", {"radius": radius, "seed": seed}, check_cubic
+    yield "weierstrass_half_periods", {"radius": radius}, check_half_periods
+    yield "weierstrass_symmetric_lattices", {}, check_symmetric_lattices
 
 
 RADIUS_HELP = ("largest lattice shell of the p and p' sums (>= 1); they stop "
                "at the first shell whose omitted tail is certified below "
                "1e-16")
 
-SUITES = ("faces", "stabilizers", "stars", "cover", "parabolic",
-          "centralizer", "double-affine", "weierstrass", "all")
+# suite -> (generator, whether its lines carry the root system's label
+# or "-"), in the order `all` runs them
+SUITES = {
+    "faces": (suite_faces, True), "stabilizers": (suite_stabilizers, True),
+    "stars": (suite_stars, True), "cover": (suite_cover, True),
+    "parabolic": (suite_parabolic, True),
+    "centralizer": (suite_centralizer, True),
+    "double-affine": (suite_double_affine, True),
+    "weierstrass": (suite_weierstrass, False),
+}
 
 
 def run_suite(suite: str, rs: RootSystem | None, seed: int,
               samples: int, radius: int = 100):
-    fns = {
-        "faces": suite_faces,
-        "stabilizers": suite_stabilizers,
-        "stars": suite_stars,
-        "cover": suite_cover,
-        "parabolic": suite_parabolic,
-        "centralizer": suite_centralizer,
-        "double-affine": suite_double_affine,
-    }
+    """One report per check of `suite`, or of every suite for "all"; each
+    suite draws from its own `random.Random(seed)`."""
     reports = []
-    names = [s for s in fns] if suite == "all" else [suite] \
-        if suite != "weierstrass" else []
-    for name in names:
-        reports.extend(fns[name](rs, seed, samples))
-    if suite in ("weierstrass", "all"):
-        reports.extend(suite_weierstrass(seed, radius))
+    for name in SUITES if suite == "all" else (suite,):
+        fn, labelled = SUITES[name]
+        label = rs.cartan_type.label() if labelled else "-"
+        for check_name, params, check in fn(rs, random.Random(seed), seed,
+                                            samples, radius):
+            t0 = time.monotonic()
+            try:
+                cex = check()
+            except EnumerationGuard:  # the input is out of range: exit 2
+                raise
+            except Exception as e:  # a crash fails, with the error attached
+                cex = f"exception: {e!r}"
+            reports.append(VerificationReport(
+                check_name=check_name, cartan_type=label, parameters=params,
+                passed=cex is None, counterexample=cex,
+                elapsed_ms=int((time.monotonic() - t0) * 1000),
+            ))
     return reports
 
 
@@ -430,12 +372,6 @@ def _parse_vec(s: str):
         return tuple(ratmat.parse_frac(p) for p in s.split(","))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
-
-
-def _parse_face(s: str):
-    if s in ("", "-", "interior"):
-        return frozenset()
-    return frozenset(int(p) for p in s.split(","))
 
 
 def _parse_complex(s: str) -> complex:
@@ -460,9 +396,7 @@ def _parse_matrix(raw) -> list[list[complex]]:
 
 
 def _build(args) -> RootSystem:
-    return build_root_system(
-        CartanType(args.type, args.rank, args.isogeny)
-    )
+    return build_root_system(CartanType(args.type, args.rank, args.isogeny))
 
 
 def _emit(args, text: str):
@@ -532,7 +466,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--type", default="A", choices=list("ABCDEFG"))
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--isogeny", default="sc",
@@ -549,130 +483,115 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# -- commands --------------------------------------------------------------
+
+
+def _face(rs: RootSystem, walls: str):
+    """The face whose vanishing walls are the comma list `walls`; "", "-"
+    and "interior" name the interior."""
+    key = frozenset() if walls in ("", "-", "interior") \
+        else frozenset(int(p) for p in walls.split(","))
+    return alcove.faces_of_alcove(rs).face_by_walls(key)
+
+
+def _centralizer(rs, args):
+    theta = _parse_vec(args.theta) if args.theta else ratmat.zeros(rs.dim)
+    data = centralizer.centralizer_elliptic(
+        rs, centralizer.exp_point(rs, theta, _parse_vec(args.a)))
+    out = data.to_json()
+    if rs.cartan_type.family == "A":
+        shape = centralizer.matrix_shape(rs, data.phi)
+        out["shape"] = shape.to_json()
+        out["shape_text"] = shape.render()
+    return out
+
+
+def _parabolic(rs, args):
+    pd = parabolic.parabolic(rs, _face(rs, args.face1), _face(rs, args.face2))
+    out = {key: [[a.root_index, a.level] for a in getattr(pd, key)]
+           for key in ("ambient", "levi", "nilradical")}
+    if rs.cartan_type.family == "A":
+        out["shape"] = centralizer.matrix_shape(
+            rs, tuple(pd.parabolic_set())).to_json()
+    return out
+
+
+def _star(rs, args):
+    j = _face(rs, args.face)
+    if args.point is not None:
+        return {"contains": star_contains(rs, j, _parse_vec(args.point))}
+    return {"facet_witnesses": [ratmat.vec_str(w) for w in
+                                weylaff.star_facet_witnesses(rs, j)]}
+
+
+def _overlap(rs, args):
+    cosets = weylaff.chart_overlap(rs, _face(rs, args.face1),
+                                   _face(rs, args.face2))
+    return [{"rep_word": list(w.finite_part.word),
+             "rep_translation": ratmat.vec_str(w.translation),
+             "pair_stabilizer_order": stab.order} for w, stab in cosets]
+
+
+def _svg(rs, args):
+    highlight = None if args.highlight is None else _face(rs, args.highlight)
+    return svg.render_svg(rs, args.region, highlight)
+
+
+# command -> handler (rs, args) returning a JSON value or a string
+_COMMANDS = {
+    "roots": lambda rs, args: rs.to_json(),
+    "faces": lambda rs, args: alcove.face_category_json(rs),
+    "centralizer": _centralizer,
+    "parabolic": _parabolic,
+    "diagram": lambda rs, args: parabolic.restriction_diagram_json(rs),
+    "star": _star,
+    "overlap": _overlap,
+    "svg": _svg,
+}
+
+
+def _wp(args) -> dict:
+    lat = weierstrass.Lattice(_parse_complex(args.omega1),
+                              _parse_complex(args.omega2))
+    with open(args.matrix, encoding="utf-8") as fh:
+        z = _parse_matrix(json.load(fh))
+    rep = weierstrass.cubic_report(z, lat, args.radius)
+    return {
+        "g2": [rep["g2"].real, rep["g2"].imag],
+        "g3": [rep["g3"].real, rep["g3"].imag],
+        "residual_cubic": rep["residual_cubic"],
+        "residual_commutator": rep["residual_commutator"],
+    }
+
+
+def _verify(args) -> tuple[str, int]:
+    """The report lines and the exit code: 0 if every check passed."""
+    if args.radius < 1:
+        raise ValueError("--radius must be at least 1")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    rs = None if args.suite == "weierstrass" else _build(args)
+    reports = run_suite(args.suite, rs, args.seed, args.samples, args.radius)
+    return ("\n".join(json.dumps(r.to_json()) for r in reports),
+            0 if all(r.passed for r in reports) else 1)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    code = 0
     try:
-        return _dispatch(args)
+        if args.command == "verify":
+            out, code = _verify(args)
+        elif args.command == "wp":
+            out = _wp(args)
+        else:
+            out = _COMMANDS[args.command](_build(args), args)
+        _emit(args, out if isinstance(out, str) else json.dumps(out, indent=2))
     except (InvalidCartanType, EnumerationGuard, ValueError, KeyError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "roots":
-        rs = _build(args)
-        _emit(args, json.dumps(rs.to_json(), indent=2))
-        return 0
-    if cmd == "faces":
-        rs = _build(args)
-        _emit(args, alcove.face_category_json(rs))
-        return 0
-    if cmd == "centralizer":
-        rs = _build(args)
-        theta = _parse_vec(args.theta) if args.theta \
-            else ratmat.zeros(rs.dim)
-        a = _parse_vec(args.a)
-        data = centralizer.centralizer_elliptic(
-            rs, centralizer.exp_point(rs, theta, a)
-        )
-        out = data.to_json()
-        if rs.cartan_type.family == "A":
-            shape = centralizer.matrix_shape(rs, data.phi)
-            out["shape"] = shape.to_json()
-            out["shape_text"] = shape.render()
-        _emit(args, json.dumps(out, indent=2))
-        return 0
-    if cmd == "parabolic":
-        rs = _build(args)
-        cat = alcove.faces_of_alcove(rs)
-        j1 = cat.face_by_walls(_parse_face(args.face1))
-        j2 = cat.face_by_walls(_parse_face(args.face2))
-        pd = parabolic.parabolic(rs, j1, j2)
-        out = {
-            "ambient": [[a.root_index, a.level] for a in pd.ambient],
-            "levi": [[a.root_index, a.level] for a in pd.levi],
-            "nilradical": [[a.root_index, a.level] for a in pd.nilradical],
-        }
-        if rs.cartan_type.family == "A":
-            out["shape"] = centralizer.matrix_shape(
-                rs, tuple(pd.parabolic_set())
-            ).to_json()
-        _emit(args, json.dumps(out, indent=2))
-        return 0
-    if cmd == "diagram":
-        rs = _build(args)
-        _emit(args, parabolic.restriction_diagram_json(rs))
-        return 0
-    if cmd == "star":
-        rs = _build(args)
-        cat = alcove.faces_of_alcove(rs)
-        j = cat.face_by_walls(_parse_face(args.face))
-        if args.point is not None:
-            x = _parse_vec(args.point)
-            _emit(args, json.dumps(
-                {"contains": star_contains(rs, j, x)}, indent=2))
-        else:
-            wits = weylaff.star_facet_witnesses(rs, j)
-            _emit(args, json.dumps(
-                {"facet_witnesses": [ratmat.vec_str(w) for w in wits]},
-                indent=2))
-        return 0
-    if cmd == "overlap":
-        rs = _build(args)
-        cat = alcove.faces_of_alcove(rs)
-        j1 = cat.face_by_walls(_parse_face(args.face1))
-        j2 = cat.face_by_walls(_parse_face(args.face2))
-        cosets = weylaff.chart_overlap(rs, j1, j2)
-        out = [
-            {
-                "rep_word": list(w.finite_part.word),
-                "rep_translation": ratmat.vec_str(w.translation),
-                "pair_stabilizer_order": stab.order,
-            }
-            for w, stab in cosets
-        ]
-        _emit(args, json.dumps(out, indent=2))
-        return 0
-    if cmd == "wp":
-        lat = weierstrass.Lattice(
-            _parse_complex(args.omega1), _parse_complex(args.omega2)
-        )
-        with open(args.matrix, encoding="utf-8") as fh:
-            z = _parse_matrix(json.load(fh))
-        rep = weierstrass.cubic_report(z, lat, args.radius)
-        out = {
-            "g2": [rep["g2"].real, rep["g2"].imag],
-            "g3": [rep["g3"].real, rep["g3"].imag],
-            "residual_cubic": rep["residual_cubic"],
-            "residual_commutator": rep["residual_commutator"],
-        }
-        _emit(args, json.dumps(out, indent=2))
-        return 0
-    if cmd == "verify":
-        if args.radius < 1:
-            raise ValueError("--radius must be at least 1")
-        if args.samples < 1:
-            raise ValueError("--samples must be at least 1")
-        rs = None
-        if args.suite != "weierstrass":
-            rs = _build(args)
-        reports = run_suite(args.suite, rs, args.seed, args.samples,
-                            args.radius)
-        text = "\n".join(json.dumps(r.to_json()) for r in reports)
-        _emit(args, text)
-        return 0 if all(r.passed for r in reports) else 1
-    if cmd == "svg":
-        rs = _build(args)
-        highlight = None
-        if args.highlight is not None:
-            highlight = alcove.faces_of_alcove(rs).face_by_walls(
-                _parse_face(args.highlight)
-            )
-        _emit(args, svg.render_svg(rs, args.region, highlight))
-        return 0
-    raise ValueError(f"unknown command {cmd}")
+    return code
 
 
 if __name__ == "__main__":

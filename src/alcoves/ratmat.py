@@ -31,12 +31,6 @@ def zeros(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
 def add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 

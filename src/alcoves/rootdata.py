@@ -29,6 +29,7 @@ IntMat = tuple[tuple[int, ...], ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 ISOGENIES = ("sc", "adjoint", "gl")
+WEYL_RANK_GUARD = 4  # `weyl_group` refuses higher ranks
 
 
 class InvalidCartanType(ValueError):
@@ -196,21 +197,6 @@ class RootSystem:
     def coroot(self, idx: int) -> tuple[int, ...]:
         return self.coroots[idx]
 
-    def root_length_sq(self, idx: int) -> Fraction:
-        c = self.all_roots[idx]
-        s = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                s += c[i] * self.inner_product_matrix[i][j] * c[j]
-        return s
-
-    def in_coweight_lattice(self, x: Vec) -> bool:
-        """A remainder test on the integer numerator of coweight_coords."""
-        d, (num,) = ratmat.over_common_denominator((x,), self.dim)
-        m = d * self.coweight_inv_den
-        return not any(ratmat.int_dot(row, num) % m
-                       for row in self.coweight_inv_num)
-
     def coweight_coords(self, x: Vec) -> Vec:
         """Coordinates of x in the coweight-lattice basis."""
         d, (num,) = ratmat.over_common_denominator((x,), self.dim)
@@ -376,14 +362,15 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return WeylElement(tuple(map(tuple, m)), (i,))
 
 
-def weyl_group(rs: RootSystem, max_rank: int = 4) -> list[WeylElement]:
+def weyl_group(rs: RootSystem) -> list[WeylElement]:
     """Enumerate the finite Weyl group by closure under simple reflections.
 
-    Elements come out in BFS order by word length, identity first.
+    Elements come out in BFS order by word length, identity first.  Ranks
+    above `WEYL_RANK_GUARD` are refused.
     """
-    if rs.rank > max_rank:
+    if rs.rank > WEYL_RANK_GUARD:
         raise EnumerationGuard(
-            f"rank {rs.rank} exceeds enumeration guard {max_rank}"
+            f"rank {rs.rank} exceeds enumeration guard {WEYL_RANK_GUARD}"
         )
     gens = [simple_reflection(rs, i) for i in range(rs.rank)]
     ident = WeylElement(ratmat.int_identity(rs.dim), ())

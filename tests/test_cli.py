@@ -153,17 +153,32 @@ def test_verify_command_and_exit_codes(capsys):
     assert all("cartan_type" in r and "elapsed_ms" in r for r in reports)
 
 
+def stub_suite(check):
+    """A suite of one check, for the `faces` entry of `cli.SUITES`."""
+    def suite(rs, rng, seed, samples, radius):
+        yield "stub", {}, check
+    return suite, True
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    def fake_suite(rs, seed, samples):
-        return [cli.VerificationReport(
-            check_name="stub", cartan_type="A1", passed=False,
-            counterexample="forced",
-        )]
-    monkeypatch.setitem(cli.run_suite.__globals__, "suite_faces", fake_suite)
+    monkeypatch.setitem(cli.SUITES, "faces", stub_suite(lambda: "forced"))
     code, out = run(capsys, ["verify", "faces", "--type", "A", "--rank", "1"])
     assert code == 1
     report = json.loads(out.strip())
     assert report["passed"] is False and "counterexample" in report
+    assert report["check"] == "stub" and report["cartan_type"] == "A1"
+    assert report["counterexample"] == repr("forced")
+
+
+def test_verify_check_that_raises_fails(capsys, monkeypatch):
+    def check():
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli.SUITES, "faces", stub_suite(check))
+    code, out = run(capsys, ["verify", "faces", "--type", "A", "--rank", "1"])
+    assert code == 1
+    report = json.loads(out.strip())
+    assert report["passed"] is False
+    assert report["counterexample"] == repr("exception: RuntimeError('boom')")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -174,6 +189,18 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main([])
     assert e.value.code == 2
+
+
+# a face that does not exist: the exact line, without repr quotes
+FACE_LOOKUPS = {
+    ("svg", "--type", "A", "--rank", "2", "--highlight", "9"):
+        "error: no face with vanishing walls [9]\n",
+    ("star", "--type", "A", "--rank", "2", "--face", "5"):
+        "error: no face with vanishing walls [5]\n",
+    ("overlap", "--type", "A", "--rank", "2", "--face1", "0,1,2",
+     "--face2", "0"):
+        "error: no face with vanishing walls [0, 1, 2]\n",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,6 +222,7 @@ def test_usage_errors_exit_2(capsys):
      "--matrix", WP_MATRIX],
     ["wp", "--omega1", "nan,0", "--omega2", "0,1", "--matrix", WP_MATRIX],
     ["wp", "--omega1", "1,0", "--omega2", "0,inf", "--matrix", WP_MATRIX],
+    *map(list, FACE_LOOKUPS),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.main(argv)
@@ -203,6 +231,8 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    if tuple(argv) in FACE_LOOKUPS:
+        assert captured.err == FACE_LOOKUPS[tuple(argv)]
 
 
 def test_reports_are_deterministic(capsys):

@@ -84,6 +84,10 @@ def coweight_inverse(rs):
     return ratmat.inverse(ratmat.transpose(rs.coweight_lattice_basis))
 
 
+def frac_identity(n):
+    return ratmat.mat(ratmat.int_identity(n))
+
+
 def in_lattice(rs, x):
     return all(c.denominator == 1
                for c in ratmat.matvec(coweight_inverse(rs), x))
@@ -104,11 +108,11 @@ def _oracle_weyl_group(family, rank, n):
     rs = build_root_system(CartanType(family, rank))
     gens = []
     for i in range(rs.rank):
-        m = [list(row) for row in ratmat.identity(n)]
+        m = [list(row) for row in frac_identity(n)]
         for k in range(rs.rank):
             m[i][k] -= rs.cartan[k][i]
         gens.append(ratmat.mat(m))
-    ident = (ratmat.identity(n), ())
+    ident = (frac_identity(n), ())
     elements = [ident]
     seen = {ident[0]}
     frontier = [ident]
@@ -186,7 +190,7 @@ def oracle_reduce(rs, x):
     """(finite matrix, translation, reduced point): reflect in the first
     wall x lies beyond, composing Fraction affine maps."""
     walls = fundamental_alcove(rs)
-    m, t, cur = ratmat.identity(rs.dim), ratmat.zeros(rs.dim), tuple(x)
+    m, t, cur = frac_identity(rs.dim), ratmat.zeros(rs.dim), tuple(x)
     while True:
         bad = next((w for w in walls
                     if ev(rs, w.root_index, cur) - w.level < 0), None)
@@ -341,7 +345,8 @@ def test_root_tables(family, rank, isogeny, generic, special):
         lam = ratmat.sub(x, ratmat.matvec(
             rng.choice(oracle_weyl_group(rs))[0], x))
         for p in (x, lam, coweight(rs, rng, 10 ** 9)):
-            assert rs.in_coweight_lattice(p) == in_lattice(rs, p)
+            assert all(c.denominator == 1
+                       for c in rs.coweight_coords(p)) == in_lattice(rs, p)
             assert rs.coweight_coords(p) == \
                 ratmat.matvec(coweight_inverse(rs), p)
 
