@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -225,11 +225,11 @@ def suite_centralizer(rs, rng, seed, samples, radius):
 
 def suite_parabolic(rs, rng, seed, samples, radius):
     cat = alcove.faces_of_alcove(rs)
-    arrows = [a for a in cat.arrows if a[0] != a[1]]
+    # every arrow's data, in `cat.arrows` order, built by the first check
+    table = cache(lambda: parabolic.parabolics(rs, cat.faces, cat.arrows))
 
     def check_decomposition():
-        for i, j in cat.arrows:
-            p = parabolic.parabolic(rs, cat.faces[i], cat.faces[j])
+        for (i, j), p in table().items():
             levi = set(p.levi)
             nil = set(p.nilradical)
             neg = {alcove.negate_affine_root(rs, ar) for ar in nil}
@@ -240,19 +240,13 @@ def suite_parabolic(rs, rng, seed, samples, radius):
         return None
 
     def check_compose():
-        arrow_set = set(cat.arrows)
-        for i, j in cat.arrows:
-            for j2, k in cat.arrows:
-                if j2 != j or (i, k) not in arrow_set:
-                    continue
-                if not parabolic.compose_parabolics(
-                        rs, cat.faces[i], cat.faces[j], cat.faces[k]):
-                    return f"composition failed on chain {(i, j, k)}"
+        for chain in parabolic.chains(cat.arrows):
+            if not parabolic.composes(table(), *chain):
+                return f"composition failed on chain {chain}"
         return None
 
     def check_nilradical_closed():
-        for i, j in arrows:
-            p = parabolic.parabolic(rs, cat.faces[i], cat.faces[j])
+        for (i, j), p in table().items():  # identity arrows: no nilradical
             amb = {(rs.all_roots[a.root_index], a.level) for a in p.ambient}
             nil = {(rs.all_roots[a.root_index], a.level)
                    for a in p.nilradical}
@@ -486,11 +480,17 @@ def _parser() -> argparse.ArgumentParser:
 # -- commands --------------------------------------------------------------
 
 
-def _face(rs: RootSystem, walls: str):
-    """The face whose vanishing walls are the comma list `walls`; "", "-"
-    and "interior" name the interior."""
-    key = frozenset() if walls in ("", "-", "interior") \
-        else frozenset(int(p) for p in walls.split(","))
+def _face(rs: RootSystem, args, option: str):
+    """The face named by `--option`: its vanishing walls as a comma list;
+    "", "-" and "interior" name the interior."""
+    walls = getattr(args, option)
+    try:
+        key = frozenset() if walls in ("", "-", "interior") \
+            else frozenset(int(p) for p in walls.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--{option} {walls!r} is not a face: give comma-separated wall "
+            f"indices 0..{rs.rank}, or - for the interior") from None
     return alcove.faces_of_alcove(rs).face_by_walls(key)
 
 
@@ -507,7 +507,8 @@ def _centralizer(rs, args):
 
 
 def _parabolic(rs, args):
-    pd = parabolic.parabolic(rs, _face(rs, args.face1), _face(rs, args.face2))
+    pd = parabolic.parabolic(rs, _face(rs, args, "face1"),
+                             _face(rs, args, "face2"))
     out = {key: [[a.root_index, a.level] for a in getattr(pd, key)]
            for key in ("ambient", "levi", "nilradical")}
     if rs.cartan_type.family == "A":
@@ -517,7 +518,7 @@ def _parabolic(rs, args):
 
 
 def _star(rs, args):
-    j = _face(rs, args.face)
+    j = _face(rs, args, "face")
     if args.point is not None:
         return {"contains": star_contains(rs, j, _parse_vec(args.point))}
     return {"facet_witnesses": [ratmat.vec_str(w) for w in
@@ -525,15 +526,16 @@ def _star(rs, args):
 
 
 def _overlap(rs, args):
-    cosets = weylaff.chart_overlap(rs, _face(rs, args.face1),
-                                   _face(rs, args.face2))
+    cosets = weylaff.chart_overlap(rs, _face(rs, args, "face1"),
+                                   _face(rs, args, "face2"))
     return [{"rep_word": list(w.finite_part.word),
              "rep_translation": ratmat.vec_str(w.translation),
              "pair_stabilizer_order": stab.order} for w, stab in cosets]
 
 
 def _svg(rs, args):
-    highlight = None if args.highlight is None else _face(rs, args.highlight)
+    highlight = None if args.highlight is None \
+        else _face(rs, args, "highlight")
     return svg.render_svg(rs, args.region, highlight)
 
 

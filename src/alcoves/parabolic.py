@@ -9,17 +9,14 @@ phi_J nonnegative on J'.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .alcove import (
-    AffineRoot,
-    Face,
-    eval_affine_root,
-    faces_of_alcove,
-)
+from .alcove import AffineRoot, Face, faces_of_alcove
 from .centralizer import centralizer_face, matrix_shape
+from .ratmat import int_dot, over_common_denominator
 from .rootdata import RootSystem
-from .weylaff import vanishing_affine_roots
+from .weylaff import root_scan
 
 _DIAGRAM_MAX_RANK = 3
 
@@ -38,29 +35,54 @@ def has_arrow(j: Face, jp: Face) -> bool:
     return j.vanishing_walls >= jp.vanishing_walls
 
 
+def parabolics(rs: RootSystem, faces: Sequence[Face],
+               arrows: Sequence[tuple[int, int]]) -> dict:
+    """{(i, j): ParabolicData of faces[i] -> faces[j]} for each arrow.  Each
+    face is scanned once, at its witness (the barycenter, inside the face);
+    with J' written as num / d, an ambient root (idx, n) has the sign of the
+    integer grads[idx] . num - n d at J'."""
+    scans = {}
+    for k in {k for arrow in arrows for k in arrow}:
+        d, (num,) = over_common_denominator((faces[k].witness,), rs.dim)
+        scans[k] = (tuple(AffineRoot(idx, v) for idx, (v,) in
+                          root_scan(rs, (), (faces[k].witness,))), d, num)
+    table = {}
+    for i, j in arrows:
+        if not has_arrow(faces[i], faces[j]):
+            raise ValueError("no arrow between the given faces")
+        ambient, (levi, d, num) = scans[i][0], scans[j]
+        vals = [(ar, int_dot(rs.grads[ar.root_index], num) - ar.level * d)
+                for ar in ambient]
+        if set(levi) != {ar for ar, v in vals if v == 0}:
+            raise RuntimeError("Levi roots of J' are not the roots of phi_J "
+                               "vanishing on J' (bug)")
+        table[i, j] = ParabolicData(ambient, levi,
+                                    tuple(ar for ar, v in vals if v > 0))
+    return table
+
+
 def parabolic(rs: RootSystem, j: Face, jp: Face) -> ParabolicData:
-    if not has_arrow(j, jp):
-        raise ValueError("no arrow between the given faces")
-    ambient = vanishing_affine_roots(rs, j.vertices)
-    levi = set(vanishing_affine_roots(rs, jp.vertices))
-    vals = [(ar, eval_affine_root(rs, ar, jp.witness)) for ar in ambient]
-    nil = [ar for ar, v in vals if v > 0]
-    if levi != {ar for ar, v in vals if v == 0}:
-        raise RuntimeError("Levi roots of J' are not the roots of phi_J "
-                           "vanishing on J' (bug)")
-    return ParabolicData(tuple(ambient), tuple(sorted(levi,
-                         key=lambda a: (a.root_index, a.level))),
-                         tuple(nil))
+    return parabolics(rs, (j, jp), ((0, 1),))[0, 1]
+
+
+def chains(arrows: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """Each (i, j, k) with arrows i -> j, j -> k and i -> k, in the order
+    of `arrows`."""
+    arrow_set = set(arrows)
+    return [(i, j, k) for i, j in arrows for j2, k in arrows
+            if j2 == j and (i, k) in arrow_set]
+
+
+def composes(table: dict, i: int, j: int, k: int) -> bool:
+    """Composing the nilradical of i -> j onto the parabolic of j -> k
+    must give the parabolic of i -> k."""
+    composed = table[j, k].parabolic_set() | frozenset(table[i, j].nilradical)
+    return composed == table[i, k].parabolic_set()
 
 
 def compose_parabolics(rs: RootSystem, j: Face, jp: Face, jpp: Face) -> bool:
-    """Composing the nilradical of J -> J' onto the parabolic of J' -> J''
-    must give the parabolic of J -> J''."""
-    p1 = parabolic(rs, j, jp)
-    p2 = parabolic(rs, jp, jpp)
-    p13 = parabolic(rs, j, jpp)
-    composed = p2.parabolic_set() | frozenset(p1.nilradical)
-    return composed == p13.parabolic_set()
+    table = parabolics(rs, (j, jp, jpp), ((0, 1), (1, 2), (0, 2)))
+    return composes(table, 0, 1, 2)
 
 
 def restriction_diagram(rs: RootSystem) -> dict:
@@ -77,41 +99,27 @@ def restriction_diagram(rs: RootSystem) -> dict:
     nodes = []
     for f in cat.faces:
         data = centralizer_face(rs, f)
-        node = {
-            "face": sorted(f.vanishing_walls),
-            "phi": [[ar.root_index, ar.level] for ar in data.phi],
-        }
+        node = {"face": sorted(f.vanishing_walls),
+                "phi": [[ar.root_index, ar.level] for ar in data.phi]}
         if type_a:
             node["shape"] = matrix_shape(rs, data.phi).to_json()
         nodes.append(node)
 
-    edges = []
     arrows = sorted(a for a in cat.arrows if a[0] != a[1])
-    for i, j in arrows:
-        p = parabolic(rs, cat.faces[i], cat.faces[j])
-        edge = {
-            "src": i,
-            "dst": j,
-            "levi": [[ar.root_index, ar.level] for ar in p.levi],
-            "nilradical": [[ar.root_index, ar.level] for ar in p.nilradical],
-        }
+    table = parabolics(rs, cat.faces, arrows)
+    edges = []
+    for (i, j), p in table.items():  # in `arrows` order
+        edge = {"src": i, "dst": j,
+                "levi": [[ar.root_index, ar.level] for ar in p.levi],
+                "nilradical": [[ar.root_index, ar.level]
+                               for ar in p.nilradical]}
         if type_a:
-            edge["shape"] = matrix_shape(
-                rs, tuple(p.parabolic_set())
-            ).to_json()
+            parab = tuple(p.parabolic_set())
+            edge["shape"] = matrix_shape(rs, parab).to_json()
         edges.append(edge)
 
-    arrow_set = set(arrows)
-    triangles = []
-    for i, j in arrows:
-        for j2, k in arrows:
-            if j2 == j and (i, k) in arrow_set:
-                triangles.append({
-                    "i": i, "j": j, "k": k,
-                    "verified": compose_parabolics(
-                        rs, cat.faces[i], cat.faces[j], cat.faces[k]
-                    ),
-                })
+    triangles = [{"i": i, "j": j, "k": k, "verified": composes(table, i, j, k)}
+                 for i, j, k in chains(arrows)]
     return {
         "cartan_type": rs.cartan_type.label() + "-" + rs.cartan_type.isogeny,
         "nodes": nodes,

@@ -202,6 +202,23 @@ FACE_LOOKUPS = {
         "error: no face with vanishing walls [0, 1, 2]\n",
 }
 
+# a face argument that is not a comma list of wall indices: the line
+# names the option and says what a face is
+FACE_HINT = ("is not a face: give comma-separated wall indices 0..2, "
+             "or - for the interior\n")
+FACE_PARSES = {
+    ("parabolic", "--type", "A", "--rank", "2", "--face1", "x",
+     "--face2", "0"): f"error: --face1 'x' {FACE_HINT}",
+    ("parabolic", "--type", "A", "--rank", "2", "--face1", "0",
+     "--face2", "0;1"): f"error: --face2 '0;1' {FACE_HINT}",
+    ("star", "--type", "A", "--rank", "2", "--face", ","):
+        f"error: --face ',' {FACE_HINT}",
+    ("svg", "--type", "A", "--rank", "2", "--highlight", "1,,2"):
+        f"error: --highlight '1,,2' {FACE_HINT}",
+    ("overlap", "--type", "A", "--rank", "2", "--face1", "1.5",
+     "--face2", "0"): f"error: --face1 '1.5' {FACE_HINT}",
+}
+
 
 @pytest.mark.parametrize("argv", [
     # the Weyl-group enumeration guard refuses rank 6
@@ -223,6 +240,7 @@ FACE_LOOKUPS = {
     ["wp", "--omega1", "nan,0", "--omega2", "0,1", "--matrix", WP_MATRIX],
     ["wp", "--omega1", "1,0", "--omega2", "0,inf", "--matrix", WP_MATRIX],
     *map(list, FACE_LOOKUPS),
+    *map(list, FACE_PARSES),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.main(argv)
@@ -231,8 +249,9 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
-    if tuple(argv) in FACE_LOOKUPS:
-        assert captured.err == FACE_LOOKUPS[tuple(argv)]
+    expected = {**FACE_LOOKUPS, **FACE_PARSES}.get(tuple(argv))
+    if expected is not None:
+        assert captured.err == expected
 
 
 def test_reports_are_deterministic(capsys):

@@ -1,17 +1,56 @@
 import pytest
 
-from alcoves.alcove import faces_of_alcove, negate_affine_root
+from alcoves.alcove import eval_affine_root, faces_of_alcove, \
+    negate_affine_root
 from alcoves.centralizer import matrix_shape
 from alcoves.parabolic import (
+    ParabolicData,
     compose_parabolics,
+    has_arrow,
     parabolic,
+    parabolics,
     restriction_diagram,
 )
 from alcoves.rootdata import CartanType, build_root_system
+from alcoves.weylaff import vanishing_affine_roots
 
 
 def rs_of(family, rank, isogeny="sc"):
     return build_root_system(CartanType(family, rank, isogeny))
+
+
+def fraction_parabolic(rs, j, jp):
+    """Reference: phi of each face from the roots vanishing at all its
+    vertices, and each ambient root valued at the J' witness on Fractions."""
+    if not has_arrow(j, jp):
+        raise ValueError("no arrow between the given faces")
+    ambient = vanishing_affine_roots(rs, j.vertices)
+    levi = set(vanishing_affine_roots(rs, jp.vertices))
+    vals = [(ar, eval_affine_root(rs, ar, jp.witness)) for ar in ambient]
+    assert levi == {ar for ar, v in vals if v == 0}
+    return ParabolicData(tuple(ambient), tuple(sorted(
+        levi, key=lambda a: (a.root_index, a.level))),
+        tuple(ar for ar, v in vals if v > 0))
+
+
+@pytest.mark.parametrize("family,rank,isogeny", [
+    ("A", 1, "sc"), ("A", 2, "sc"), ("A", 3, "sc"), ("B", 2, "sc"),
+    ("B", 3, "sc"), ("C", 3, "sc"), ("G", 2, "sc"), ("F", 4, "sc"),
+    # non-symmetric lattice bases
+    ("A", 2, "adjoint"), ("B", 2, "adjoint"), ("C", 3, "adjoint"),
+    ("G", 2, "adjoint"),
+])
+def test_integer_parabolics_match_fraction_oracle(family, rank, isogeny):
+    rs = rs_of(family, rank, isogeny)
+    cat = faces_of_alcove(rs)
+    table = parabolics(rs, cat.faces, cat.arrows)
+    assert set(table) == set(cat.arrows)
+    for (i, j), got in table.items():
+        want = fraction_parabolic(rs, cat.faces[i], cat.faces[j])
+        assert got.ambient == want.ambient
+        assert got.levi == want.levi
+        assert got.nilradical == want.nilradical
+        assert parabolic(rs, cat.faces[i], cat.faces[j]) == got
 
 
 def test_identity_arrow():
