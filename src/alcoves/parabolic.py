@@ -49,7 +49,10 @@ def parabolics(rs: RootSystem, faces: Sequence[Face],
     table = {}
     for i, j in arrows:
         if not has_arrow(faces[i], faces[j]):
-            raise ValueError("no arrow between the given faces")
+            raise ValueError(
+                f"no arrow from face {sorted(faces[i].vanishing_walls)} to "
+                f"face {sorted(faces[j].vanishing_walls)}: an arrow J -> J' "
+                "needs the walls of J' to be a subset of those of J")
         ambient, (levi, d, num) = scans[i][0], scans[j]
         vals = [(ar, int_dot(rs.grads[ar.root_index], num) - ar.level * d)
                 for ar in ambient]

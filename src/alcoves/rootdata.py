@@ -7,12 +7,15 @@ inner product on the root space is normalized so long roots have squared
 length 2.
 
 W preserves the coroot lattice, so every Weyl element is one integer
-matrix on t, and `weyl_group` enumerates with one integer product per
-step.  Each root system carries integer
-tables built once (root gradients, coroots, negation, the numerator of
-the coweight-coordinate map), so the kernels in `alcove` and `weylaff`
-work on integer numerators over one common denominator and build
-Fractions only for their results.
+matrix on t, and `weyl_group` enumerates a whole breadth-first level at
+once, as one int64 product of the simple reflections against the
+frontier.  `build_root_system` runs on Python ints (the reflection
+closure, the highest root, the root gradients and the coroots) and
+builds Fractions only for the public fields.  Each root system carries
+integer tables built once (root gradients, coroots, negation, the
+numerator of the coweight-coordinate map), so the kernels in `alcove`
+and `weylaff` work on integer numerators over one common denominator and
+build Fractions only for their results.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+
+import numpy as np
 
 from . import ratmat
 from .ratmat import Mat, Vec
@@ -72,6 +77,10 @@ class CartanType:
 
 def cartan_matrix(family: str, rank: int) -> Mat:
     """Cartan matrix with C[i][j] = <alpha_j, alpha_i-coroot>."""
+    return ratmat.mat(_int_cartan_matrix(family, rank))
+
+
+def _int_cartan_matrix(family: str, rank: int) -> list[list[int]]:
     n = rank
     c = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -106,7 +115,7 @@ def cartan_matrix(family: str, rank: int) -> Mat:
         bond(2, 3)
     elif family == "G":
         bond(0, 1, -3, -1)  # alpha_0 short
-    return ratmat.mat(c)
+    return c
 
 
 def _symmetrizer(c: Mat) -> Vec:
@@ -232,23 +241,21 @@ class RootSystem:
         }
 
 
-def _reflection_closure(cartan: Mat, rank: int) -> list[Vec]:
-    simple = [tuple(Fraction(1 if i == j else 0) for j in range(rank))
-              for i in range(rank)]
+def _reflection_closure(cartan: list[list[int]]) -> list[tuple[int, ...]]:
+    """The roots in root-basis coordinates, sorted: the closure of the
+    simple roots under s_i(c) = c - <c, alpha_i-coroot> e_i."""
+    rank = len(cartan)
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     seen = set(simple)
-    frontier = list(simple)
+    frontier = simple
     while frontier:
         nxt = []
         for c in frontier:
-            for i in range(rank):
-                # s_i(c) = c - alpha(coroot_i) e_i
-                pairing = sum(cartan[i][j] * c[j] for j in range(rank))
-                img = list(c)
-                img[i] -= pairing
-                img_t = tuple(img)
-                if img_t not in seen:
-                    seen.add(img_t)
-                    nxt.append(img_t)
+            for i, pairing in enumerate(ratmat.int_matvec(cartan, c)):
+                img = c[:i] + (c[i] - pairing,) + c[i + 1:]
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
         frontier = nxt
     return sorted(seen)
 
@@ -260,27 +267,24 @@ def build_root_system(ct: CartanType) -> RootSystem:
 
     Roots are generated as the reflection closure of the simple roots; the
     inner product comes from the symmetrized Cartan matrix, scaled so long
-    roots have squared length 2.
+    roots have squared length 2.  The roots, the highest root, the root
+    gradients and the coroots are computed on Python ints; Fractions are
+    built only for the public fields.
     """
     rank = ct.rank
-    cartan = cartan_matrix(ct.family, rank)
+    int_cartan = _int_cartan_matrix(ct.family, rank)
+    cartan = ratmat.mat(int_cartan)
     d = _symmetrizer(cartan)
     b = tuple(
         tuple(d[i] * cartan[i][j] for j in range(rank)) for i in range(rank)
     )
-    roots = _reflection_closure(cartan, rank)
+    roots = _reflection_closure(int_cartan)
     positives = tuple(
-        i for i, r in enumerate(roots)
-        if next(c for c in r if c != 0) > 0
+        i for i, r in enumerate(roots) if next(c for c in r if c) > 0
     )
-
-    def dominates(r, s):
-        return all(a >= b_ for a, b_ in zip(r, s))
-
-    highest = next(
-        roots[i] for i in positives
-        if all(dominates(roots[i], roots[j]) for j in positives)
-    )
+    # in an irreducible root system the highest root is the one positive
+    # root of greatest height
+    highest = max((roots[i] for i in positives), key=sum)
 
     dim = rank + 1 if ct.isogeny == "gl" else rank
     simple_roots = tuple(
@@ -316,19 +320,20 @@ def build_root_system(ct: CartanType) -> RootSystem:
         ip[k][k] = Fraction(1)
 
     grads = tuple(
-        tuple(int(sum(cartan[i][j] * r[j] for j in range(rank)))
-              for i in range(rank)) + (0,) * (dim - rank)
-        for r in roots
+        ratmat.int_matvec(int_cartan, r) + (0,) * (dim - rank) for r in roots
     )
     # alpha-check = sum_i r_i d_i alpha_i-check / (|alpha|^2 / 2), where
-    # |alpha|^2 = sum_i r_i d_i alpha(alpha_i-check)
+    # |alpha|^2 = sum_i r_i d_i g_i; with d = e / L, e integral, its
+    # coefficients are 2 r_i e_i / sum_j r_j e_j g_j
+    scale = lcm(*(x.denominator for x in d))
+    e = [int(x * scale) for x in d]
     coroots = []
     for r, g in zip(roots, grads):
-        half_norm = sum(r[i] * d[i] * g[i] for i in range(rank)) / 2
-        v = [r[i] * d[i] / half_norm for i in range(rank)]
-        if any(c.denominator != 1 for c in v):
+        num = [2 * ri * ei for ri, ei in zip(r, e)]
+        den = ratmat.int_dot(num, g) // 2
+        if any(c % den for c in num):
             raise RuntimeError(f"coroot of {r} is not integral (bug)")
-        coroots.append(tuple(int(c) for c in v) + (0,) * (dim - rank))
+        coroots.append(tuple(c // den for c in num) + (0,) * (dim - rank))
     index = {r: i for i, r in enumerate(roots)}
     # basis rows are the lattice generators, so x = basis^T c
     cw_inv = ratmat.inverse(ratmat.transpose(basis))
@@ -340,10 +345,10 @@ def build_root_system(ct: CartanType) -> RootSystem:
         cartan=cartan,
         simple_roots=simple_roots,
         simple_coroots=simple_coroots,
-        all_roots=tuple(roots),
+        all_roots=tuple(tuple(map(Fraction, r)) for r in roots),
         positive_indices=positives,
         inner_product_matrix=ratmat.mat(ip),
-        highest_root=highest,
+        highest_root=tuple(map(Fraction, highest)),
         coweight_lattice_basis=tuple(tuple(r) for r in basis),
         grads=grads,
         coroots=tuple(coroots),
@@ -365,30 +370,41 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 def weyl_group(rs: RootSystem) -> list[WeylElement]:
     """Enumerate the finite Weyl group by closure under simple reflections.
 
-    Elements come out in BFS order by word length, identity first.  Ranks
-    above `WEYL_RANK_GUARD` are refused.
+    Elements come out in BFS order by word length, identity first.  Each
+    level is one int64 product of the simple reflections against the
+    frontier stack, taken element-major and generator-minor: s_i w, with
+    word w.word + (i,), is kept the first time its matrix appears.  Every
+    product is again an element of the finite group W, so its entries are
+    bounded and int64 cannot overflow.  Ranks above `WEYL_RANK_GUARD` are
+    refused.
     """
     if rs.rank > WEYL_RANK_GUARD:
         raise EnumerationGuard(
             f"rank {rs.rank} exceeds enumeration guard {WEYL_RANK_GUARD}"
         )
-    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-    ident = WeylElement(ratmat.int_identity(rs.dim), ())
-    elements = [ident]
-    seen = {ident.matrix}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i, s in enumerate(gens):
-                m = ratmat.int_matmul(s.matrix, w.matrix)
-                if m not in seen:
-                    seen.add(m)
-                    elem = WeylElement(m, w.word + (i,))
-                    elements.append(elem)
-                    nxt.append(elem)
-        frontier = nxt
-    return elements
+    n, r = rs.dim, rs.rank
+    gens = np.array([simple_reflection(rs, i).matrix for i in range(r)],
+                    dtype=np.int64)
+    frontier = np.eye(n, dtype=np.int64)[None]
+    words = [()]
+    levels, all_words = [frontier], [()]
+    seen = {frontier.tobytes()}
+    size = frontier.nbytes
+    while len(words):
+        prods = np.matmul(gens, frontier[:, None]).reshape(-1, n, n)
+        buf = prods.tobytes()
+        keep = []
+        for j in range(len(prods)):
+            key = buf[j * size:(j + 1) * size]
+            if key not in seen:
+                seen.add(key)
+                keep.append(j)
+        frontier = prods[keep]
+        words = [words[j // r] + (j % r,) for j in keep]
+        levels.append(frontier)
+        all_words += words
+    return [WeylElement(tuple(map(tuple, m)), w)
+            for m, w in zip(np.concatenate(levels).tolist(), all_words)]
 
 
 def reflect(rs: RootSystem, root, x: Vec) -> Vec:

@@ -219,6 +219,15 @@ FACE_PARSES = {
      "--face2", "0"): f"error: --face1 '1.5' {FACE_HINT}",
 }
 
+# two faces with no arrow between them: the line names both faces and
+# the rule
+NO_ARROW = {
+    ("parabolic", "--type", "A", "--rank", "2", "--face1", "-",
+     "--face2", "0"):
+        "error: no arrow from face [] to face [0]: an arrow J -> J' needs "
+        "the walls of J' to be a subset of those of J\n",
+}
+
 
 @pytest.mark.parametrize("argv", [
     # the Weyl-group enumeration guard refuses rank 6
@@ -241,6 +250,7 @@ FACE_PARSES = {
     ["wp", "--omega1", "1,0", "--omega2", "0,inf", "--matrix", WP_MATRIX],
     *map(list, FACE_LOOKUPS),
     *map(list, FACE_PARSES),
+    *map(list, NO_ARROW),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.main(argv)
@@ -249,7 +259,7 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
-    expected = {**FACE_LOOKUPS, **FACE_PARSES}.get(tuple(argv))
+    expected = {**FACE_LOOKUPS, **FACE_PARSES, **NO_ARROW}.get(tuple(argv))
     if expected is not None:
         assert captured.err == expected
 

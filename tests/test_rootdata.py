@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcoves import ratmat
+from alcoves import ratmat, rootdata
 from alcoves.rootdata import (
     CartanType,
     EnumerationGuard,
@@ -161,6 +161,30 @@ def test_weyl_group_guard():
         with pytest.raises(EnumerationGuard,
                            match=r"^rank 5 exceeds enumeration guard 4$"):
             weyl_group(rs)
+
+
+# degrees of the basic invariants (Humphreys, Reflection Groups and
+# Coxeter Groups, 3.7)
+DEGREES = {("B", 5): (2, 4, 6, 8, 10), ("D", 5): (2, 4, 5, 6, 8),
+           ("E", 6): (2, 5, 6, 8, 9, 12)}
+
+
+@pytest.mark.parametrize("family,rank", sorted(DEGREES))
+def test_word_lengths_follow_the_poincare_polynomial(monkeypatch, family,
+                                                     rank):
+    """Above the guard, lifted here only: the number of BFS words of each
+    length is the coefficient of q^length in prod_i (1 + q + ... +
+    q^(d_i - 1)), d_i the degrees, so |W| = prod_i d_i and every word is
+    reduced."""
+    monkeypatch.setattr(rootdata, "WEYL_RANK_GUARD", rank)
+    poincare = [1]
+    for d in DEGREES[family, rank]:
+        poincare = [sum(poincare[max(k - d + 1, 0):k + 1])
+                    for k in range(len(poincare) + d - 1)]
+    counts = [0] * len(poincare)
+    for w in weyl_group(rs_of(family, rank)):
+        counts[len(w.word)] += 1
+    assert counts == poincare
 
 
 def test_reflect_examples():
