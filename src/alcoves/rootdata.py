@@ -77,10 +77,6 @@ class CartanType:
 
 def cartan_matrix(family: str, rank: int) -> Mat:
     """Cartan matrix with C[i][j] = <alpha_j, alpha_i-coroot>."""
-    return ratmat.mat(_int_cartan_matrix(family, rank))
-
-
-def _int_cartan_matrix(family: str, rank: int) -> list[list[int]]:
     n = rank
     c = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -115,7 +111,7 @@ def _int_cartan_matrix(family: str, rank: int) -> list[list[int]]:
         bond(2, 3)
     elif family == "G":
         bond(0, 1, -3, -1)  # alpha_0 short
-    return c
+    return ratmat.mat(c)
 
 
 def _symmetrizer(c: Mat) -> Vec:
@@ -272,8 +268,8 @@ def build_root_system(ct: CartanType) -> RootSystem:
     built only for the public fields.
     """
     rank = ct.rank
-    int_cartan = _int_cartan_matrix(ct.family, rank)
-    cartan = ratmat.mat(int_cartan)
+    cartan = cartan_matrix(ct.family, rank)
+    int_cartan = [[int(c) for c in row] for row in cartan]
     d = _symmetrizer(cartan)
     b = tuple(
         tuple(d[i] * cartan[i][j] for j in range(rank)) for i in range(rank)
@@ -385,12 +381,12 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     n, r = rs.dim, rs.rank
     gens = np.array([simple_reflection(rs, i).matrix for i in range(r)],
                     dtype=np.int64)
+    elements = [WeylElement(ratmat.int_identity(n), ())]
     frontier = np.eye(n, dtype=np.int64)[None]
     words = [()]
-    levels, all_words = [frontier], [()]
     seen = {frontier.tobytes()}
     size = frontier.nbytes
-    while len(words):
+    while words:
         prods = np.matmul(gens, frontier[:, None]).reshape(-1, n, n)
         buf = prods.tobytes()
         keep = []
@@ -401,10 +397,9 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
                 keep.append(j)
         frontier = prods[keep]
         words = [words[j // r] + (j % r,) for j in keep]
-        levels.append(frontier)
-        all_words += words
-    return [WeylElement(tuple(map(tuple, m)), w)
-            for m, w in zip(np.concatenate(levels).tolist(), all_words)]
+        elements += [WeylElement(tuple(map(tuple, m)), w)
+                     for m, w in zip(frontier.tolist(), words)]
+    return elements
 
 
 def reflect(rs: RootSystem, root, x: Vec) -> Vec:
