@@ -369,10 +369,12 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     Elements come out in BFS order by word length, identity first.  Each
     level is one int64 product of the simple reflections against the
     frontier stack, taken element-major and generator-minor: s_i w, with
-    word w.word + (i,), is kept the first time its matrix appears.  Every
-    product is again an element of the finite group W, so its entries are
-    bounded and int64 cannot overflow.  Ranks above `WEYL_RANK_GUARD` are
-    refused.
+    word w.word + (i,), is kept the first time its matrix appears.  As
+    l(s_i w) = l(w) +- 1, a product of level k can only have appeared in
+    level k - 1 or k + 1, so only those two levels' matrices are kept as
+    bytes to test against.  Every product is again an element of the
+    finite group W, so its entries are bounded and int64 cannot overflow.
+    Ranks above `WEYL_RANK_GUARD` are refused.
     """
     if rs.rank > WEYL_RANK_GUARD:
         raise EnumerationGuard(
@@ -384,17 +386,18 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     elements = [WeylElement(ratmat.int_identity(n), ())]
     frontier = np.eye(n, dtype=np.int64)[None]
     words = [()]
-    seen = {frontier.tobytes()}
+    previous, level = set(), {frontier.tobytes()}
     size = frontier.nbytes
     while words:
         prods = np.matmul(gens, frontier[:, None]).reshape(-1, n, n)
         buf = prods.tobytes()
-        keep = []
+        nxt, keep = set(), []
         for j in range(len(prods)):
             key = buf[j * size:(j + 1) * size]
-            if key not in seen:
-                seen.add(key)
+            if key not in previous and key not in nxt:
+                nxt.add(key)
                 keep.append(j)
+        previous, level = level, nxt
         frontier = prods[keep]
         words = [words[j // r] + (j % r,) for j in keep]
         elements += [WeylElement(tuple(map(tuple, m)), w)
