@@ -384,7 +384,7 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     gens = np.array([simple_reflection(rs, i).matrix for i in range(r)],
                     dtype=np.int64)
     elements = [WeylElement(ratmat.int_identity(n), ())]
-    frontier = np.eye(n, dtype=np.int64)[None]
+    frontier = np.array([elements[0].matrix], dtype=np.int64)
     words = [()]
     previous, level = set(), {frontier.tobytes()}
     size = frontier.nbytes
