@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .alcove import AffineRoot, Face, faces_of_alcove
-from .centralizer import centralizer_face, matrix_shape
+from .centralizer import matrix_shape
 from .ratmat import int_dot, over_common_denominator
 from .rootdata import RootSystem
 from .weylaff import root_scan
@@ -99,19 +99,22 @@ def restriction_diagram(rs: RootSystem) -> dict:
             f"rank {rs.rank} exceeds diagram guard {_DIAGRAM_MAX_RANK}")
     cat = faces_of_alcove(rs)
     type_a = rs.cartan_type.family == "A"
+    arrows = sorted(a for a in cat.arrows if a[0] != a[1])
+    # the identity arrow k -> k carries phi of face k as its ambient roots
+    table = parabolics(rs, cat.faces,
+                       arrows + [(k, k) for k in range(len(cat.faces))])
     nodes = []
-    for f in cat.faces:
-        data = centralizer_face(rs, f)
+    for k, f in enumerate(cat.faces):
+        phi = table[k, k].ambient
         node = {"face": sorted(f.vanishing_walls),
-                "phi": [[ar.root_index, ar.level] for ar in data.phi]}
+                "phi": [[ar.root_index, ar.level] for ar in phi]}
         if type_a:
-            node["shape"] = matrix_shape(rs, data.phi).to_json()
+            node["shape"] = matrix_shape(rs, phi).to_json()
         nodes.append(node)
 
-    arrows = sorted(a for a in cat.arrows if a[0] != a[1])
-    table = parabolics(rs, cat.faces, arrows)
     edges = []
-    for (i, j), p in table.items():  # in `arrows` order
+    for i, j in arrows:
+        p = table[i, j]
         edge = {"src": i, "dst": j,
                 "levi": [[ar.root_index, ar.level] for ar in p.levi],
                 "nilradical": [[ar.root_index, ar.level]

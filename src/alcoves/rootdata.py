@@ -9,13 +9,14 @@ length 2.
 W preserves the coroot lattice, so every Weyl element is one integer
 matrix on t, and `weyl_group` enumerates a whole breadth-first level at
 once, as one int64 product of the simple reflections against the
-frontier.  `build_root_system` runs on Python ints (the reflection
-closure, the highest root, the root gradients and the coroots) and
-builds Fractions only for the public fields.  Each root system carries
-integer tables built once (root gradients, coroots, negation, the
-numerator of the coweight-coordinate map), so the kernels in `alcove`
-and `weylaff` work on integer numerators over one common denominator and
-build Fractions only for their results.
+frontier.  `weyl_element` finds the word of one matrix by descent,
+without listing W.  `build_root_system` runs on Python ints (the
+reflection closure, the highest root, the root gradients and the
+coroots) and builds Fractions only for the public fields.  Each root
+system carries integer tables built once (root gradients, coroots,
+negation, the numerator of the coweight-coordinate map), so the kernels
+in `alcove` and `weylaff` work on integer numerators over one common
+denominator and build Fractions only for their results.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class WeylElement:
     """One Weyl group element: an integer matrix plus one reduced word.
 
     ``matrix`` acts on t (coroot-basis coordinates); W preserves the
-    coroot lattice, so it is integral in this basis.  The word is a
-    reduced representative, not a canonical form.
+    coroot lattice, so it is integral in this basis.  The word (j1, ...,
+    jm) is s_jm ... s_j1, the first reduced word in lexicographic order.
     """
 
     matrix: IntMat
@@ -157,8 +158,9 @@ class RootSystem:
 
     Besides the exact data it holds integer tables built once per root
     system: for root i, alpha_i(x) = grads[i] . x and its coroot is
-    coroots[i], both in ambient t-coordinates; negation[i] is the index
-    of -alpha_i; and coweight_coords(x) = coweight_inv_num x /
+    coroots[i], both in ambient t-coordinates; simple_grads[j] is the
+    gradient of alpha_j, column j of the Cartan matrix; negation[i] is
+    the index of -alpha_i; and coweight_coords(x) = coweight_inv_num x /
     coweight_inv_den.  The hash is that of the Cartan type, which
     determines everything else.
     """
@@ -176,6 +178,7 @@ class RootSystem:
     coweight_lattice_basis: tuple[Vec, ...]
     grads: tuple[tuple[int, ...], ...] = field(repr=False)
     coroots: tuple[tuple[int, ...], ...] = field(repr=False)
+    simple_grads: IntMat = field(repr=False)
     negation: tuple[int, ...] = field(repr=False)
     coweight_inv_num: IntMat = field(repr=False)
     coweight_inv_den: int = field(repr=False)
@@ -348,19 +351,14 @@ def build_root_system(ct: CartanType) -> RootSystem:
         coweight_lattice_basis=tuple(tuple(r) for r in basis),
         grads=grads,
         coroots=tuple(coroots),
+        simple_grads=tuple(tuple(col) + (0,) * (dim - rank)
+                           for col in zip(*int_cartan)),
         negation=tuple(index[tuple(-c for c in r)] for r in roots),
         coweight_inv_num=tuple(tuple(int(c * cw_den) for c in row)
                                for row in cw_inv),
         coweight_inv_den=cw_den,
         _index=index,
     )
-
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    m = [list(row) for row in ratmat.int_identity(rs.dim)]
-    for k in range(rs.rank):
-        m[i][k] -= int(rs.cartan[k][i])
-    return WeylElement(tuple(map(tuple, m)), (i,))
 
 
 def weyl_group(rs: RootSystem) -> list[WeylElement]:
@@ -381,8 +379,9 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
             f"rank {rs.rank} exceeds enumeration guard {WEYL_RANK_GUARD}"
         )
     n, r = rs.dim, rs.rank
-    gens = np.array([simple_reflection(rs, i).matrix for i in range(r)],
-                    dtype=np.int64)
+    # s_i is I with the gradient of alpha_i taken off row i
+    gens = np.array([ratmat.int_identity(n)] * r, dtype=np.int64)
+    gens[range(r), range(r)] -= np.array(rs.simple_grads, dtype=np.int64)
     elements = [WeylElement(ratmat.int_identity(n), ())]
     frontier = np.array([elements[0].matrix], dtype=np.int64)
     words = [()]
@@ -403,6 +402,23 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
         elements += [WeylElement(tuple(map(tuple, m)), w)
                      for m, w in zip(frontier.tolist(), words)]
     return elements
+
+
+def weyl_element(rs: RootSystem, matrix: IntMat) -> WeylElement:
+    """The element of W with this integer matrix, its word by descent.
+    h = 1^T w (first `rank` rows) holds the heights of the w(alpha_k-check),
+    and h_j < 0 exactly when l(w s_j) < l(w) (Humphreys, Reflection Groups
+    and Coxeter Groups, ch. 1).  While some h_j < 0, the smallest such j
+    is appended and w becomes w s_j: h becomes h - h_j alpha_j.  This is
+    the lexicographically first reduced word (Bjorner-Brenti, GTM 231),
+    the word of `weyl_group`; W is never listed."""
+    h = [sum(col) for col in zip(*matrix[:rs.rank])]
+    word = []
+    while neg := [j for j, v in enumerate(h) if v < 0]:
+        j = neg[0]
+        word.append(j)
+        h = [a - h[j] * g for a, g in zip(h, rs.simple_grads[j])]
+    return WeylElement(matrix, tuple(word))
 
 
 def reflect(rs: RootSystem, root, x: Vec) -> Vec:

@@ -18,12 +18,13 @@ same array code with dtype object, on Python ints.  The other kernels
 (`root_scan`, `reduce_to_alcove`, the closure in
 `point_reflection_subgroup`, `compose`, `invert`, the facet enumerator at
 a vertex behind the star functions, and `chart_overlap`) run on Python
-ints.  The ell+1 wall reflections of the alcove and the table of
-inverses are built once per root system, the reflection group of a point
-once per (root system, point), closed over one generator per wall, and
-the facets at a vertex, with the hull of its star, once per vertex group;
-each facet's `FacetKey` is built from its integer key by
-`FacetKey.build`, the constructor `facet_of` uses too.
+ints and list no W: a Weyl element is its matrix, its word given by
+`rootdata.weyl_element`.  The ell+1 wall reflections of the alcove are
+built once per root system, the reflection group of a point once per
+(root system, point), closed over one generator per wall, and the facets
+at a vertex, with the hull of its star, once per vertex group; each
+facet's `FacetKey` is built from its integer key by `FacetKey.build`,
+the constructor `facet_of` uses too.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .rootdata import (
     EnumerationGuard,
     RootSystem,
     WeylElement,
-    simple_reflection,
+    weyl_element,
     weyl_group,
 )
 
@@ -88,47 +89,30 @@ def weyl_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
     return tuple(weyl_group(rs))
 
 
-@lru_cache(maxsize=None)
-def _weyl_by_matrix(rs: RootSystem) -> dict:
-    return {w.matrix: w for w in weyl_elements(rs)}
-
-
-def finite_by_matrix(rs: RootSystem, matrix) -> WeylElement:
-    """The cached finite Weyl element with the given integer t-action."""
-    return _weyl_by_matrix(rs)[matrix]
-
-
-@lru_cache(maxsize=None)
-def _inverses(rs: RootSystem) -> dict:
-    """Each element's matrix -> its inverse element.  An element s_i w
-    with word w.word + (i,) has inverse w^-1 s_i, so one integer product
-    per element, in `weyl_elements` order, gives all inverses."""
-    gens = [simple_reflection(rs, i).matrix for i in range(rs.rank)]
-    inv_by_word = {(): ratmat.int_identity(rs.dim)}
-    out = {}
-    for w in weyl_elements(rs):
-        if w.word:
-            inv_by_word[w.word] = ratmat.int_matmul(
-                inv_by_word[w.word[:-1]], gens[w.word[-1]])
-        out[w.matrix] = finite_by_matrix(rs, inv_by_word[w.word])
-    return out
-
-
 def identity_element(rs: RootSystem) -> AffineWeylElement:
-    return AffineWeylElement(weyl_elements(rs)[0], ratmat.zeros(rs.dim))
+    return AffineWeylElement(WeylElement(ratmat.int_identity(rs.dim), ()),
+                             ratmat.zeros(rs.dim))
+
+
+def _inverse_matrix(rs: RootSystem, w: WeylElement) -> tuple:
+    """w^-1 = s_j1 ... s_jm for the word (j1, ..., jm) of w, by column
+    updates m -> m s_j: row r loses m[r][j] times the gradient of alpha_j."""
+    m = ratmat.int_identity(rs.dim)
+    for j in w.word:
+        m = tuple(tuple([a - row[j] * g for a, g in
+                         zip(row, rs.simple_grads[j])]) for row in m)
+    return m
 
 
 def compose(rs: RootSystem, a: AffineWeylElement,
             b: AffineWeylElement) -> AffineWeylElement:
     m = ratmat.int_matmul(a.finite_part.matrix, b.finite_part.matrix)
-    return AffineWeylElement(
-        finite_by_matrix(rs, m),
-        ratmat.add(a.finite_part.apply(b.translation), a.translation),
-    )
+    return AffineWeylElement(weyl_element(rs, m), ratmat.add(
+        a.finite_part.apply(b.translation), a.translation))
 
 
 def invert(rs: RootSystem, a: AffineWeylElement) -> AffineWeylElement:
-    w = _inverses(rs)[a.finite_part.matrix]
+    w = weyl_element(rs, _inverse_matrix(rs, a.finite_part))
     return AffineWeylElement(w, ratmat.scale(-1, w.apply(a.translation)))
 
 
@@ -190,7 +174,7 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
             if v < 0:
                 break
         else:
-            w0 = finite_by_matrix(rs, m)
+            w0 = weyl_element(rs, m)
             xr = tuple(Fraction(c, d) for c in cur)
             return AffineWeylElement(w0, ratmat.sub(xr, w0.apply(x))), xr
         cur = tuple(a - v * c for a, c in zip(cur, coroot))
@@ -336,21 +320,16 @@ def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     ident = (ratmat.int_identity(rs.dim), (0,) * rs.dim)
     elements = [ident]
     seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                c = _pair_product(g, u)
-                if c not in seen:
-                    if len(seen) >= _CLOSURE_GUARD:
-                        raise EnumerationGuard("subgroup closure guard hit")
-                    seen.add(c)
-                    elements.append(c)
-                    nxt.append(c)
-        frontier = nxt
+    for u in elements:  # a queue: it grows while read, level by level
+        for g in gens:
+            c = _pair_product(g, u)
+            if c not in seen:
+                if len(seen) >= _CLOSURE_GUARD:
+                    raise EnumerationGuard("subgroup closure guard hit")
+                seen.add(c)
+                elements.append(c)
     return FiniteSubgroup(tuple(
-        AffineWeylElement(finite_by_matrix(rs, m), ratmat.vec(t))
+        AffineWeylElement(weyl_element(rs, m), ratmat.vec(t))
         for m, t in elements))
 
 
@@ -562,7 +541,7 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
             raise RuntimeError("double coset leaves the overlap set (bug)")
         seen |= coset
         # the pair stabilizer: (w a) w^-1 for a in W_J1, within W_J2
-        m_inv = _inverses(rs)[w0.matrix].matrix
+        m_inv = _inverse_matrix(rs, w0)
         w_inv = (m_inv, tuple(-c for c in ratmat.int_matvec(m_inv, lam)))
         pair = [by_pair2[c] for c in (_pair_product(x, w_inv) for x in w_w1)
                 if c in by_pair2]

@@ -21,9 +21,8 @@ from alcoves.centralizer import (
     exp_point,
     gauge_centralizer_circle,
 )
-from alcoves.rootdata import CartanType, build_root_system
-from alcoves.weylaff import AffineWeylElement, compose, finite_by_matrix, \
-    identity_element
+from alcoves.rootdata import CartanType, build_root_system, weyl_element
+from alcoves.weylaff import AffineWeylElement, compose, identity_element
 
 
 def affine_reflection(rs, ar) -> AffineWeylElement:
@@ -32,7 +31,7 @@ def affine_reflection(rs, ar) -> AffineWeylElement:
     g, c = rs.grads[ar.root_index], rs.coroots[ar.root_index]
     s = tuple(tuple(int(r == k) - c[r] * g[k] for k in range(rs.dim))
               for r in range(rs.dim))
-    return AffineWeylElement(finite_by_matrix(rs, s),
+    return AffineWeylElement(weyl_element(rs, s),
                              ratmat.scale(ar.level, c))
 
 

@@ -39,6 +39,7 @@ from alcoves.rootdata import (
     CartanType,
     InvalidCartanType,
     build_root_system,
+    weyl_element,
     weyl_group,
 )
 from alcoves.weylaff import (
@@ -357,6 +358,16 @@ def test_weyl_group_matches_fraction_enumeration(family, rank, isogeny):
     assert got == list(oracle_weyl_group(rs))
     for w in weyl_group(rs):
         assert all(type(c) is int for row in w.matrix for c in row)
+
+
+@pytest.mark.parametrize("family,rank,isogeny", RANK4_TYPES,
+                         ids=[f"{f}{r}-{i}" for f, r, i in RANK4_TYPES])
+def test_descent_gives_the_bfs_word(family, rank, isogeny):
+    """`weyl_element` finds, from the matrix alone, the element and word
+    that `weyl_group` lists."""
+    rs = rs_of(family, rank, isogeny)
+    for w in weyl_group(rs):
+        assert weyl_element(rs, w.matrix) == w
 
 
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,

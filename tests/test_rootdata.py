@@ -12,6 +12,7 @@ from alcoves.rootdata import (
     InvalidCartanType,
     build_root_system,
     reflect,
+    weyl_element,
     weyl_group,
 )
 
@@ -185,6 +186,21 @@ def test_word_lengths_follow_the_poincare_polynomial(monkeypatch, family,
     for w in weyl_group(rs_of(family, rank)):
         counts[len(w.word)] += 1
     assert counts == poincare
+
+
+@pytest.mark.parametrize("family,rank,step",
+                         [("B", 5, 1), ("D", 5, 1), ("E", 6, 97)])
+def test_descent_gives_the_bfs_word_above_the_guard(monkeypatch, family,
+                                                    rank, step):
+    """Above the guard, lifted here only: `weyl_element` gives back each
+    element `weyl_group` lists, word included, on every element of B5
+    and D5 and on every 97th element of E6."""
+    monkeypatch.setattr(rootdata, "WEYL_RANK_GUARD", rank)
+    rs = rs_of(family, rank)
+    elements = weyl_group(rs)[::step]
+    assert len(elements) == {"B": 3840, "D": 1920, "E": 535}[family]
+    for w in elements:
+        assert weyl_element(rs, w.matrix) == w
 
 
 def test_reflect_examples():

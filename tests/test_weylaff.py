@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcoves import ratmat, weylaff
+from alcoves import ratmat, rootdata, weylaff
 from alcoves.alcove import eval_affine_root, faces_of_alcove, \
     fundamental_alcove
-from alcoves.rootdata import CartanType, build_root_system
+from alcoves.rootdata import CartanType, build_root_system, weyl_element
 from alcoves.weylaff import (
     AffineWeylElement,
     chart_overlap,
@@ -53,7 +53,10 @@ def test_reduce_examples():
     assert w.apply(neg) == x
     walls = fundamental_alcove(rs2)
     assert all(eval_affine_root(rs2, wall, x) >= 0 for wall in walls)
-    assert len(w.finite_part.word) <= 6 or True  # word length not canonical
+    assert w.finite_part.word == weyl_element(rs2, w.finite_part.matrix).word
+    assert w.finite_part in weyl_elements(rs2)
+    # at most 3, the length of the longest element of W(A2)
+    assert len(w.finite_part.word) <= 3
 
 
 def test_reduce_lands_in_closed_alcove():
@@ -67,6 +70,46 @@ def test_reduce_lands_in_closed_alcove():
             assert w.apply(x) == xr
             assert all(eval_affine_root(rs, wall, xr) >= 0
                        for wall in walls)
+
+
+def refuse_to_list(rs):
+    raise AssertionError(f"W of {rs.cartan_type} was listed")
+
+
+@pytest.mark.parametrize("family,rank,isogeny", [
+    ("D", 5, "sc"), ("E", 6, "sc"), ("E", 8, "sc"), ("E", 7, "adjoint"),
+])
+def test_group_law_above_the_guard_lists_no_w(monkeypatch, family, rank,
+                                              isogeny):
+    """With `WEYL_RANK_GUARD` in place and every way of listing W made to
+    raise, reduction, composition, inversion and the identity still run:
+    each Weyl element is its matrix, with its word found by descent.
+    Each word is checked by multiplying out its simple reflections."""
+    assert rootdata.WEYL_RANK_GUARD < rank
+    monkeypatch.setattr(rootdata, "weyl_group", refuse_to_list)
+    monkeypatch.setattr(weylaff, "weyl_group", refuse_to_list)
+    monkeypatch.setattr(weylaff, "weyl_elements", refuse_to_list)
+    rs = rs_of(family, rank, isogeny)
+    walls = fundamental_alcove(rs)
+    one = identity_element(rs)
+    assert one.is_identity() and one.finite_part.word == ()
+    rng = random.Random(f"no-listing-{family}{rank}-{isogeny}")
+    for _ in range(4):
+        x = rand_point(rng, rs.dim)
+        w, xr = reduce_to_alcove(rs, x)
+        assert w.apply(x) == xr
+        assert all(eval_affine_root(rs, wall, xr) >= 0 for wall in walls)
+        assert compose(rs, w, invert(rs, w)) == one
+        assert compose(rs, invert(rs, w), w) == one
+        word = w.finite_part.word
+        assert len(word) <= len(rs.positive_indices)
+        m = ratmat.int_identity(rs.dim)
+        for j in word:  # the word (j1, ..., jm) is s_jm ... s_j1
+            g = rs.grads[rs.root_index(rs.simple_roots[j])]
+            s_j = tuple(tuple(int(r == k) - (r == j) * g[k]
+                              for k in range(rs.dim)) for r in range(rs.dim))
+            m = ratmat.int_matmul(s_j, m)
+        assert m == w.finite_part.matrix
 
 
 def test_stabilizer_examples():
