@@ -158,9 +158,10 @@ class RootSystem:
 
     Besides the exact data it holds integer tables built once per root
     system: for root i, alpha_i(x) = grads[i] . x and its coroot is
-    coroots[i], both in ambient t-coordinates; simple_grads[j] is the
-    gradient of alpha_j, column j of the Cartan matrix; negation[i] is
-    the index of -alpha_i; and coweight_coords(x) = coweight_inv_num x /
+    coroots[i], both in ambient t-coordinates; simple_grads[j] is
+    grads[i] for the simple root alpha_j (column j of the Cartan matrix),
+    kept by j for `weyl_element` and `times_word`; negation[i] is the index
+    of -alpha_i; and coweight_coords(x) = coweight_inv_num x /
     coweight_inv_den.  The hash is that of the Cartan type, which
     determines everything else.
     """
@@ -351,8 +352,8 @@ def build_root_system(ct: CartanType) -> RootSystem:
         coweight_lattice_basis=tuple(tuple(r) for r in basis),
         grads=grads,
         coroots=tuple(coroots),
-        simple_grads=tuple(tuple(col) + (0,) * (dim - rank)
-                           for col in zip(*int_cartan)),
+        simple_grads=tuple(grads[index[e]]
+                           for e in ratmat.int_identity(rank)),
         negation=tuple(index[tuple(-c for c in r)] for r in roots),
         coweight_inv_num=tuple(tuple(int(c * cw_den) for c in row)
                                for row in cw_inv),
@@ -404,6 +405,18 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     return elements
 
 
+def times_word(rs: RootSystem, m: IntMat, word: tuple[int, ...]) -> IntMat:
+    """m s_j1 ... s_jm for the word (j1, ..., jm), by column updates: m s_j
+    is m with column k less <alpha_j, alpha_k-check> times column j."""
+    m = [list(row) for row in m]
+    for j in word:
+        for row in m:
+            if x := row[j]:
+                for k, c in enumerate(rs.simple_grads[j]):
+                    row[k] -= x * c
+    return tuple(map(tuple, m))
+
+
 def weyl_element(rs: RootSystem, matrix: IntMat) -> WeylElement:
     """The element of W with this integer matrix, its word by descent.
     h = 1^T w (first `rank` rows) holds the heights of the w(alpha_k-check),
@@ -411,13 +424,16 @@ def weyl_element(rs: RootSystem, matrix: IntMat) -> WeylElement:
     and Coxeter Groups, ch. 1).  While some h_j < 0, the smallest such j
     is appended and w becomes w s_j: h becomes h - h_j alpha_j.  This is
     the lexicographically first reduced word (Bjorner-Brenti, GTM 231),
-    the word of `weyl_group`; W is never listed."""
+    the word of `weyl_group`; W is never listed.  For a matrix not in W,
+    w s_j1 ... s_jm is not the identity, and RuntimeError is raised."""
     h = [sum(col) for col in zip(*matrix[:rs.rank])]
     word = []
-    while neg := [j for j, v in enumerate(h) if v < 0]:
+    while neg := [j for j, v in enumerate(h[:rs.rank]) if v < 0]:
         j = neg[0]
         word.append(j)
         h = [a - h[j] * g for a, g in zip(h, rs.simple_grads[j])]
+    if times_word(rs, matrix, word) != ratmat.int_identity(rs.dim):
+        raise RuntimeError(f"matrix {matrix} is not in W (bug)")
     return WeylElement(matrix, tuple(word))
 
 

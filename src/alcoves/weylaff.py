@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ratmat
+from . import ratmat, rootdata
 from .alcove import (
     AffineRoot,
     Face,
@@ -54,6 +54,7 @@ from .rootdata import (
     EnumerationGuard,
     RootSystem,
     WeylElement,
+    times_word,
     weyl_element,
     weyl_group,
 )
@@ -90,18 +91,11 @@ def weyl_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
 
 
 def identity_element(rs: RootSystem) -> AffineWeylElement:
-    return AffineWeylElement(WeylElement(ratmat.int_identity(rs.dim), ()),
-                             ratmat.zeros(rs.dim))
-
-
-def _inverse_matrix(rs: RootSystem, w: WeylElement) -> tuple:
-    """w^-1 = s_j1 ... s_jm for the word (j1, ..., jm) of w, by column
-    updates m -> m s_j: row r loses m[r][j] times the gradient of alpha_j."""
-    m = ratmat.int_identity(rs.dim)
-    for j in w.word:
-        m = tuple(tuple([a - row[j] * g for a, g in
-                         zip(row, rs.simple_grads[j])]) for row in m)
-    return m
+    """The identity; up to `rootdata.WEYL_RANK_GUARD` it is the first of
+    `weyl_elements`, so W is listed and cached here for the W scans."""
+    one = (weyl_elements(rs)[0] if rs.rank <= rootdata.WEYL_RANK_GUARD
+           else WeylElement(ratmat.int_identity(rs.dim), ()))
+    return AffineWeylElement(one, ratmat.zeros(rs.dim))
 
 
 def compose(rs: RootSystem, a: AffineWeylElement,
@@ -112,7 +106,9 @@ def compose(rs: RootSystem, a: AffineWeylElement,
 
 
 def invert(rs: RootSystem, a: AffineWeylElement) -> AffineWeylElement:
-    w = weyl_element(rs, _inverse_matrix(rs, a.finite_part))
+    # w^-1 = s_j1 ... s_jm for the word (j1, ..., jm) of w
+    w = weyl_element(rs, times_word(rs, ratmat.int_identity(rs.dim),
+                                    a.finite_part.word))
     return AffineWeylElement(w, ratmat.scale(-1, w.apply(a.translation)))
 
 
@@ -320,14 +316,19 @@ def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     ident = (ratmat.int_identity(rs.dim), (0,) * rs.dim)
     elements = [ident]
     seen = {ident}
-    for u in elements:  # a queue: it grows while read, level by level
-        for g in gens:
-            c = _pair_product(g, u)
-            if c not in seen:
-                if len(seen) >= _CLOSURE_GUARD:
-                    raise EnumerationGuard("subgroup closure guard hit")
-                seen.add(c)
-                elements.append(c)
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                c = _pair_product(g, u)
+                if c not in seen:
+                    if len(seen) >= _CLOSURE_GUARD:
+                        raise EnumerationGuard("subgroup closure guard hit")
+                    seen.add(c)
+                    elements.append(c)
+                    nxt.append(c)
+        frontier = nxt
     return FiniteSubgroup(tuple(
         AffineWeylElement(weyl_element(rs, m), ratmat.vec(t))
         for m, t in elements))
@@ -541,7 +542,7 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
             raise RuntimeError("double coset leaves the overlap set (bug)")
         seen |= coset
         # the pair stabilizer: (w a) w^-1 for a in W_J1, within W_J2
-        m_inv = _inverse_matrix(rs, w0)
+        m_inv = times_word(rs, ratmat.int_identity(rs.dim), w0.word)
         w_inv = (m_inv, tuple(-c for c in ratmat.int_matvec(m_inv, lam)))
         pair = [by_pair2[c] for c in (_pair_product(x, w_inv) for x in w_w1)
                 if c in by_pair2]

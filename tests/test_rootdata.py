@@ -203,6 +203,21 @@ def test_descent_gives_the_bfs_word_above_the_guard(monkeypatch, family,
         assert weyl_element(rs, w.matrix) == w
 
 
+@pytest.mark.parametrize("isogeny,matrix", [
+    ("sc", ((-1, 0), (0, -1))),  # descends to the diagram swap
+    ("sc", ((2, 0), (0, 2))),  # no descent at all
+    ("sc", ((0, 1), (1, 0))),
+    ("sc", ((1, 1), (0, 1))),
+    ("gl", ((1, 0, 0), (0, 1, 0), (0, 0, -1))),  # flips the centre
+])
+def test_descent_refuses_a_matrix_outside_w(isogeny, matrix):
+    """The descent ends at some word for any integer matrix; a matrix
+    outside W(A2) is caught because its column updates do not end at
+    the identity."""
+    with pytest.raises(RuntimeError, match="not in W"):
+        weyl_element(rs_of("A", 2, isogeny), matrix)
+
+
 def test_reflect_examples():
     rs = rs_of("A", 2)
     a1 = rs.simple_roots[0]

@@ -72,6 +72,22 @@ def test_reduce_lands_in_closed_alcove():
                        for wall in walls)
 
 
+def test_identity_lists_w_up_to_the_guard(monkeypatch):
+    """Up to the rank guard the identity's finite part is the first
+    element of `weyl_elements`, so a first call lists W and caches it
+    for the W scans."""
+    rs = rs_of("B", 3)
+    weylaff.weyl_elements.cache_clear()
+    listed = []
+    monkeypatch.setattr(weylaff, "weyl_group",
+                        lambda r: listed.append(r) or rootdata.weyl_group(r))
+    one = identity_element(rs)
+    assert listed == [rs]
+    assert one.is_identity()
+    assert one.finite_part is weyl_elements(rs)[0]
+    assert listed == [rs]
+
+
 def refuse_to_list(rs):
     raise AssertionError(f"W of {rs.cartan_type} was listed")
 
