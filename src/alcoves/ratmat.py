@@ -100,7 +100,7 @@ def int_matmul(a, b) -> tuple[tuple[int, ...], ...]:
 
 
 def int_identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def over_common_denominator(points, dim: int
