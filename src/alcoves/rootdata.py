@@ -296,10 +296,14 @@ def build_root_system(ct: CartanType) -> RootSystem:
         for i in range(rank)
     )
 
+    # basis rows are the lattice generators, so x = basis^T c and the
+    # coweight coordinates are c = (basis^T)^-1 x: I for sc, C^T for adjoint
     if ct.isogeny == "sc":
         basis = simple_coroots
+        cw_num, cw_den = ratmat.int_identity(rank), 1
     elif ct.isogeny == "adjoint":
         basis = ratmat.inverse(cartan)  # rows are fundamental coweights
+        cw_num, cw_den = tuple(zip(*int_cartan)), 1
     else:  # gl: basis e_1..e_n with e_i = central + traceless part
         n = rank + 1
         ct_mat = ratmat.transpose(cartan)
@@ -312,6 +316,9 @@ def build_root_system(ct: CartanType) -> RootSystem:
             v = ratmat.solve(ct_mat, target)
             rows.append(tuple(v) + (Fraction(1),))
         basis = tuple(rows)
+        cw_inv = ratmat.inverse(ratmat.transpose(basis))
+        cw_den = lcm(*(c.denominator for row in cw_inv for c in row))
+        cw_num = tuple(tuple(int(c * cw_den) for c in row) for row in cw_inv)
 
     # pad the root-space inner product with a unit central block
     ip = [list(row) + [Fraction(0)] * (dim - rank) for row in b]
@@ -335,9 +342,6 @@ def build_root_system(ct: CartanType) -> RootSystem:
             raise RuntimeError(f"coroot of {r} is not integral (bug)")
         coroots.append(tuple(c // den for c in num) + (0,) * (dim - rank))
     index = {r: i for i, r in enumerate(roots)}
-    # basis rows are the lattice generators, so x = basis^T c
-    cw_inv = ratmat.inverse(ratmat.transpose(basis))
-    cw_den = lcm(*(c.denominator for row in cw_inv for c in row))
     return RootSystem(
         cartan_type=ct,
         rank=rank,
@@ -355,8 +359,7 @@ def build_root_system(ct: CartanType) -> RootSystem:
         simple_grads=tuple(grads[index[e]]
                            for e in ratmat.int_identity(rank)),
         negation=tuple(index[tuple(-c for c in r)] for r in roots),
-        coweight_inv_num=tuple(tuple(int(c * cw_den) for c in row)
-                               for row in cw_inv),
+        coweight_inv_num=cw_num,
         coweight_inv_den=cw_den,
         _index=index,
     )

@@ -19,8 +19,11 @@ same array code with dtype object, on Python ints.  The other kernels
 `point_reflection_subgroup`, `compose`, `invert`, the facet enumerator at
 a vertex behind the star functions, and `chart_overlap`) run on Python
 ints and list no W: a Weyl element is its matrix, its word given by
-`rootdata.weyl_element`.  The ell+1 wall reflections of the alcove are
-built once per root system, the reflection group of a point once per
+`rootdata.weyl_element`.  `reduce_to_alcove` translates x by its
+coroot-lattice floor and then walks a tie-broken point, so its step
+count is bounded per root system, whatever |x| is.  The ell+1 wall
+reflections of the alcove, its barycenter and that step cap are built
+once per root system, the reflection group of a point once per
 (root system, point), closed over one generator per wall, and the facets
 at a vertex, with the hull of its star, once per vertex group; each
 facet's `FacetKey` is built from its integer key by `FacetKey.build`,
@@ -45,7 +48,7 @@ from .alcove import (
     FacetKey,
     alcove_vertices,
     faces_of_alcove,
-    facet_closure_contains,
+    facet_of,
     fundamental_alcove,
     root_values,
 )
@@ -100,9 +103,14 @@ def identity_element(rs: RootSystem) -> AffineWeylElement:
 
 def compose(rs: RootSystem, a: AffineWeylElement,
             b: AffineWeylElement) -> AffineWeylElement:
-    m = ratmat.int_matmul(a.finite_part.matrix, b.finite_part.matrix)
-    return AffineWeylElement(weyl_element(rs, m), ratmat.add(
-        a.finite_part.apply(b.translation), a.translation))
+    """ab, x -> a(b(x)), on the translations' integer numerators over
+    one denominator."""
+    d, (ta, tb) = ratmat.over_common_denominator(
+        (a.translation, b.translation), rs.dim)
+    m, t = _pair_product((a.finite_part.matrix, ta),
+                         (b.finite_part.matrix, tb))
+    return AffineWeylElement(weyl_element(rs, m),
+                             tuple(Fraction(c, d) for c in t))
 
 
 def invert(rs: RootSystem, a: AffineWeylElement) -> AffineWeylElement:
@@ -148,36 +156,80 @@ def _alcove_walls(rs: RootSystem) -> tuple:
                  for w in fundamental_alcove(rs))
 
 
-def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
-    """Descend x into the closed fundamental alcove by wall reflections,
-    each time in the first wall (in wall order) that x lies beyond.
+@lru_cache(maxsize=None)
+def _walk_data(rs: RootSystem) -> tuple[int, tuple[int, ...], int]:
+    """(e, bary, cap): the barycenter b of the alcove as the integer
+    numerators `bary` over e, and the step cap of `reduce_to_alcove`,
+    the sum over the positive roots of the absolute entries of their
+    gradients."""
+    verts = alcove_vertices(rs)
+    e, nums = ratmat.over_common_denominator(verts, rs.dim)
+    cap = sum(sum(map(abs, rs.grads[p])) for p in rs.positive_indices)
+    return e * len(verts), tuple(map(sum, zip(*nums))), cap
 
-    x is written as integer numerators over its denominator d, so a wall
-    value is one integer dot product and a reflection one integer update.
-    The linear parts multiply up to the finite part w0 of the result, each
-    as the rank-one update m - c (g^T m) by I - c g^T, the reflection with
-    gradient g and coroot c; the translation of w0 is then xr - w0(x).
+
+def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
+    """(w, xr): the element w of W_aff = W x Q-check with xr = w(x) in the
+    closed fundamental alcove C, chosen on C's side of every hyperplane
+    through x.
+
+    Uniqueness (Bourbaki, Lie VI §2; Humphreys, Reflection Groups and
+    Coxeter Groups, ch. 4).  Let b be the barycenter of C and
+    x' = x + eps (b - x) for a small eps > 0.  A hyperplane through x
+    takes at x' the sign it takes at b, and the others keep their sign
+    at x, so x' lies in one open alcove D: the alcove whose closure
+    holds x and which lies on C's side of every hyperplane through x.
+    W_aff acts simply transitively on alcoves, so exactly one w maps D
+    to C, and it is the w returned.  Reflecting x, from C, in the first
+    wall it lies strictly beyond never crosses a hyperplane through x,
+    so that walk ends at D too: the outputs are those of the plain
+    wall-order walk.
+
+    The walk.  Ambient coordinates are simple-coroot coordinates, so
+    lam = floor(x), taken entrywise, lies in Q-check, and the walk starts
+    from x - lam, in [0, 1)^ell.  It walks x' - lam, which reaches C from
+    any start: it reflects the point, and beside it delta = b - x by the
+    linear part only, each time in the first wall (in wall order) that
+    x' lies beyond, where the wall's value v at the point is negative,
+    or v = 0 and g . delta < 0, g its gradient.  Each step lowers by one
+    the number of hyperplanes that separate the point from C.  On
+    [0, 1)^ell a positive root takes values in [-N, P), N and P the sums
+    of |g_k| over the negative and the positive entries g_k of its
+    gradient, so at most N + P of its hyperplanes separate x' - lam from
+    C.  The walk therefore takes at most the cap of `_walk_data`, a bound
+    per root system that does not depend on |x|, and raises RuntimeError
+    past it.
+
+    x is written as integer numerators over its denominator d and delta
+    over d e (b = bary / e), so a wall value is one integer dot product
+    and a reflection, with gradient g and coroot c, one integer update.
+    The linear parts multiply up to the finite part w0 of w, each as the
+    rank-one update m - c (g^T m); the translation of w is xr - w0(x),
+    taken on the numerators.
     """
     walls = _alcove_walls(rs)
-    d, (cur,) = ratmat.over_common_denominator((x,), rs.dim)
-    cap = 100
-    for p in rs.positive_indices:
-        cap += 4 * (abs(ratmat.int_dot(rs.grads[p], cur)) // d + 1)
+    e, bary, cap = _walk_data(rs)
+    d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
+    cur = tuple(c % d for c in num)
+    delta = tuple(b * d - c * e for b, c in zip(bary, num))
     m = ratmat.int_identity(rs.dim)
-    for _ in range(cap):
+    for _ in range(cap + 1):
         for g, level, coroot in walls:
             v = ratmat.int_dot(g, cur) - level * d
-            if v < 0:
+            if v < 0 or v == 0 and ratmat.int_dot(g, delta) < 0:
                 break
         else:
-            w0 = weyl_element(rs, m)
-            xr = tuple(Fraction(c, d) for c in cur)
-            return AffineWeylElement(w0, ratmat.sub(xr, w0.apply(x))), xr
+            t = (a - b for a, b in zip(cur, ratmat.int_matvec(m, num)))
+            return (AffineWeylElement(weyl_element(rs, m),
+                                      tuple(Fraction(c, d) for c in t)),
+                    tuple(Fraction(c, d) for c in cur))
+        gd = ratmat.int_dot(g, delta)
         cur = tuple(a - v * c for a, c in zip(cur, coroot))
+        delta = tuple(a - gd * c for a, c in zip(delta, coroot))
         gm = [sum(map(mul, g, col)) for col in zip(*m)]
         m = tuple(tuple([a - c * b for a, b in zip(row, gm)])
                   for row, c in zip(m, coroot))
-    raise RuntimeError("alcove reduction failed to terminate (bug)")
+    raise RuntimeError("alcove reduction exceeded its step cap (bug)")
 
 
 def root_scan(rs: RootSystem, fixed: tuple[Vec, ...],
@@ -336,7 +388,14 @@ def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
 
 def star_contains(rs: RootSystem, j: Face, x: Vec) -> bool:
     """Whether x lies in St_J: the face J is in the closure of facet(x)."""
-    return facet_closure_contains(rs, tuple(x), j.witness)
+    return facet_of(rs, tuple(x)).closure_contains(*_witness_values(rs, j))
+
+
+@lru_cache(maxsize=None)
+def _witness_values(rs: RootSystem, j: Face) -> tuple[int, tuple[int, ...]]:
+    """`root_values` of the witness of J, read once per face; a face is
+    keyed on its walls, which fix its witness (`alcove.make_face`)."""
+    return root_values(rs, j.witness)
 
 
 def open_embedding_counterexample(rs: RootSystem, j: Face,

@@ -12,11 +12,16 @@ numerators near 10^12 over denominators up to 10^6, and special ones
 coweights) where the scans keep elements.  `weyl_scan` runs on int64
 arrays inside a stated bound and on Python ints past it; it is checked
 on both, with points on either side of the bound and far past it.
-Alcove reduction walks O(|x|) wall reflections, so its points have
-|x| <= 8, still over denominators up to 10^6.
+The alcove-reduction oracle, the wall-order walk, takes O(|x|) wall
+reflections, so its points have |x| <= 8, still over denominators up to
+10^6, or lie on walls shifted by at most 50 coroots above rank 4.
+`reduce_to_alcove` itself is also run at scale 10^6, with its passes
+over the walls counted against its step cap, which does not depend on
+|x|.
 """
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -96,6 +101,7 @@ def ev(rs, idx, x):
     return ratmat.dot(grad(rs, idx), x)
 
 
+@lru_cache(maxsize=None)
 def coroot(rs, idx):
     c = rs.all_roots[idx]
     ip = rs.inner_product_matrix
@@ -214,7 +220,8 @@ def oracle_facet_closure_contains(rs, x, y):
 
 def oracle_reduce(rs, x):
     """(finite matrix, translation, reduced point): reflect in the first
-    wall x lies beyond, composing Fraction affine maps."""
+    wall x lies beyond, composing Fraction affine maps.  The reflection in
+    the wall (alpha, n) is y -> y - (alpha(y) - n) alpha-check."""
     walls = fundamental_alcove(rs)
     m, t, cur = frac_identity(rs.dim), ratmat.zeros(rs.dim), tuple(x)
     while True:
@@ -223,12 +230,17 @@ def oracle_reduce(rs, x):
         if bad is None:
             return m, t, cur
         g, c = grad(rs, bad.root_index), coroot(rs, bad.root_index)
-        s = tuple(tuple(Fraction(int(r == k)) - c[r] * g[k]
-                        for k in range(rs.dim)) for r in range(rs.dim))
-        shift = ratmat.scale(bad.level, c)
-        cur = ratmat.add(ratmat.matvec(s, cur), shift)
-        m = ratmat.matmul(s, m)
-        t = ratmat.add(ratmat.matvec(s, t), shift)
+        cur = ratmat.sub(cur, ratmat.scale(ratmat.dot(g, cur) - bad.level, c))
+        t = ratmat.sub(t, ratmat.scale(ratmat.dot(g, t) - bad.level, c))
+        m = reflect_rows(m, g, c)
+
+
+def reflect_rows(m, g, c):
+    """(I - c g^T) m: the reflection with gradient g and coroot c after
+    the Fraction matrix m."""
+    gm = [ratmat.dot(g, col) for col in zip(*m)]
+    return tuple(tuple(a - ci * b for a, b in zip(row, gm))
+                 for row, ci in zip(m, c))
 
 
 # -- seeded points -----------------------------------------------------------
@@ -541,6 +553,112 @@ def test_reduce_matches_fraction_reduction(family, rank, isogeny, generic,
         m, t, cur = oracle_reduce(rs, x)
         assert (w.finite_part.matrix, w.translation, xr) == (m, t, cur)
         assert all(isinstance(c, Fraction) for c in w.translation + xr)
+
+
+def walk_cap(rs):
+    """The step cap of the reduction walk, from the Fraction data: the
+    sum over the positive roots of the absolute entries of their
+    gradients."""
+    return sum(abs(c) for i, r in enumerate(rs.all_roots)
+               if next(c for c in r if c) > 0 for c in grad(rs, i))
+
+
+def cap_walk_passes(monkeypatch):
+    """Make each walk of `reduce_to_alcove` raise once it passes over the
+    alcove walls more often than its step cap allows, one pass per step
+    and one to stop: a walk that is not bounded fails at once instead of
+    running on."""
+    walls_of = weylaff._alcove_walls
+
+    class Counted(tuple):
+        passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            if self.passes > self.limit:
+                raise AssertionError(f"more than {self.limit} wall passes")
+            return super().__iter__()
+
+    def counted(rs):
+        walls = Counted(walls_of(rs))
+        walls.limit = walk_cap(rs) + 1
+        return walls
+
+    monkeypatch.setattr(weylaff, "_alcove_walls", counted)
+
+
+def random_weyl_matrix(rs, rng, length):
+    """A product of `length` random simple reflections, from the Fraction
+    data; W is not listed."""
+    m = frac_identity(rs.dim)
+    for _ in range(length):
+        i = rs.all_roots.index(rs.simple_roots[rng.randrange(rs.rank)])
+        m = reflect_rows(m, grad(rs, i), coroot(rs, i))
+    return m
+
+
+@pytest.mark.parametrize("family,rank,isogeny", [
+    ("D", 5, "sc"), ("E", 6, "sc"), ("E", 7, "adjoint"),
+])
+def test_reduce_matches_the_wall_order_walk_above_rank_4(
+        monkeypatch, family, rank, isogeny):
+    """Points on walls, W-images of face witnesses shifted by up to 50
+    times a coroot: the reduction gives the element and point of the
+    wall-order walk, within the step cap."""
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(f"far-walls-{family}{rank}-{isogeny}")
+    faces = faces_of_alcove(rs).faces
+    cap_walk_passes(monkeypatch)
+    for _ in range(8):
+        f = rng.choice(faces)
+        shift = ratmat.scale(rng.randint(-50, 50),
+                             coroot(rs, rng.randrange(len(rs.all_roots))))
+        x = ratmat.add(ratmat.matvec(random_weyl_matrix(rs, rng, 3 * rank),
+                                     f.witness), shift)
+        w, xr = reduce_to_alcove(rs, x)
+        assert (w.finite_part.matrix, w.translation, xr) == \
+            oracle_reduce(rs, x)
+
+
+@pytest.mark.parametrize("family,rank,isogeny", [
+    ("F", 4, "sc"), ("B", 4, "adjoint"), ("G", 2, "sc"), ("E", 8, "sc"),
+])
+def test_a_far_point_reduces_in_bounded_time(monkeypatch, family, rank,
+                                             isogeny):
+    """Points at scale 10^6, on walls and off them, reduce within the step
+    cap, which does not depend on |x|, and within 1 s; the wall-order
+    walk would take about 10^6 steps."""
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(f"far-{family}{rank}-{isogeny}")
+    s = 10 ** 6
+    pts = [tuple(Fraction(rng.randint(-s * den, s * den), den)
+                 for _ in range(rs.dim)) for den in (1, 2, 3, 12, 10 ** 6)]
+    if family == "F":
+        pts.append((Fraction(7 * s, 3), Fraction(-5 * s, 2),
+                    Fraction(3 * s, 8), Fraction(-s, 5)))
+    walls = fundamental_alcove(rs)
+    cap_walk_passes(monkeypatch)
+    for x in pts:
+        start = time.perf_counter()
+        w, xr = reduce_to_alcove(rs, x)
+        assert time.perf_counter() - start < 1.0
+        assert w.apply(x) == xr
+        assert all(ev(rs, wall.root_index, xr) >= wall.level
+                   for wall in walls)
+
+
+@pytest.mark.parametrize("family,rank,isogeny", RANK4_TYPES + [
+    ("E", r, i) for r in (6, 7, 8) for i in ("sc", "adjoint")],
+    ids=[f"{f}{r}-{i}" for f, r, i in RANK4_TYPES] + [
+        f"E{r}-{i}" for r in (6, 7, 8) for i in ("sc", "adjoint")])
+def test_coweight_tables_match_the_fraction_inverse(family, rank, isogeny):
+    """`coweight_inv_num` over `coweight_inv_den` is the Fraction inverse
+    of the transposed lattice basis, over its least common denominator."""
+    rs = rs_of(family, rank, isogeny)
+    den = coweight_den(rs)
+    assert rs.coweight_inv_den == den
+    assert rs.coweight_inv_num == tuple(
+        tuple(int(c * den) for c in row) for row in coweight_inverse(rs))
 
 
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
