@@ -18,13 +18,24 @@ sum_{s>R} s^(1-k) <= R^(2-k)/(k-2).  So with K = 2 _TAIL_TERMS + 3 = 15
 and x = ||Z||_2/(h R) <= 1/2, the omitted part of p is at most
 8 K/(K-1) h^-2 x^(K-1)/(1-x^2), and that of p' at most
 8 K h^-3 R^-1 x^(K-2)/(1-(K+2)/K x^2).  When no shell up to radius meets
-the bound, all of them are summed.
+the bound, all of them are summed, and the result is not certified: far
+from 0 it can be far from p(Z) (`wp_matrix`).
 
 A standalone `wp_matrix` or `wp_prime_matrix` sums only its own series, up
 to its own R*.  `cubic_report` takes p and p' from one pass over the
 shells up to the larger R*, which inverts each Z + wI once; it hands the
 pass to its own `wp_matrix` and `wp_prime_matrix` calls through a slot
 keyed on their arguments, and a call that does not match sums its own.
+
+A pass inverts consecutive shells together: one np.linalg.inv call on the
+stack Z + wI of a group of shells, and one matmul for each power of the
+inverses.  A group grows while its stack holds at most _GROUP_ENTRIES =
+2^12 complex entries (64 KiB), so at n = 1 the shells 1..31 make one
+group, and at n = 8 each shell past 3 is a group of its own; no stack is
+larger than 64 KiB unless one shell alone is.  A group's stacks are freed
+before the next group's are built.  Each shell's slice of the powers is
+summed on its own and added in shell order, so p and p' keep every bit
+of inverting one shell at a time.
 
 What a shell contributes apart from Z is built once per lattice and kept
 in a table (`_ShellTable`) that grows to the largest shell asked for so
@@ -55,6 +66,9 @@ _PERIOD_RANGE = (2.0 ** (-1000 / _KMAX), 2.0 ** (1000 / _KMAX))
 _TAIL_TOL = 1e-16  # bound on the omitted tail series that stops the sum
 _POLE_TOL = 1e-6
 _POINTS_CAP = 128  # shells whose points a lattice's table keeps
+# complex entries of the stack Z + wI that one np.linalg.inv call of the
+# shell pass takes, 64 KiB: at n = 1 the shells up to 31 in one call
+_GROUP_ENTRIES = 2 ** 12
 
 
 class DegenerateLattice(ValueError):
@@ -243,16 +257,23 @@ def _check_poles(z: np.ndarray, lat: Lattice):
                             "lattice point")
 
 
-def _stop_radius(z: np.ndarray, lat: Lattice, radius: int,
-                 derivative: bool) -> int:
-    """R*: the smallest shell R <= radius at which the bound on the series
-    omitted after the tail corrections (module docstring) is <= _TAIL_TOL,
-    or radius if no shell meets it."""
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
+def _stop_scale(z: np.ndarray, lat: Lattice) -> tuple[float, float]:
+    """(||Z||_2, h): the two numbers the stop bound (module docstring)
+    reads from Z and the lattice."""
     w1, w2 = lat.omega1, lat.omega2
     h = abs((w1.conjugate() * w2).imag) / max(abs(w1), abs(w2))
-    norm = float(np.linalg.norm(z, 2))
+    return float(np.linalg.norm(z, 2)), h
+
+
+def _stop_shell(scale: tuple[float, float], radius: int,
+                derivative: bool) -> int:
+    """R* from the (||Z||_2, h) of `_stop_scale`: the smallest shell
+    R <= radius at which the bound on the series omitted after the tail
+    corrections (module docstring) is <= _TAIL_TOL, or radius if no shell
+    meets it."""
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    norm, h = scale
     k = 2 * _TAIL_TERMS + 3  # K of the module docstring
     for r in range(1, radius + 1):
         x = norm / (h * r)
@@ -268,6 +289,28 @@ def _stop_radius(z: np.ndarray, lat: Lattice, radius: int,
     return radius
 
 
+def _stop_radius(z: np.ndarray, lat: Lattice, radius: int,
+                 derivative: bool) -> int:
+    """R* of p', or of p if not derivative (`_stop_shell`)."""
+    return _stop_shell(_stop_scale(z, lat), radius, derivative)
+
+
+def _shell_groups(radius: int, n: int):
+    """The groups of consecutive shells 1..radius that one pass inverts
+    together, as ranges: a group grows while its stack of n x n matrices
+    Z + wI holds at most _GROUP_ENTRIES entries, and a shell that alone
+    holds more is a group by itself."""
+    most = _GROUP_ENTRIES // (n * n)  # points a group may hold
+    first = 1
+    while first <= radius:
+        last, points = first, 8 * first
+        while last < radius and points + 8 * (last + 1) <= most:
+            last += 1
+            points += 8 * last
+        yield range(first, last + 1)
+        first = last + 1
+
+
 def _shell_sums(z: np.ndarray, lat: Lattice, r_p: int, r_dp: int):
     """One pass over the shells 1..max(r_p, r_dp), each Z + wI inverted once.
 
@@ -275,24 +318,35 @@ def _shell_sums(z: np.ndarray, lat: Lattice, r_p: int, r_dp: int):
     started at Z^-2, and that of p' through r_dp, started at -2 Z^-3, each
     with its tail table G_k - (raw G_k sum through its shell).  A radius of
     0 skips that series, and its pair is (None, None).  The points, the
-    w^-2 sums and the raw G_k sums come from the lattice's table.  The
-    order of every addition is that of the separate p, p' and G_k loops."""
+    w^-2 sums and the raw G_k sums come from the lattice's table.
+
+    The shells are inverted a group at a time (`_shell_groups`); each
+    shell's slice of the powers is summed on its own and added in shell
+    order, so the order of every addition is that of the separate p, p'
+    and G_k loops, and every bit is that of inverting one shell at a time."""
     table = _shell_table(lat)
     eye = np.eye(z.shape[0], dtype=complex)
     inv0 = np.linalg.inv(z)
     p = inv0 @ inv0 if r_p else None
     dp = -2 * inv0 @ inv0 @ inv0 if r_dp else None
     shells = table.grow(max(r_p, r_dp))
-    for s, (w, w2_sum, _) in enumerate(shells, 1):
-        if w is None:
-            w = _shell_points(lat, s)
-        shifted = z[None, :, :] + w[:, None, None] * eye[None, :, :]
-        inv = np.linalg.inv(shifted)
+    for group in _shell_groups(len(shells), z.shape[0]):
+        w = np.concatenate([
+            _shell_points(lat, s) if shells[s - 1][0] is None
+            else shells[s - 1][0] for s in group])
+        inv = np.linalg.inv(z[None, :, :] + w[:, None, None] * eye)
         inv2 = inv @ inv
-        if s <= r_p:
-            p = p + np.sum(inv2, axis=0) - w2_sum * eye
-        if s <= r_dp:
-            dp = dp - 2 * np.sum(inv2 @ inv, axis=0)
+        inv3 = inv2 @ inv if group[0] <= r_dp else None
+        end = 0
+        for s in group:
+            start, end = end, end + 8 * s
+            if s <= r_p:
+                w2_sum = shells[s - 1][1]
+                p = p + np.sum(inv2[start:end], axis=0) - w2_sum * eye
+            if s <= r_dp:
+                dp = dp - 2 * np.sum(inv3[start:end], axis=0)
+        # free this group's stacks before the next group's are built
+        del w, inv, inv2, inv3
 
     def tail(r):
         if not r:
@@ -330,7 +384,13 @@ def wp_matrix(z, lat: Lattice, radius: int = 100) -> np.ndarray:
 
     Sums shells 1..R*, where R* <= radius is the first shell whose omitted
     tail series is certified below _TAIL_TOL (module docstring); radius is
-    the largest shell summed and must be at least 1."""
+    the largest shell summed and must be at least 1.
+
+    When no shell up to radius is certified, every shell is summed and the
+    result is returned without a warning, though it may be far off.  p is
+    periodic, yet on the lattice (1, 2i) at radius 100, p(0.3+0.2i) =
+    3.1348-6.2158i (R* = 6), p(10.3+0.2i) = 3.1227-6.2187i and
+    p(30.3+0.2i) = -5171-417i (neither certified)."""
     z = _as_matrix(z)
     acc, tail = _series(z, lat, radius, derivative=False)
     zp = z @ z
@@ -380,8 +440,9 @@ def cubic_report(z, lat: Lattice, radius: int = 100) -> dict:
     z = _as_matrix(z)
     g2, g3 = invariants(lat)
     _check_poles(z, lat)
-    r_p = _stop_radius(z, lat, radius, derivative=False)
-    r_dp = _stop_radius(z, lat, radius, derivative=True)
+    scale = _stop_scale(z, lat)
+    r_p = _stop_shell(scale, radius, derivative=False)
+    r_dp = _stop_shell(scale, radius, derivative=True)
     try:
         _shared = _pass_key(z, lat, radius), _shell_sums(z, lat, r_p, r_dp)
         x = wp_matrix(z, lat, radius)
