@@ -2,7 +2,7 @@
 
 All combinatorial inputs are exact: rational arguments are given as
 comma-separated "p/q" strings, faces as comma-separated wall indices.
-Exit codes: 0 all passed, 1 a verification failed, 2 usage error.
+Exit codes: 0 passed, 1 a check failed, 2 usage error, 141 stdout closed.
 
 `_COMMANDS` maps a command to a handler `(rs, args)` that returns a JSON
 value or a string.  `SUITES` maps a `verify` suite to a generator
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import random
 import sys
 import time
@@ -398,7 +399,7 @@ def _emit(args, text: str):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        print(text)
+        print(text, flush=True)
 
 
 @lru_cache(maxsize=None)
@@ -589,6 +590,10 @@ def main(argv=None) -> int:
         else:
             out = _COMMANDS[args.command](_build(args), args)
         _emit(args, out if isinstance(out, str) else json.dumps(out, indent=2))
+    except BrokenPipeError:
+        # stdout closed: exit as on SIGPIPE, with nothing left to flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InvalidCartanType, EnumerationGuard, ValueError, KeyError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,9 +14,9 @@ without listing W.  `build_root_system` runs on Python ints (the
 reflection closure, the highest root, the root gradients and the
 coroots) and builds Fractions only for the public fields.  Each root
 system carries integer tables built once (root gradients, coroots,
-negation, the numerator of the coweight-coordinate map), so the kernels
-in `alcove` and `weylaff` work on integer numerators over one common
-denominator and build Fractions only for their results.
+negation, the numerators of the coweight-coordinate map and its inverse),
+so the kernels in `alcove` and `weylaff` work on integer numerators over
+one common denominator and build Fractions only for their results.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ class RootSystem:
     coroots[i], both in ambient t-coordinates; simple_grads[j] is
     grads[i] for the simple root alpha_j (column j of the Cartan matrix),
     kept by j for `weyl_element` and `times_word`; negation[i] is the index
-    of -alpha_i; and coweight_coords(x) = coweight_inv_num x /
-    coweight_inv_den.  The hash is that of the Cartan type, which
-    determines everything else.
+    of -alpha_i; coweight_coords(x) = coweight_inv_num x / coweight_inv_den
+    and from_coweight_coords(c) = coweight_num c / coweight_den.  The hash
+    is that of the Cartan type, which determines everything else.
     """
 
     cartan_type: CartanType
@@ -183,6 +183,8 @@ class RootSystem:
     negation: tuple[int, ...] = field(repr=False)
     coweight_inv_num: IntMat = field(repr=False)
     coweight_inv_den: int = field(repr=False)
+    coweight_num: IntMat = field(repr=False)
+    coweight_den: int = field(repr=False)
     _index: dict = field(repr=False)  # root coords -> index
 
     def __hash__(self):
@@ -214,10 +216,10 @@ class RootSystem:
                      for row in self.coweight_inv_num)
 
     def from_coweight_coords(self, c: Vec) -> Vec:
-        out = ratmat.zeros(self.dim)
-        for ci, b in zip(c, self.coweight_lattice_basis, strict=True):
-            out = ratmat.add(out, ratmat.scale(ci, b))
-        return out
+        e, (num,) = ratmat.over_common_denominator((ratmat.vec(c),), self.dim)
+        m = e * self.coweight_den
+        return tuple(Fraction(ratmat.int_dot(row, num), m)
+                     for row in self.coweight_num)
 
     # -- serialization ------------------------------------------------------
 
@@ -342,6 +344,7 @@ def build_root_system(ct: CartanType) -> RootSystem:
             raise RuntimeError(f"coroot of {r} is not integral (bug)")
         coroots.append(tuple(c // den for c in num) + (0,) * (dim - rank))
     index = {r: i for i, r in enumerate(roots)}
+    basis_den, basis_num = ratmat.over_common_denominator(basis, dim)
     return RootSystem(
         cartan_type=ct,
         rank=rank,
@@ -361,6 +364,7 @@ def build_root_system(ct: CartanType) -> RootSystem:
         negation=tuple(index[tuple(-c for c in r)] for r in roots),
         coweight_inv_num=cw_num,
         coweight_inv_den=cw_den,
+        coweight_num=tuple(zip(*basis_num)), coweight_den=basis_den,
         _index=index,
     )
 

@@ -165,7 +165,7 @@ def _add_shell_g(raw: tuple, w2: np.ndarray) -> tuple:
     out = []
     wk = w2 * w2
     for g in raw:
-        out.append(g + complex(np.sum(wk)))
+        out.append(g + complex(np.add.reduce(wk)))
         wk = wk * w2
     return tuple(out)
 
@@ -175,7 +175,7 @@ class _ShellTable:
 
     `shells[s - 1]` is (points, sum of w^-2, raw sums) of shell s: the
     points of the shell (read-only) for s <= _POINTS_CAP and None beyond,
-    so memory stays bounded at large radii; complex(np.sum(1/(w*w))); and
+    so memory stays bounded at large radii; np.add.reduce(1/(w*w)); and
     the running sums of w^-k through shell s for k = 4..._KMAX.  A shell
     is appended as one tuple once all of it is computed, so an error
     while growing leaves the table whole.  `exact` holds G_k for the
@@ -200,7 +200,7 @@ class _ShellTable:
                 else:
                     w = None
                 self.shells.append(
-                    (w, complex(np.sum(w2)), _add_shell_g(raw, w2)))
+                    (w, complex(np.add.reduce(w2)), _add_shell_g(raw, w2)))
             return self.shells[:radius]
 
 
@@ -342,9 +342,9 @@ def _shell_sums(z: np.ndarray, lat: Lattice, r_p: int, r_dp: int):
             start, end = end, end + 8 * s
             if s <= r_p:
                 w2_sum = shells[s - 1][1]
-                p = p + np.sum(inv2[start:end], axis=0) - w2_sum * eye
+                p = p + np.add.reduce(inv2[start:end], axis=0) - w2_sum * eye
             if s <= r_dp:
-                dp = dp - 2 * np.sum(inv3[start:end], axis=0)
+                dp = dp - 2 * np.add.reduce(inv3[start:end], axis=0)
         # free this group's stacks before the next group's are built
         del w, inv, inv2, inv3
 

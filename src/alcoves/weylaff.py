@@ -10,11 +10,11 @@ derived from the geometry, not guessed.
 The kernels write their points once as integer numerators over one
 common denominator, Weyl elements act by integer matrices, and Fractions
 are built only for the values returned.  `weyl_scan` tests all of W at
-once with numpy, on one read-only (|W|, dim, dim) int64 stack of the
-Weyl matrices per root system.  It runs in int64 only where a stated
-bound rules out overflow (n K (n A + 1) X < 2^63 and
-d * coweight_inv_den < 2^63, see `_weyl_stack`), and otherwise runs the
-same array code with dtype object, on Python ints.  The other kernels
+once, by one numpy product of the points with a cached, read-only int64
+coweight-image stack (coweight_inv_num times each Weyl matrix); its
+values stay within n K (n A + 1) X (see `weyl_scan`), so it runs in int64
+below 2^63 and else the same code on Python ints, and it builds the
+Fraction of each distinct translation numerator once.  The other kernels
 (`root_scan`, `reduce_to_alcove`, the closure in
 `point_reflection_subgroup`, `compose`, `invert`, the facet enumerator at
 a vertex behind the star functions, and `chart_overlap`) run on Python
@@ -272,6 +272,18 @@ def _weyl_stack(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
     return stack, cinv, (2 ** 63 - 1) // bound
 
 
+@lru_cache(maxsize=None)
+def _scan_arrays(rs: RootSystem, dtype: type) -> tuple[np.ndarray, ...]:
+    """`_weyl_stack`'s stack and cinv, and the coweight-image stack cinv @ w
+    ((|W| dim, dim), `weyl_elements` order), in `dtype`, read-only."""
+    stack, cinv, _ = _weyl_stack(rs)
+    out = tuple(a.astype(dtype, copy=False) for a in (
+        stack, cinv, np.matmul(cinv, stack).reshape(-1, rs.dim)))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _scan_dtype(rs: RootSystem, d: int, nums) -> type:
     """np.int64 when the numerators `nums` over d are within the bound of
     `_weyl_stack` and d * coweight_inv_den < 2^63; object otherwise."""
@@ -288,31 +300,31 @@ def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
     coweight for every (x, y) in `pairs`, in `weyl_elements` order, each
     as (w0, those translations in the order of `pairs`).
 
-    All points are written over one common denominator d and all of W is
-    tested at once, on the cached matrix stack: the fixed-point test is
-    stack @ x == x, each pair gives lam = y - stack @ x, and lam is a
-    coweight when coweight_inv_num @ lam is divisible by
-    d * coweight_inv_den.  No value in these products exceeds
-    n K (n A + 1) X (see `_weyl_stack`), X the largest |numerator|, so
-    the arrays are int64 when that and d * coweight_inv_den are below
-    2^63, and Python ints (dtype object) otherwise.  The Fraction
-    translations are built only for the elements kept."""
-    xs = tuple(fixed) + tuple(x for x, _ in pairs)
-    d, nums = ratmat.over_common_denominator(
-        xs + tuple(y for _, y in pairs), rs.dim)
+    The points are written over one denominator d, and one 2-D product
+    with the coweight-image stack cw = C w, C = coweight_inv_num, tests all
+    of W: C is invertible, so w0 fixes x iff C w0 x - C x = 0, and y - w0 x
+    is a coweight iff d * coweight_inv_den divides C w0 x - C y; y - w0 x is
+    formed only for the elements kept.  With X the largest |numerator|,
+    |cw x| <= n^2 K A X and |C y| <= n K X, within the n K (n A + 1) X of
+    `_weyl_stack`: the arrays are int64 when that and d * coweight_inv_den
+    are below 2^63, else dtype object (Python ints).  Each distinct
+    numerator of a translation becomes a Fraction once, memoized per scan
+    over its d."""
+    n, nf, nx = rs.dim, len(fixed), len(fixed) + len(pairs)
+    # columns: the points mapped (fixed, then each x), then their targets
+    pts = (*fixed, *(x for x, _ in pairs), *fixed, *(y for _, y in pairs))
+    d, nums = ratmat.over_common_denominator(pts, n)
     dtype = _scan_dtype(rs, d, nums)
-    stack, cinv = (a.astype(dtype, copy=False) for a in _weyl_stack(rs)[:2])
-    mod = d * rs.coweight_inv_den
-    cols = np.array(nums, dtype=dtype).reshape(len(nums), rs.dim).T
-    nf = len(fixed)
-    img = stack @ cols[:, :len(xs)]
-    lam = cols[:, len(xs):] - img[:, :, nf:]
-    keep = ((img[:, :, :nf] == cols[:, :nf]).all(axis=(1, 2))
-            & ((cinv @ lam) % mod == 0).all(axis=(1, 2)))
+    stack, cinv, cw = _scan_arrays(rs, dtype)
+    cols = np.array(nums, dtype=dtype).reshape(len(nums), n).T
+    res = (cw @ cols[:, :nx]).reshape(-1, n, nx) - cinv @ cols[:, nx:]
+    res[:, :, nf:] %= d * rs.coweight_inv_den
+    rows = np.flatnonzero(~res.reshape(len(res), n * nx).any(axis=1))
+    lam = cols[:, nx + nf:] - stack[rows] @ cols[:, nf:nx]
+    frac = {c: Fraction(c, d) for c in set(lam.ravel().tolist())}.__getitem__
     elements = weyl_elements(rs)
-    return [(elements[i], tuple(tuple(Fraction(c, d) for c in col)
-                                for col in lam[i].T.tolist()))
-            for i in np.flatnonzero(keep)]
+    return [(elements[i], tuple(tuple(map(frac, t)) for t in ts))
+            for i, ts in zip(rows.tolist(), lam.transpose(0, 2, 1).tolist())]
 
 
 def vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]
@@ -549,10 +561,9 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
           for u in (ratmat.int_dot(g, nums[-1]) for g in pos)]
     # lam = sum_i c_i b_i over the lattice basis b_i, written over bd, and
     # alpha(b_i) for every positive alpha (an integer: b_i is a coweight)
-    bd, basis = ratmat.over_common_denominator(rs.coweight_lattice_basis,
-                                               rs.dim)
-    on_basis = [tuple(ratmat.int_dot(g, b) // bd for b in basis) for g in pos]
-    basis_cols = tuple(zip(*basis))
+    bd, basis_cols = rs.coweight_den, rs.coweight_num
+    on_basis = [tuple(ratmat.int_dot(g, b) // bd for b in zip(*basis_cols))
+                for g in pos]
     # hulls in coweight coordinates, numerators over e; J2's is w0-free
     e = star1.hull_den * rs.coweight_inv_den
     c2 = [ratmat.int_matvec(rs.coweight_inv_num, h) for h in star2.hull]

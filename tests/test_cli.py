@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -262,6 +265,25 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     expected = {**FACE_LOOKUPS, **FACE_PARSES, **NO_ARROW}.get(tuple(argv))
     if expected is not None:
         assert captured.err == expected
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    """`alcoves faces --type E --rank 6 | head -1`: the 149 KB report
+    overfills the pipe, whose reader leaves after one line.  A closed
+    stdout is not a usage error (exit 2), and no "Exception ignored"
+    message follows at interpreter exit."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    with subprocess.Popen(
+            [sys.executable, "-m", "alcoves.cli", "faces", "--type", "E",
+             "--rank", "6"], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_reports_are_deterministic(capsys):

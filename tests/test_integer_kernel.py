@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -80,6 +80,10 @@ def accepted_types(max_rank):
 
 
 RANK4_TYPES = accepted_types(4)
+# every type of rank <= 4, and sc and adjoint E6-E8
+TABLE_TYPES = RANK4_TYPES + [("E", r, i) for r in (6, 7, 8)
+                             for i in ("sc", "adjoint")]
+TABLE_IDS = [f"{f}{r}-{i}" for f, r, i in TABLE_TYPES]
 
 
 def rs_of(family, rank, isogeny):
@@ -647,10 +651,7 @@ def test_a_far_point_reduces_in_bounded_time(monkeypatch, family, rank,
                    for wall in walls)
 
 
-@pytest.mark.parametrize("family,rank,isogeny", RANK4_TYPES + [
-    ("E", r, i) for r in (6, 7, 8) for i in ("sc", "adjoint")],
-    ids=[f"{f}{r}-{i}" for f, r, i in RANK4_TYPES] + [
-        f"E{r}-{i}" for r in (6, 7, 8) for i in ("sc", "adjoint")])
+@pytest.mark.parametrize("family,rank,isogeny", TABLE_TYPES, ids=TABLE_IDS)
 def test_coweight_tables_match_the_fraction_inverse(family, rank, isogeny):
     """`coweight_inv_num` over `coweight_inv_den` is the Fraction inverse
     of the transposed lattice basis, over its least common denominator."""
@@ -659,6 +660,89 @@ def test_coweight_tables_match_the_fraction_inverse(family, rank, isogeny):
     assert rs.coweight_inv_den == den
     assert rs.coweight_inv_num == tuple(
         tuple(int(c * den) for c in row) for row in coweight_inverse(rs))
+
+
+@pytest.mark.parametrize("family,rank,isogeny", TABLE_TYPES, ids=TABLE_IDS)
+def test_from_coweight_coords_is_the_fraction_sum(family, rank, isogeny):
+    """`from_coweight_coords`, on integer numerators, equals the Fraction
+    sum of c_i b_i over the lattice basis, and refuses a wrong length."""
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(seed_of(family, rank, isogeny))
+    basis = rs.coweight_lattice_basis
+    for c in [big_point(rng, rs.dim) for _ in range(8)] + [
+            tuple(int(i == k) for i in range(rs.dim)) for k in range(rs.dim)]:
+        want = ratmat.zeros(rs.dim)
+        for ci, b in zip(c, basis, strict=True):
+            want = ratmat.add(want, ratmat.scale(ci, b))
+        got = rs.from_coweight_coords(c)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+    # other rationals are taken as Fractions, as before
+    rest = rs.dim - 1
+    assert rs.from_coweight_coords((0.5,) + ("-1/3",) * rest) == \
+        rs.from_coweight_coords((Fraction(1, 2),) + (Fraction(-1, 3),) * rest)
+    for size in (rs.dim - 1, rs.dim + 1):
+        with pytest.raises(ValueError):
+            rs.from_coweight_coords((Fraction(1, 2),) * size)
+
+
+@pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
+                         ids=IDS)
+def test_coweight_image_stack(family, rank, isogeny, generic, special):
+    """The stack `weyl_scan` tests W on: cached, read-only, int64, and
+    row block k is coweight_inv_num times the k-th element of
+    `weyl_elements`, checked against the Fraction inverse and oracle.
+    The dtype-object copies hold the same values and are read-only too."""
+    rs = rs_of(family, rank, isogeny)
+    arrays = weylaff._scan_arrays(rs, np.int64)
+    cw = arrays[2]
+    assert weylaff._scan_arrays(rs, np.int64)[2] is cw
+    assert all(np.array_equal(a, b)
+               for a, b in zip(arrays, weylaff._weyl_stack(rs)[:2]))
+    assert cw.dtype == np.int64 and not cw.flags.writeable
+    objects = weylaff._scan_arrays(rs, object)
+    for a, b in zip(arrays, objects):
+        assert b.dtype == object and not b.flags.writeable
+        assert b.tolist() == a.tolist()
+    den = coweight_den(rs)
+    want = [tuple(int(c * den) for c in row)
+            for m, _ in oracle_weyl_group(rs)
+            for row in ratmat.matmul(coweight_inverse(rs), m)]
+    assert [w.matrix for w in weyl_elements(rs)] == \
+        [m for m, _ in oracle_weyl_group(rs)]
+    assert cw.shape == (len(want), rs.dim)
+    assert [tuple(r) for r in cw.tolist()] == want
+
+
+@pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
+                         ids=IDS)
+def test_scan_translations_are_normalised_fractions(
+        family, rank, isogeny, generic, special, monkeypatch):
+    """On both dtypes every translation entry is a Fraction in lowest
+    terms with a positive denominator."""
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(seed_of(family, rank, isogeny))
+    spy = DtypeSpy(monkeypatch)
+    for x in points(rs, rng.random(), 2, special) + large_points(rs, rng):
+        y = ratmat.add(x, coweight(rs, rng, 10 ** 6))
+        for got in spy.both_scans(rs, (), ((x, x), (x, y))):
+            for _, lams in got:
+                for c in (c for lam in lams for c in lam):
+                    assert type(c) is Fraction
+                    assert c.denominator > 0
+                    assert gcd(c.numerator, c.denominator) == 1
+
+
+def test_the_fraction_memo_is_per_scan(monkeypatch):
+    """Two scans whose translation numerators agree over different
+    denominators: on A1, s(x) = -x, so x = 1/2 (d = 2) and x = 1 (d = 1)
+    both give the numerator 2 for s, the translations 1 and 2."""
+    rs = rs_of("A", 1, "sc")
+    spy = DtypeSpy(monkeypatch)
+    for x, lam in (("1/2", 1), ("1", 2), ("1/2", 1), ("3/2", 3)):
+        x = (Fraction(x),)
+        for got in spy.both_scans(rs, (), ((x, x),)):
+            assert [lams for _, lams in got] == [((0,),), ((lam,),)]
 
 
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
