@@ -311,16 +311,16 @@ def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
     numerator of a translation becomes a Fraction once, memoized per scan
     over its d."""
     n, nf, nx = rs.dim, len(fixed), len(fixed) + len(pairs)
-    # columns: the points mapped (fixed, then each x), then their targets
-    pts = (*fixed, *(x for x, _ in pairs), *fixed, *(y for _, y in pairs))
+    # columns: each fixed point (its own target), each x, then each y
+    pts = (*fixed, *(x for x, _ in pairs), *(y for _, y in pairs))
     d, nums = ratmat.over_common_denominator(pts, n)
-    dtype = _scan_dtype(rs, d, nums)
-    stack, cinv, cw = _scan_arrays(rs, dtype)
-    cols = np.array(nums, dtype=dtype).reshape(len(nums), n).T
-    res = (cw @ cols[:, :nx]).reshape(-1, n, nx) - cinv @ cols[:, nx:]
+    stack, cinv, cw = _scan_arrays(rs, _scan_dtype(rs, d, nums))
+    cols = np.array(nums, dtype=cw.dtype).reshape(len(nums), n).T
+    tgt = np.concatenate((cols[:, :nf], cols[:, nx:]), axis=1)
+    res = (cw @ cols[:, :nx]).reshape(-1, n, nx) - cinv @ tgt
     res[:, :, nf:] %= d * rs.coweight_inv_den
-    rows = np.flatnonzero(~res.reshape(len(res), n * nx).any(axis=1))
-    lam = cols[:, nx + nf:] - stack[rows] @ cols[:, nf:nx]
+    rows = np.flatnonzero((res == 0).all(axis=(1, 2)))  # bools on numpy 1.x
+    lam = cols[:, nx:] - stack[rows] @ cols[:, nf:nx]
     frac = {c: Fraction(c, d) for c in set(lam.ravel().tolist())}.__getitem__
     elements = weyl_elements(rs)
     return [(elements[i], tuple(tuple(map(frac, t)) for t in ts))
@@ -562,8 +562,8 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
     # lam = sum_i c_i b_i over the lattice basis b_i, written over bd, and
     # alpha(b_i) for every positive alpha (an integer: b_i is a coweight)
     bd, basis_cols = rs.coweight_den, rs.coweight_num
-    on_basis = [tuple(ratmat.int_dot(g, b) // bd for b in zip(*basis_cols))
-                for g in pos]
+    basis = tuple(zip(*basis_cols))
+    on_basis = [tuple(ratmat.int_dot(g, b) // bd for b in basis) for g in pos]
     # hulls in coweight coordinates, numerators over e; J2's is w0-free
     e = star1.hull_den * rs.coweight_inv_den
     c2 = [ratmat.int_matvec(rs.coweight_inv_num, h) for h in star2.hull]

@@ -733,6 +733,22 @@ def test_scan_translations_are_normalised_fractions(
                     assert gcd(c.numerator, c.denominator) == 1
 
 
+def test_object_scans_drop_elements_with_nonzero_residues(monkeypatch):
+    """On A1, x = 1/7 is moved by s to -1/7 and 2/7 is no coweight: the
+    residue of s is 2 * coweight_inv_den, nonzero and not -1, so both
+    dtypes keep the identity alone, and x and 3/7 (s(x) - 3/7 = -4/7)
+    likewise.  An `any` that returns an element rather than a bool (as on
+    object arrays under numpy 1.x) would keep s."""
+    rs = rs_of("A", 1, "sc")
+    spy = DtypeSpy(monkeypatch)
+    x, y = (Fraction(1, 7),), (Fraction(3, 7),)
+    for fixed, pairs in (((), ((x, x),)), ((x,), ()), ((), ((x, y),))):
+        want = oracle_weyl_scan(rs, fixed, pairs)
+        assert len(want) <= 1
+        for got in spy.both_scans(rs, fixed, pairs):
+            assert [(w0.matrix, w0.word, lams) for w0, lams in got] == want
+
+
 def test_the_fraction_memo_is_per_scan(monkeypatch):
     """Two scans whose translation numerators agree over different
     denominators: on A1, s(x) = -x, so x = 1/2 (d = 2) and x = 1 (d = 1)
