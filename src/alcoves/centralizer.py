@@ -123,16 +123,15 @@ def _classify_component(cmat: list[list[int]]) -> str:
 
 def subsystem_type(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> str:
     """Dynkin type of the root subsystem spanned by the linear parts."""
-    by_root = {rs.all_roots[ar.root_index]: ar.root_index for ar in phi}
+    by_root = {tuple(map(int, rs.all_roots[ar.root_index])): ar.root_index
+               for ar in phi}
     if not by_root:
         return "0"
-    positives = {r for r in by_root
-                 if next(c for c in r if c != 0) > 0}
+    positives = {r for r in by_root if next(c for c in r if c) > 0}
     simples = [by_root[r] for r in sorted(
         r for r in positives
-        if not any(
-            ratmat.sub(r, s) in positives for s in positives if s != r
-        )
+        if not any(tuple(a - b for a, b in zip(r, s)) in positives
+                   for s in positives if s != r)
     )]
 
     # the Cartan pairing 2(a_i, a_j)/(a_i, a_i) = a_j(a_i-check)

@@ -7,16 +7,16 @@ inner product on the root space is normalized so long roots have squared
 length 2.
 
 W preserves the coroot lattice, so every Weyl element is one integer
-matrix on t, and `weyl_group` enumerates a whole breadth-first level at
-once, as one int64 product of the simple reflections against the
-frontier.  `weyl_element` finds the word of one matrix by descent,
-without listing W.  `build_root_system` runs on Python ints (the
-reflection closure, the highest root, the root gradients and the
-coroots) and builds Fractions only for the public fields.  Each root
-system carries integer tables built once (root gradients, coroots,
-negation, the numerators of the coweight-coordinate map and its inverse),
-so the kernels in `alcove` and `weylaff` work on integer numerators over
-one common denominator and build Fractions only for their results.
+matrix on t.  `reflection_group` lists a group generated by reflections
+in W a breadth-first level at a time; `weyl_group` is the case of the
+simple reflections, the reflection group of a point in `weylaff` that of
+the reflections through it.  `weyl_element` finds the word of one matrix
+by descent, without listing W.  `build_root_system` runs on Python ints
+and builds Fractions only for the public fields; each root system carries
+integer tables built once (root gradients, coroots, negation, the
+numerators of the coweight-coordinate map and its inverse), so the
+kernels in `alcove` and `weylaff` work on integer numerators over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class InvalidCartanType(ValueError):
 
 
 class EnumerationGuard(RuntimeError):
-    """Raised when a closure enumeration exceeds its configured bound."""
+    """Raised when an enumeration exceeds its configured bound."""
 
 
 @dataclass(frozen=True)
@@ -369,19 +369,52 @@ def build_root_system(ct: CartanType) -> RootSystem:
     )
 
 
-def weyl_group(rs: RootSystem) -> list[WeylElement]:
-    """Enumerate the finite Weyl group by closure under simple reflections.
+def reflection_group(gens: np.ndarray, bound: int | None = None
+                     ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The group generated by the reflections `gens`, an (r, n, n) integer
+    stack: (stack, steps), the elements as an int64 (order, n, n) stack in
+    breadth-first order, identity first, and for each later element k the
+    (p, i) with stack[k] = gens[i] stack[p], p < k.
 
-    Elements come out in BFS order by word length, identity first.  Each
-    level is one int64 product of the simple reflections against the
-    frontier stack, taken element-major and generator-minor: s_i w, with
-    word w.word + (i,), is kept the first time its matrix appears.  As
-    l(s_i w) = l(w) +- 1, a product of level k can only have appeared in
-    level k - 1 or k + 1, so only those two levels' matrices are kept as
-    bytes to test against.  Every product is again an element of the
-    finite group W, so its entries are bounded and int64 cannot overflow.
-    Ranks above `WEYL_RANK_GUARD` are refused.
+    Each level is one int64 product of the generators against the
+    frontier stack, taken element-major and generator-minor, and a
+    product is kept the first time its matrix appears, so the order is
+    that of the one-product-at-a-time closure.  Every generator is a
+    reflection, of determinant -1, so an element of length l in the
+    generators has determinant (-1)^l, and a generator moves the length
+    by exactly +-1: a product of level k can only repeat a matrix of
+    level k - 1 or of level k + 1, and only those two levels' matrices
+    are kept as bytes to test against.  The callers' generators lie in
+    the finite group W, so every product does too: its entries are
+    bounded and int64 cannot overflow.  A group of more than `bound`
+    elements is refused as soon as a level passes the bound.
     """
+    r, n = len(gens), gens.shape[-1]
+    levels = [np.identity(n, dtype=np.int64)[None]]
+    steps, previous, level = [], set(), {levels[0].tobytes()}
+    size = levels[0].nbytes
+    while len(levels[-1]):
+        start = len(steps) + 1 - len(levels[-1])
+        prods = np.matmul(gens, levels[-1][:, None]).reshape(-1, n, n)
+        buf = prods.tobytes()
+        nxt, keep = set(), []
+        for j in range(len(prods)):
+            key = buf[j * size:(j + 1) * size]
+            if key not in previous and key not in nxt:
+                nxt.add(key)
+                keep.append(j)
+        steps += [(start + j // r, j % r) for j in keep]
+        if bound is not None and len(steps) >= bound:
+            raise EnumerationGuard("subgroup closure guard hit")
+        previous, level = level, nxt
+        levels.append(prods[keep])
+    return np.concatenate(levels), steps
+
+
+def weyl_group(rs: RootSystem) -> list[WeylElement]:
+    """The finite Weyl group, listed by `reflection_group` from the simple
+    reflections: BFS order by word length, identity first, s_i w with
+    word w.word + (i,).  Ranks above `WEYL_RANK_GUARD` are refused."""
     if rs.rank > WEYL_RANK_GUARD:
         raise EnumerationGuard(
             f"rank {rs.rank} exceeds enumeration guard {WEYL_RANK_GUARD}"
@@ -390,26 +423,12 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     # s_i is I with the gradient of alpha_i taken off row i
     gens = np.array([ratmat.int_identity(n)] * r, dtype=np.int64)
     gens[range(r), range(r)] -= np.array(rs.simple_grads, dtype=np.int64)
-    elements = [WeylElement(ratmat.int_identity(n), ())]
-    frontier = np.array([elements[0].matrix], dtype=np.int64)
+    stack, steps = reflection_group(gens)
     words = [()]
-    previous, level = set(), {frontier.tobytes()}
-    size = frontier.nbytes
-    while words:
-        prods = np.matmul(gens, frontier[:, None]).reshape(-1, n, n)
-        buf = prods.tobytes()
-        nxt, keep = set(), []
-        for j in range(len(prods)):
-            key = buf[j * size:(j + 1) * size]
-            if key not in previous and key not in nxt:
-                nxt.add(key)
-                keep.append(j)
-        previous, level = level, nxt
-        frontier = prods[keep]
-        words = [words[j // r] + (j % r,) for j in keep]
-        elements += [WeylElement(tuple(map(tuple, m)), w)
-                     for m, w in zip(frontier.tolist(), words)]
-    return elements
+    for p, i in steps:
+        words.append(words[p] + (i,))
+    return [WeylElement(tuple(map(tuple, m)), w)
+            for m, w in zip(stack.tolist(), words)]
 
 
 def times_word(rs: RootSystem, m: IntMat, word: tuple[int, ...]) -> IntMat:

@@ -9,25 +9,17 @@ derived from the geometry, not guessed.
 
 The kernels write their points once as integer numerators over one
 common denominator, Weyl elements act by integer matrices, and Fractions
-are built only for the values returned.  `weyl_scan` tests all of W at
-once, by one numpy product of the points with a cached, read-only int64
-coweight-image stack (coweight_inv_num times each Weyl matrix); its
-values stay within n K (n A + 1) X (see `weyl_scan`), so it runs in int64
-below 2^63 and else the same code on Python ints, and it builds the
-Fraction of each distinct translation numerator once.  The other kernels
-(`root_scan`, `reduce_to_alcove`, the closure in
-`point_reflection_subgroup`, `compose`, `invert`, the facet enumerator at
-a vertex behind the star functions, and `chart_overlap`) run on Python
-ints and list no W: a Weyl element is its matrix, its word given by
-`rootdata.weyl_element`.  `reduce_to_alcove` translates x by its
-coroot-lattice floor and then walks a tie-broken point, so its step
-count is bounded per root system, whatever |x| is.  The ell+1 wall
-reflections of the alcove, its barycenter and that step cap are built
-once per root system, the reflection group of a point once per
-(root system, point), closed over one generator per wall, and the facets
-at a vertex, with the hull of its star, once per vertex group; each
-facet's `FacetKey` is built from its integer key by `FacetKey.build`,
-the constructor `facet_of` uses too.
+are built only for the values returned; each kernel's docstring states
+its bound (the int64 bound of `weyl_scan`, the step cap of
+`reduce_to_alcove`).  `point_reflection_subgroup` lists the reflection
+group of a point with `rootdata.reflection_group`, the enumerator of W,
+from one linear reflection per wall through the point.  `root_scan`,
+`reduce_to_alcove`, `compose` and `invert` list no W: a Weyl element is
+its matrix, its word given by `rootdata.weyl_element`.  The wall
+reflections of the alcove, its barycenter and the walk's step cap are
+built once per root system, the reflection group of a point once per
+(root system, point), and the facets at a vertex, with the hull of its
+star, once per vertex group.
 """
 
 from __future__ import annotations
@@ -54,9 +46,9 @@ from .alcove import (
 )
 from .ratmat import Vec
 from .rootdata import (
-    EnumerationGuard,
     RootSystem,
     WeylElement,
+    reflection_group,
     times_word,
     weyl_element,
     weyl_group,
@@ -368,34 +360,22 @@ def point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
 
 @lru_cache(maxsize=None)
 def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
-    """The walls through x have integer levels, so every element is an
-    integer matrix with an integer translation; the closure runs on those
-    pairs and builds the affine elements at the end.  The affine roots
-    (alpha, n) and (-alpha, -n) give the same reflection, which enters
-    once, at its first root."""
-    gens = list(dict.fromkeys(
-        (_reflection_matrix(rs, ar.root_index),
-         tuple(ar.level * c for c in rs.coroots[ar.root_index]))
-        for ar in vanishing_affine_roots(rs, (x,))))
-    ident = (ratmat.int_identity(rs.dim), (0,) * rs.dim)
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                c = _pair_product(g, u)
-                if c not in seen:
-                    if len(seen) >= _CLOSURE_GUARD:
-                        raise EnumerationGuard("subgroup closure guard hit")
-                    seen.add(c)
-                    elements.append(c)
-                    nxt.append(c)
-        frontier = nxt
+    """The reflection in a wall (alpha, n) through x has linear part
+    s_alpha, and (alpha, n) and (-alpha, -n) give the same one, which
+    enters once, at its first root.  Every element (m, t) fixes x, so
+    t = x - m x, and m -> (m, t) is one to one: `reflection_group` lists
+    the linear parts, under `_CLOSURE_GUARD`, and each translation is
+    taken on the Python-int numerators of x, which may be of any size."""
+    d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
+    gens = dict.fromkeys(_reflection_matrix(rs, idx)
+                         for idx, _ in root_scan(rs, (), (x,)))
+    stack, _ = reflection_group(
+        np.array(list(gens), dtype=np.int64).reshape(-1, rs.dim, rs.dim),
+        _CLOSURE_GUARD)
     return FiniteSubgroup(tuple(
-        AffineWeylElement(weyl_element(rs, m), ratmat.vec(t))
-        for m, t in elements))
+        AffineWeylElement(weyl_element(rs, m), tuple(
+            Fraction(a - b, d) for a, b in zip(num, ratmat.int_matvec(m, num))))
+        for m in (tuple(map(tuple, m)) for m in stack.tolist())))
 
 
 def star_contains(rs: RootSystem, j: Face, x: Vec) -> bool:

@@ -158,21 +158,34 @@ def test_face_stabilizer_equals_point_stabilizer():
 
 def test_vertex_group_closes_over_one_generator_per_wall(monkeypatch):
     """(alpha, n) and (-alpha, -n) give one reflection: at the A3 origin
-    the closure of the 24-element group takes 6 generators, so 24 x 6
-    products, not 24 x 12."""
+    the 24-element group is listed from a stack of 6 generators, not 12."""
     rs = rs_of("A", 3)
-    products = []
-    pair_product = weylaff._pair_product
+    handed = []
 
-    def counting_pair_product(x, y):
-        products.append(x)
-        return pair_product(x, y)
+    def recording_reflection_group(gens, bound=None):
+        handed.append(gens)
+        return rootdata.reflection_group(gens, bound)
 
-    monkeypatch.setattr(weylaff, "_pair_product", counting_pair_product)
+    monkeypatch.setattr(weylaff, "reflection_group",
+                        recording_reflection_group)
     group = weylaff._point_reflection_subgroup.__wrapped__(
         rs, (Fraction(0),) * 3)
     assert group.order == 24
-    assert len(set(products)) == len(products) // 24 == 6
+    (gens,) = handed
+    assert gens.shape == (6, 3, 3)
+    assert len({g.tobytes() for g in gens}) == 6
+
+
+def test_closure_guard_refuses_exactly_past_the_bound(monkeypatch):
+    rs = rs_of("A", 3)
+    origin = (Fraction(0),) * 3
+    monkeypatch.setattr(weylaff, "_CLOSURE_GUARD", 23)
+    with pytest.raises(rootdata.EnumerationGuard,
+                       match=r"^subgroup closure guard hit$"):
+        weylaff._point_reflection_subgroup.__wrapped__(rs, origin)
+    monkeypatch.setattr(weylaff, "_CLOSURE_GUARD", 24)
+    assert weylaff._point_reflection_subgroup.__wrapped__(
+        rs, origin).order == 24
 
 
 def test_face_stabilizer_requires_sc():
