@@ -4,8 +4,8 @@
 sha256 of its standard output: `svg --highlight F` for every face of A2,
 B2 and G2 (polygon order), `star --face F` for every face of A3 (facet
 witness order), `overlap --face1 F1 --face2 F2` for every pair of
-faces of A2, B2 and G2 (double-coset representatives, their words and
-translations, and pair-stabilizer orders), `parabolic --face1 F1
+faces of A2, B2, G2, A3, B3 and C3 (double-coset representatives, their
+words and translations, and pair-stabilizer orders), `parabolic --face1 F1
 --face2 F2` for every non-identity arrow of A2, B2 and G2 (ambient,
 Levi and nilradical roots in order), and `diagram` on B2, G2, A3, B3 and
 C3 (A2 is pinned by `sl3_diagram.json`).
