@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial, prod
 
 from . import ratmat
 from .alcove import AffineRoot, Face
 from .ratmat import Vec
-from .rootdata import RootSystem, cartan_matrix
+from .rootdata import RootSystem
 from .weylaff import (
     AffineWeylElement,
     FiniteSubgroup,
@@ -90,35 +89,39 @@ class CentralizerData:
 
 # -- subsystem classification -------------------------------------------
 
-_CANONICAL_TYPES = [
-    ("A", r) for r in range(1, 5)
-] + [("B", r) for r in range(2, 5)] + [("C", r) for r in range(3, 5)] + [
-    ("D", 4), ("F", 4), ("G", 2),
-]
-
-
 def _weyl_order(label: str) -> int:
     """Order of the Weyl group of one irreducible type such as "B3"."""
     r = int(label[1:])
     return {"A": factorial(r + 1), "B": 2 ** r * factorial(r),
             "C": 2 ** r * factorial(r), "D": 2 ** (r - 1) * factorial(r),
+            "E": {6: 51840, 7: 2903040, 8: 696729600}.get(r),
             "F": 1152, "G": 12}[label[0]]
 
 
 def _classify_component(cmat: list[list[int]]) -> str:
+    """The type of a connected Cartan matrix, read off its Dynkin diagram
+    (Humphreys, Reflection Groups and Coxeter Groups, §2.4).  A bond
+    i - j has cmat[i][j] cmat[j][i] lines; cmat[i][j] = -2 when alpha_i
+    is the short end of a double bond.  A -3 bond is G2.  A double bond
+    gives B_k when k = 2 or its short end is a leaf, C_k when its long end
+    is, and F4 otherwise.  A simply-laced diagram is A_k without a branch
+    node; with one, it is D_k when two of the branch's arms are single
+    nodes, and E_k otherwise.  So C2 reads as B2 and D3 as A3."""
     k = len(cmat)
-    for fam, r in _CANONICAL_TYPES:
-        if r != k:
-            continue
-        target = cartan_matrix(fam, r)
-        for perm in permutations(range(k)):
-            if all(
-                cmat[perm[i]][perm[j]] == target[i][j]
-                for i in range(k)
-                for j in range(k)
-            ):
-                return f"{fam}{r}"
-    raise ValueError("unrecognized Cartan matrix component")
+    nbrs = [[j for j in range(k) if j != i and cmat[i][j]] for i in range(k)]
+    if any(-3 in row for row in cmat):
+        return "G2"
+    double = [(i, j) for i in range(k) for j in nbrs[i] if cmat[i][j] == -2]
+    if double:
+        short, long_ = double[0]
+        if k == 2 or len(nbrs[short]) == 1:
+            return f"B{k}"
+        return f"C{k}" if len(nbrs[long_]) == 1 else "F4"
+    branch = [i for i in range(k) if len(nbrs[i]) == 3]
+    if not branch:
+        return f"A{k}"
+    leaves = sum(len(nbrs[j]) == 1 for j in nbrs[branch[0]])
+    return f"D{k}" if leaves >= 2 else f"E{k}"
 
 
 def subsystem_type(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> str:

@@ -3,9 +3,9 @@
 Elements are pairs (finite Weyl part, coweight translation) acting by
 x -> w(x) + t; the finite part is a `WeylElement`, whose matrices are
 integral.  Stabilizers and centralizers come from two scans, `root_scan`
-over roots and `weyl_scan` over the finite Weyl group; star regions and
-chart overlaps are handled by exact finite enumerations whose windows are
-derived from the geometry, not guessed.
+over roots and `weyl_scan` over the finite Weyl group; star regions are
+exact finite enumerations at a vertex, and a chart overlap is the one
+double coset W_{J2} W_{J1} of two face stabilizers.
 
 The kernels write their points once as integer numerators over one
 common denominator, Weyl elements act by integer matrices, and Fractions
@@ -18,8 +18,7 @@ from one linear reflection per wall through the point.  `root_scan`,
 its matrix, its word given by `rootdata.weyl_element`.  The wall
 reflections of the alcove, its barycenter and the walk's step cap are
 built once per root system, the reflection group of a point once per
-(root system, point), and the facets at a vertex, with the hull of its
-star, once per vertex group.
+(root system, point), and the facets at a vertex once per vertex group.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
-from operator import le, mul
-from typing import NamedTuple
+from operator import mul
 
 import numpy as np
 
@@ -410,22 +407,7 @@ def verify_open_embedding(rs: RootSystem, j: Face,
     return open_embedding_counterexample(rs, j, samples) is None
 
 
-class VertexStar(NamedTuple):
-    """The facets at one alcove vertex v and the hull window of its star.
-
-    `facets` holds one `FacetKey` per facet whose closure contains v, in
-    order of first appearance; each key's witness is the first point of
-    its facet.  `hull` holds the images of the alcove vertices under the
-    reflection group of v, as integer numerators over `hull_den`, the
-    common denominator of the alcove vertices (the same at every vertex).
-    """
-
-    facets: tuple[FacetKey, ...]
-    hull_den: int
-    hull: tuple[tuple[int, ...], ...]
-
-
-def _facets_at_vertex(rs: RootSystem, v: Vec) -> VertexStar:
+def _facets_at_vertex(rs: RootSystem, v: Vec) -> tuple[FacetKey, ...]:
     """The facets at the vertex v, built once per vertex group."""
     # a plain function in front of the cache: the vertex group is asked
     # for on every call, so tracing sees each time a star reaches here
@@ -433,8 +415,11 @@ def _facets_at_vertex(rs: RootSystem, v: Vec) -> VertexStar:
 
 
 @lru_cache(maxsize=None)
-def _vertex_star(rs: RootSystem, group: FiniteSubgroup) -> VertexStar:
-    """The facets at a vertex v, given the reflection group of v.
+def _vertex_star(rs: RootSystem, group: FiniteSubgroup
+                 ) -> tuple[FacetKey, ...]:
+    """The facets at a vertex v, given the reflection group of v, one
+    `FacetKey` per facet whose closure contains v, in order of first
+    appearance.
 
     These facets are the faces of the alcoves at v, the images of C under
     the group, whose translations are integral.  The face witnesses are
@@ -442,14 +427,13 @@ def _vertex_star(rs: RootSystem, group: FiniteSubgroup) -> VertexStar:
     matrix-vector product; a facet is keyed on the integer (floor,
     on-wall) values of the positive roots, and its `FacetKey` is built
     from that key, with the Fraction witness of its first point."""
-    pairs = [(u.finite_part.matrix, tuple(int(c) for c in u.translation))
-             for u in group.elements]
     d, wits = ratmat.over_common_denominator(
         tuple(f.witness for f in faces_of_alcove(rs).faces), rs.dim)
     pos = [rs.grads[p] for p in rs.positive_indices]
     first: dict = {}
-    for m, t in pairs:
-        dt = tuple(d * c for c in t)
+    for u in group.elements:
+        m = u.finite_part.matrix
+        dt = tuple(d * int(c) for c in u.translation)
         for w in wits:
             p = tuple(a + b for a, b in zip(ratmat.int_matvec(m, w), dt))
             key = []
@@ -457,13 +441,8 @@ def _vertex_star(rs: RootSystem, group: FiniteSubgroup) -> VertexStar:
                 fl, rem = divmod(ratmat.int_dot(g, p), d)
                 key.append((fl, not rem))
             first.setdefault(tuple(key), p)
-    facets = tuple(FacetKey.build(rs, key, tuple(Fraction(c, d) for c in p))
-                   for key, p in first.items())
-    hd, verts = ratmat.over_common_denominator(alcove_vertices(rs), rs.dim)
-    hull = dict.fromkeys(
-        tuple(a + hd * b for a, b in zip(ratmat.int_matvec(m, x), t))
-        for m, t in pairs for x in verts)
-    return VertexStar(facets, hd, tuple(hull))
+    return tuple(FacetKey.build(rs, key, tuple(Fraction(c, d) for c in p))
+                 for key, p in first.items())
 
 
 def star_facet_witnesses(rs: RootSystem, j: Face) -> list[Vec]:
@@ -471,7 +450,7 @@ def star_facet_witnesses(rs: RootSystem, j: Face) -> list[Vec]:
     lies in the star of any vertex of J, and star membership is a property
     of the facet: J's witness lies in the facet's closure."""
     d, u = root_values(rs, j.witness)
-    return [k.witness for k in _facets_at_vertex(rs, j.vertices[0]).facets
+    return [k.witness for k in _facets_at_vertex(rs, j.vertices[0])
             if k.closure_contains(d, u)]
 
 
@@ -482,7 +461,7 @@ def verify_star_intersection(rs: RootSystem, j: Face) -> bool:
     star = root_values(rs, j.witness)
     vertex_stars = [root_values(rs, v) for v in j.vertices]
     candidates = dict.fromkeys(
-        k for v in j.vertices for k in _facets_at_vertex(rs, v).facets)
+        k for v in j.vertices for k in _facets_at_vertex(rs, v))
     for k in candidates:
         in_star = k.closure_contains(*star)
         in_all = all(k.closure_contains(*s) for s in vertex_stars)
@@ -514,89 +493,33 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
     """Double cosets W_{J2} \\ {w : w(St_{J1}) meets St_{J2}} / W_{J1},
     with the pair stabilizer W_{w(J1)} cap W_{J2} for each representative.
 
-    For each w0, the translations lam are enumerated in a window: the box,
-    in coweight coordinates, that the hulls of the two vertex stars allow.
-    w = (w0, lam) is kept when w maps some open alcove of St_{J1} into
-    St_{J2}.  Testing the alcoves is enough: St_{J2} is open and a union
-    of facets, so if it holds w(F) for a facet F of St_{J1}, it holds
-    w(C) for the alcoves C of St_{J1} whose closures contain F.  The
-    alcove witnesses and J2's witness are written over one denominator d;
-    a root value at w(p) is its value at w0(p), off every wall, plus the
-    integer alpha(lam), so the closure test at J2's witness gives each
-    alcove an integer range for every alpha(lam).  The double cosets and
-    the pair stabilizers are closed on integer (matrix, translation)
-    pairs; Fractions are built only for the values returned."""
+    For simply-connected G, W_aff = W x Q-check acts simply transitively
+    on alcoves, and the alcoves of St_J are W_J C (Bourbaki, Lie VI §2;
+    Humphreys, Reflection Groups and Coxeter Groups, ch. 4).  St_{J2} is
+    open and a union of facets, so w(St_{J1}) meets it iff w(a C) = b C
+    for some a in W_{J1} and b in W_{J2}, that is w = b a^-1: the set is
+    the one double coset W_{J2} W_{J1}.  Its representative is its first
+    element in `weyl_elements` order, ties broken by the coweight
+    coordinates of the translation in ascending lexicographic order.  The
+    coset and the pair stabilizer are formed on integer (matrix,
+    translation) pairs; Fractions are built only for the values returned."""
     w1 = stabilizer_of_face(rs, j1)
     w2 = stabilizer_of_face(rs, j2)
-    star1 = _facets_at_vertex(rs, j1.vertices[0])
-    star2 = _facets_at_vertex(rs, j2.vertices[0])
-    at_j1 = root_values(rs, j1.witness)
-    alcoves = tuple(k.witness for k in star1.facets
-                    if not any(on for _, on in k.key)
-                    and k.closure_contains(*at_j1))
-    pos = [rs.grads[p] for p in rs.positive_indices]
-    d, nums = ratmat.over_common_denominator(alcoves + (j2.witness,), rs.dim)
-    # floor(t) <= u <= floor(t) + 1 at J2's value u, for t off the walls
-    u2 = [(-(-u // d) - 1, u // d)
-          for u in (ratmat.int_dot(g, nums[-1]) for g in pos)]
-    # lam = sum_i c_i b_i over the lattice basis b_i, written over bd, and
-    # alpha(b_i) for every positive alpha (an integer: b_i is a coweight)
-    bd, basis_cols = rs.coweight_den, rs.coweight_num
-    basis = tuple(zip(*basis_cols))
-    on_basis = [tuple(ratmat.int_dot(g, b) // bd for b in basis) for g in pos]
-    # hulls in coweight coordinates, numerators over e; J2's is w0-free
-    e = star1.hull_den * rs.coweight_inv_den
-    c2 = [ratmat.int_matvec(rs.coweight_inv_num, h) for h in star2.hull]
-    c2_lo = [min(col) for col in zip(*c2)]
-    c2_hi = [max(col) for col in zip(*c2)]
-
-    found = []  # (w0, lam numerators over bd), in output order
-    for w0 in weyl_elements(rs):
-        m = w0.matrix
-        cm = ratmat.int_matmul(rs.coweight_inv_num, m)
-        c1 = [ratmat.int_matvec(cm, h) for h in star1.hull]
-        box = []
-        for lo2, hi2, col in zip(c2_lo, c2_hi, zip(*c1)):
-            lo_i = -((max(col) - lo2) // e)
-            hi_i = (hi2 - min(col)) // e
-            if lo_i > hi_i:
-                break
-            box.append(range(lo_i, hi_i + 1))
-        else:
-            ranges = []  # per alcove, the allowed alpha(lam) per root
-            for p in nums[:-1]:
-                mp = ratmat.int_matvec(m, p)
-                fls = [ratmat.int_dot(g, mp) // d for g in pos]
-                ranges.append(([lo - f for f, (lo, _) in zip(fls, u2)],
-                               [hi - f for f, (_, hi) in zip(fls, u2)]))
-            for coords in product(*box):
-                vals = [sum(map(mul, coords, a)) for a in on_basis]
-                if any(all(map(le, lo, vals)) and all(map(le, vals, hi))
-                       for lo, hi in ranges):
-                    found.append((w0, tuple(sum(map(mul, coords, col))
-                                            for col in basis_cols)))
-
-    # partition into double cosets W_J2 w W_J1, on integer pairs
+    bd = rs.coweight_den
     g1 = [_int_pair(a, bd) for a in w1.elements]
     by_pair2 = {_int_pair(b, bd): b for b in w2.elements}
-    found_set = {(w0.matrix, lam) for w0, lam in found}
-    seen: set = set()
-    out = []
-    for w0, lam in found:
-        w = (w0.matrix, lam)
-        if w in seen:
-            continue
-        w_w1 = [_pair_product(w, a) for a in g1]
-        coset = {_pair_product(b, x) for b in by_pair2 for x in w_w1}
-        if not coset <= found_set:
-            raise RuntimeError("double coset leaves the overlap set (bug)")
-        seen |= coset
-        # the pair stabilizer: (w a) w^-1 for a in W_J1, within W_J2
-        m_inv = times_word(rs, ratmat.int_identity(rs.dim), w0.word)
-        w_inv = (m_inv, tuple(-c for c in ratmat.int_matvec(m_inv, lam)))
-        pair = [by_pair2[c] for c in (_pair_product(x, w_inv) for x in w_w1)
-                if c in by_pair2]
-        pair.sort(key=lambda el: (el.finite_part.word, el.translation))
-        rep = AffineWeylElement(w0, tuple(Fraction(c, bd) for c in lam))
-        out.append((rep, FiniteSubgroup(tuple(pair))))
-    return out
+    coset: dict = {}
+    for m, lam in (_pair_product(b, a) for b in by_pair2 for a in g1):
+        coset.setdefault(m, []).append(lam)
+    w0 = next(w for w in weyl_elements(rs) if w.matrix in coset)
+    lam = min(coset[w0.matrix],
+              key=lambda t: ratmat.int_matvec(rs.coweight_inv_num, t))
+    w = (w0.matrix, lam)
+    # the pair stabilizer: (w a) w^-1 for a in W_J1, within W_J2
+    m_inv = times_word(rs, ratmat.int_identity(rs.dim), w0.word)
+    w_inv = (m_inv, tuple(-c for c in ratmat.int_matvec(m_inv, lam)))
+    pair = [by_pair2[c] for c in (_pair_product(_pair_product(w, a), w_inv)
+                                  for a in g1) if c in by_pair2]
+    pair.sort(key=lambda el: (el.finite_part.word, el.translation))
+    rep = AffineWeylElement(w0, tuple(Fraction(c, bd) for c in lam))
+    return [(rep, FiniteSubgroup(tuple(pair)))]

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from alcoves import ratmat
-from alcoves.alcove import faces_of_alcove
+from alcoves import centralizer, ratmat
+from alcoves.alcove import AffineRoot, faces_of_alcove
 from alcoves.centralizer import (
     GaugePoint,
     centralizer_elliptic,
@@ -245,6 +246,33 @@ def test_subsystem_classification():
                    for f in faces_of_alcove(b2).faces
                    if len(f.vertices) == 1)
     assert types == ["A1+A1", "B2", "B2"]
+
+
+IRREDUCIBLE_TYPES = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)]
+    + [("E", r) for r in range(6, 9)] + [("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("family,rank", IRREDUCIBLE_TYPES,
+                         ids=[f"{f}{r}" for f, r in IRREDUCIBLE_TYPES])
+def test_full_root_system_is_classified_by_its_diagram(family, rank):
+    # the classifier reads bonds and branch nodes, so it needs no table of
+    # types: every rank up to 8, with C2 = B2 and D3 = A3
+    rs = rs_of(family, rank)
+    phi = tuple(AffineRoot(i, 0) for i in range(len(rs.all_roots)))
+    want = {"C2": "B2", "D3": "A3"}.get(f"{family}{rank}",
+                                         f"{family}{rank}")
+    assert subsystem_type(rs, phi) == want
+    # |W| is the product of the degrees (Humphreys, Reflection Groups and
+    # Coxeter Groups, §3.9)
+    degrees = {"A": range(2, rank + 2), "B": range(2, 2 * rank + 1, 2),
+               "C": range(2, 2 * rank + 1, 2),
+               "D": [*range(2, 2 * rank - 1, 2), rank],
+               "E": {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+                     8: (2, 8, 12, 14, 18, 20, 24, 30)}.get(rank),
+               "F": (2, 6, 8, 12), "G": (2, 6)}[family]
+    assert centralizer._weyl_order(want) == prod(degrees)
 
 
 def test_matrix_shape_rejects_non_type_a():

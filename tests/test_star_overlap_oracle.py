@@ -3,17 +3,24 @@
 The oracles below are the earlier Fraction implementations of the facet
 enumerator at a vertex and of `chart_overlap`: the enumerator applies
 each affine element of the vertex's reflection group to every face
-witness, and the overlap applies every candidate (w0, lam) of its window
-to every star witness of J1 as a Fraction map, then closes the double
-cosets with `compose` and `invert`.  The one change from that code is
-that w0(p) is computed once per w0 and lam added to it, rather than
-w = (w0, lam) applied to p for every lam; the values are the same.
+witness, and the overlap searches for the set {w : w(St_J1) meets
+St_J2} directly.  For each w0 in W it tries every lam in a window, the
+box in coweight coordinates allowed by the images of the alcove
+vertices under the two vertex groups, applies (w0, lam) to every star
+witness of J1 as a Fraction map, and then partitions what it finds into
+double cosets with `compose` and `invert`.  The one change from that
+code is that w0(p) is computed once per w0 and lam added to it, rather
+than w = (w0, lam) applied to p for every lam; the values are the same.
 
-The library must give the same facets with the same witnesses in the same
-order at every vertex of sc A2, B2, G2, A3, B3 and C3, and the same
-double-coset representatives (word and translation, in order) and pair
-stabilizers (in order) on every face pair of sc A2, B2 and G2 and on
-every vertex pair of sc A3.  The cache of the enumerator, and that of
+The library forms the overlap in closed form, as the single double coset
+W_J2 W_J1 (W_aff acts simply transitively on alcoves, and the alcoves of
+St_J are W_J C), so the window search is an independent check of that
+theorem and of the choice of representative.  The library must give the
+same facets with the same witnesses in the same order at every vertex
+of sc A2, B2, G2, A3, B3 and C3, and the same double-coset
+representatives (word and translation, in order) and pair stabilizers
+(in order) on every face pair of sc A2, B2 and G2 and on every vertex
+pair of sc A3.  The cache of the enumerator, and that of
 the vertex groups it is keyed on, must hand out immutable values, and hit
 for an equal root system built a second time.
 """
@@ -189,7 +196,7 @@ def test_facets_at_vertex_match_fraction_enumeration(family, rank):
     rs = rs_of(family, rank)
     for v in alcove_vertices(rs):
         want = oracle_facets_at_vertex(rs, v)
-        got = weylaff._facets_at_vertex(rs, v).facets
+        got = weylaff._facets_at_vertex(rs, v)
         assert [k.witness for k in got] == list(want.values())
         assert [k.key for k in got] == [k.key for k in want]
         assert [k.vanishing_set for k in got] == \
@@ -197,18 +204,6 @@ def test_facets_at_vertex_match_fraction_enumeration(family, rank):
     for f in faces_of_alcove(rs).faces:
         assert star_facet_witnesses(rs, f) == \
             oracle_star_facet_witnesses(rs, f)
-
-
-def test_hull_is_the_vertex_group_image_of_the_alcove_vertices():
-    for family, rank in VERTEX_TYPES:
-        rs = rs_of(family, rank)
-        for v in alcove_vertices(rs):
-            entry = weylaff._facets_at_vertex(rs, v)
-            want = {u.apply(x) for u in stabilizer_of_point(rs, v).elements
-                    for x in alcove_vertices(rs)}
-            got = [tuple(Fraction(c, entry.hull_den) for c in h)
-                   for h in entry.hull]
-            assert len(got) == len(want) and set(got) == want
 
 
 # -- the cache -------------------------------------------------------------
@@ -229,7 +224,7 @@ def test_mutating_results_leaves_the_cache_unchanged():
         # cached facets of every vertex of the face
         candidates = dict.fromkeys(
             k for v in f.vertices
-            for k in weylaff._facets_at_vertex(rs, v).facets)
+            for k in weylaff._facets_at_vertex(rs, v))
         candidates.clear()
         candidates[facet_of(rs, (Fraction(1, 3),) * rs.dim)] = None
     for f in faces:
@@ -243,14 +238,9 @@ def test_cached_entry_is_an_immutable_tuple():
         entry = weylaff._facets_at_vertex(rs, v)
         assert entry is weylaff._facets_at_vertex(rs, v)
         assert isinstance(entry, tuple)
-        assert isinstance(entry.facets, tuple)
-        assert all(isinstance(k, FacetKey) for k in entry.facets)
-        assert isinstance(entry.hull, tuple)
-        assert all(isinstance(h, tuple) for h in entry.hull)
-        with pytest.raises(AttributeError):
-            entry.facets = ()
+        assert all(isinstance(k, FacetKey) for k in entry)
         with pytest.raises(TypeError):
-            entry.facets[0] = None
+            entry[0] = None
 
 
 def test_equal_rebuilt_root_system_hits_the_cache():

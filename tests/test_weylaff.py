@@ -300,7 +300,7 @@ def test_chart_overlap_a2_vertices():
     for f1 in vertex_faces:
         for f2 in vertex_faces:
             cosets = chart_overlap(rs, f1, f2)
-            assert len(cosets) >= 1
+            assert len(cosets) == 1
             for w, stab in cosets:
                 # the representative really produces an overlap
                 assert any(
