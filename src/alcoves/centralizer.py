@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from . import ratmat
@@ -198,9 +199,20 @@ def centralizer_elliptic(rs: RootSystem, s: ExpPoint) -> CentralizerData:
 
 
 def centralizer_face(rs: RootSystem, j: Face) -> CentralizerData:
-    """Levi data of a face: the affine roots vanishing on the face."""
+    """Levi data of a face: the affine roots vanishing on the face; built
+    once per (root system, face), at most 2^(ell+1) - 1 entries per root
+    system."""
     if rs.cartan_type.isogeny != "sc":
         raise ValueError("face centralizers require simply-connected isogeny")
+    # a plain function in front of the cache, so tracing sees each call
+    # and a refusal is raised on every call
+    return _face_centralizer(rs, j)
+
+
+@lru_cache(maxsize=None)
+def _face_centralizer(rs: RootSystem, j: Face) -> CentralizerData:
+    """The centralizer at theta = 0, a = the witness of J, checked once
+    against the affine roots vanishing at the vertices of J."""
     data = centralizer_elliptic(
         rs, ExpPoint(ratmat.zeros(rs.dim), j.witness)
     )
@@ -330,14 +342,25 @@ def matrix_shape(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> MatrixShape:
     if rs.cartan_type.family != "A":
         raise ValueError("matrix shapes are defined for type A only")
     n = rs.rank + 1
+    cells = _shape_cells(rs)
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         grid[i][i] = 0
     for ar in phi:
-        c = rs.all_roots[ar.root_index]
-        ev = [c[0]] + [c[k] - c[k - 1] for k in range(1, rs.rank)] \
-            + [-c[rs.rank - 1]]
-        i = next(k for k, v in enumerate(ev) if v == 1)
-        j = next(k for k, v in enumerate(ev) if v == -1)
+        i, j = cells[ar.root_index]
         grid[i][j] = ar.level
     return MatrixShape(n, tuple(tuple(r) for r in grid))
+
+
+@lru_cache(maxsize=None)
+def _shape_cells(rs: RootSystem) -> tuple[tuple[int, int], ...]:
+    """The cell (i, j) of each root e_i - e_j of A_{n-1}, in root-index
+    order, built once per root system.  A root with simple-root
+    coordinates c is e_i - e_j with i the entry 1 and j the entry -1 of
+    (c_1, c_2 - c_1, ..., c_ell - c_{ell-1}, -c_ell)."""
+    out = []
+    for c in rs.all_roots:
+        ev = [c[0]] + [c[k] - c[k - 1] for k in range(1, rs.rank)] \
+            + [-c[rs.rank - 1]]
+        out.append((ev.index(1), ev.index(-1)))
+    return tuple(out)

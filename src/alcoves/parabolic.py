@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .alcove import AffineRoot, Face, faces_of_alcove
 from .centralizer import matrix_shape
@@ -38,14 +39,11 @@ def has_arrow(j: Face, jp: Face) -> bool:
 def parabolics(rs: RootSystem, faces: Sequence[Face],
                arrows: Sequence[tuple[int, int]]) -> dict:
     """{(i, j): ParabolicData of faces[i] -> faces[j]} for each arrow.  Each
-    face is scanned once, at its witness (the barycenter, inside the face);
-    with J' written as num / d, an ambient root (idx, n) has the sign of the
-    integer grads[idx] . num - n d at J'."""
-    scans = {}
-    for k in {k for arrow in arrows for k in arrow}:
-        d, (num,) = over_common_denominator((faces[k].witness,), rs.dim)
-        scans[k] = (tuple(AffineRoot(idx, v) for idx, (v,) in
-                          root_scan(rs, (), (faces[k].witness,))), d, num)
+    face is scanned at its witness (the barycenter, inside the face) once
+    per (root system, face); with J' written as num / d, an ambient root
+    (idx, n) has the sign of the integer grads[idx] . num - n d at J'."""
+    scans = {k: _face_scan(rs, faces[k])
+             for k in {k for arrow in arrows for k in arrow}}
     table = {}
     for i, j in arrows:
         if not has_arrow(faces[i], faces[j]):
@@ -62,6 +60,16 @@ def parabolics(rs: RootSystem, faces: Sequence[Face],
         table[i, j] = ParabolicData(ambient, levi,
                                     tuple(ar for ar, v in vals if v > 0))
     return table
+
+
+@lru_cache(maxsize=None)
+def _face_scan(rs: RootSystem, j: Face) -> tuple:
+    """(phi_J, d, num): the roots vanishing at the witness of J as affine
+    roots in root-index order, and the witness as integer numerators num
+    over d; at most 2^(ell+1) - 1 entries per root system."""
+    d, (num,) = over_common_denominator((j.witness,), rs.dim)
+    return (tuple(AffineRoot(idx, v) for idx, (v,) in
+                  root_scan(rs, (), (j.witness,))), d, num)
 
 
 def parabolic(rs: RootSystem, j: Face, jp: Face) -> ParabolicData:

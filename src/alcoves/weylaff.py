@@ -19,6 +19,9 @@ its matrix, its word given by `rootdata.weyl_element`.  The wall
 reflections of the alcove, its barycenter and the walk's step cap are
 built once per root system, the reflection group of a point once per
 (root system, point), and the facets at a vertex once per vertex group.
+A face's stabilizer W_J and the facet witnesses of its star are built
+once per (root system, face): each of the two caches holds at most
+2^(ell+1) - 1 entries per root system, one per face of the alcove.
 """
 
 from __future__ import annotations
@@ -133,6 +136,12 @@ class FiniteSubgroup:
         return len(self.elements)
 
     def element_set(self) -> frozenset:
+        return self._element_set
+
+    @cached_property
+    def _element_set(self) -> frozenset:
+        # built once per group: the face stabilizers are cached and tested
+        # for membership on every call
         return frozenset(self.elements)
 
 
@@ -338,6 +347,14 @@ def stabilizer_of_face(rs: RootSystem, j: Face) -> FiniteSubgroup:
     generated by the reflections in the walls containing it (Steinberg)."""
     if rs.cartan_type.isogeny != "sc":
         raise ValueError("face stabilizers require simply-connected isogeny")
+    # a plain function in front of the cache, so tracing sees each call
+    # and a refusal is raised on every call
+    return _face_stabilizer(rs, j)
+
+
+@lru_cache(maxsize=None)
+def _face_stabilizer(rs: RootSystem, j: Face) -> FiniteSubgroup:
+    """W_J, the W scan at the witness of J, once per (root system, face)."""
     return stabilizer_of_point(rs, j.witness)
 
 
@@ -448,17 +465,23 @@ def _vertex_star(rs: RootSystem, group: FiniteSubgroup
 def star_facet_witnesses(rs: RootSystem, j: Face) -> list[Vec]:
     """One witness per facet of St_J, by exact finite enumeration: St_J
     lies in the star of any vertex of J, and star membership is a property
-    of the facet: J's witness lies in the facet's closure."""
-    d, u = root_values(rs, j.witness)
-    return [k.witness for k in _facets_at_vertex(rs, j.vertices[0])
-            if k.closure_contains(d, u)]
+    of the facet: J's witness lies in the facet's closure.  Built once per
+    (root system, face); each call returns a new list."""
+    return list(_star_witnesses(rs, j))
+
+
+@lru_cache(maxsize=None)
+def _star_witnesses(rs: RootSystem, j: Face) -> tuple[Vec, ...]:
+    d, u = _witness_values(rs, j)
+    return tuple(k.witness for k in _facets_at_vertex(rs, j.vertices[0])
+                 if k.closure_contains(d, u))
 
 
 def verify_star_intersection(rs: RootSystem, j: Face) -> bool:
     """St_J equals the intersection of the stars of its vertices,
     checked on every facet of the union of the vertex stars.  The witness
     of a vertex face is the vertex itself."""
-    star = root_values(rs, j.witness)
+    star = _witness_values(rs, j)
     vertex_stars = [root_values(rs, v) for v in j.vertices]
     candidates = dict.fromkeys(
         k for v in j.vertices for k in _facets_at_vertex(rs, v))

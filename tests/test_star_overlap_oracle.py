@@ -20,9 +20,10 @@ same facets with the same witnesses in the same order at every vertex
 of sc A2, B2, G2, A3, B3 and C3, and the same double-coset
 representatives (word and translation, in order) and pair stabilizers
 (in order) on every face pair of sc A2, B2 and G2 and on every vertex
-pair of sc A3.  The cache of the enumerator, and that of
-the vertex groups it is keyed on, must hand out immutable values, and hit
-for an equal root system built a second time.
+pair of sc A3.  The cache of the enumerator, that of the vertex groups
+it is keyed on, and the per-face caches (W_J, the Levi data, the star's
+facet witnesses, the root scan of `parabolics`) must hand out immutable
+values, and hit for an equal root system built a second time.
 """
 
 from fractions import Fraction
@@ -30,13 +31,14 @@ from functools import lru_cache
 
 import pytest
 
-from alcoves import ratmat, weylaff
+from alcoves import centralizer, parabolic, ratmat, weylaff
 from alcoves.alcove import (
     FacetKey,
     alcove_vertices,
     faces_of_alcove,
     facet_of,
 )
+from alcoves.centralizer import centralizer_face
 from alcoves.rootdata import CartanType, build_root_system
 from alcoves.weylaff import (
     AffineWeylElement,
@@ -241,17 +243,52 @@ def test_cached_entry_is_an_immutable_tuple():
         assert all(isinstance(k, FacetKey) for k in entry)
         with pytest.raises(TypeError):
             entry[0] = None
+    # the cached face data: frozen dataclasses over tuples
+    for f in faces_of_alcove(rs).faces:
+        stab = stabilizer_of_face(rs, f)
+        data = centralizer_face(rs, f)
+        assert stab is stabilizer_of_face(rs, f)
+        assert data is centralizer_face(rs, f)
+        with pytest.raises(AttributeError):
+            stab.elements = ()
+        with pytest.raises(AttributeError):
+            data.phi = ()
+        with pytest.raises(AttributeError):
+            data.w = stab
+        assert isinstance(stab.elements, tuple)
+        assert isinstance(data.phi, tuple)
+        assert isinstance(stab.element_set(), frozenset)
 
 
 def test_equal_rebuilt_root_system_hits_the_cache():
     rs = rs_of("G", 2)
     fresh = build_root_system.__wrapped__(rs.cartan_type)
     assert fresh is not rs and fresh == rs and hash(fresh) == hash(rs)
-    caches = (weylaff._point_reflection_subgroup, weylaff._vertex_star)
-    for v in alcove_vertices(rs):
+    caches = (weylaff._point_reflection_subgroup, weylaff._vertex_star,
+              weylaff._face_stabilizer, weylaff._star_witnesses,
+              centralizer._face_centralizer, parabolic._face_scan)
+    for f in faces_of_alcove(rs).faces:
+        if len(f.vertices) != 1:
+            continue
+        v = f.vertices[0]
         entry = weylaff._facets_at_vertex(rs, v)
+        stab = stabilizer_of_face(rs, f)
+        data = centralizer_face(rs, f)
+        wits = star_facet_witnesses(rs, f)
+        scan = parabolic.parabolics(rs, (f,), ((0, 0),))[0, 0]
         hits = [c.cache_info().hits for c in caches]
         assert weylaff._facets_at_vertex(fresh, v) is entry
+        assert stabilizer_of_face(fresh, f) is stab
+        assert centralizer_face(fresh, f) is data
+        assert star_facet_witnesses(fresh, f) == wits
+        assert parabolic.parabolics(fresh, (f,), ((0, 0),))[0, 0].ambient \
+            is scan.ambient
         assert [c.cache_info().hits for c in caches] == [h + 1 for h in hits]
         assert point_reflection_subgroup(fresh, v) is \
             point_reflection_subgroup(rs, list(v))
+    a2 = rs_of("A", 2)
+    cells = centralizer._shape_cells(a2)
+    hits = centralizer._shape_cells.cache_info().hits
+    assert centralizer._shape_cells(
+        build_root_system.__wrapped__(a2.cartan_type)) is cells
+    assert centralizer._shape_cells.cache_info().hits == hits + 1
