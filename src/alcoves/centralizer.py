@@ -6,6 +6,11 @@ belongs to the centralizer data iff alpha(theta) is an integer and
 alpha(a) = n.  The internal affine-root convention is alpha - n throughout;
 the opposite-sign double-affine convention is converted at this module's
 boundary and stored as written there.
+
+Each centralizer writes its points once as integer numerators over one
+denominator (theta through the integer `coweight_num`) and feeds those
+numerators to both tests of `weylaff`, `int_root_scan` and
+`int_weyl_scan`; no Fraction point is formed on the way.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from .rootdata import RootSystem
 from .weylaff import (
     AffineWeylElement,
     FiniteSubgroup,
-    root_scan,
+    int_root_scan,
+    int_weyl_scan,
     star_contains,
     vanishing_affine_roots,
-    weyl_scan,
 )
 
 
@@ -189,12 +194,22 @@ def _centralizer_from_phi(rs: RootSystem, phi: list[AffineRoot],
 
 
 def centralizer_elliptic(rs: RootSystem, s: ExpPoint) -> CentralizerData:
-    """Centralizer data at s = Exp(theta, a tau)."""
-    theta_amb = rs.from_coweight_coords(s.theta)
+    """Centralizer data at s = Exp(theta, a tau).
+
+    theta and a are written once over one denominator e, and theta is
+    taken to ambient coordinates by the integer `coweight_num`, so both
+    are integer numerators over d = e * coweight_den.  Those numerators
+    feed both tests: the roots integral at theta and a, and the w0 that
+    move a and theta by coweights, a tested on all of W and theta only on
+    the elements a keeps."""
+    e, (th, a) = ratmat.over_common_denominator((s.theta, s.a), rs.dim)
+    d = e * rs.coweight_den
+    theta = ratmat.int_matvec(rs.coweight_num, th)
+    a = tuple(rs.coweight_den * c for c in a)
     phi = [AffineRoot(idx, n)
-           for idx, (_, n) in root_scan(rs, (), (theta_amb, s.a))]
-    w_elements = [AffineWeylElement(w0, lam) for w0, (_, lam) in
-                  weyl_scan(rs, (), ((theta_amb, theta_amb), (s.a, s.a)))]
+           for idx, (_, n) in int_root_scan(rs, d, (), (theta, a))]
+    w_elements = [AffineWeylElement(w0, lam) for w0, (lam,) in
+                  int_weyl_scan(rs, d, (), ((a, a),), (theta,))]
     return _centralizer_from_phi(rs, phi, w_elements)
 
 
@@ -224,10 +239,18 @@ def _face_centralizer(rs: RootSystem, j: Face) -> CentralizerData:
 
 def gauge_centralizer_circle(rs: RootSystem, a: GaugePoint) -> CentralizerData:
     """Centralizer data of a constant gauge field A on the circle."""
+    d, (im, re) = ratmat.over_common_denominator((a.a_im, a.a_re), rs.dim)
+    return _circle_centralizer(rs, d, (im,), re)
+
+
+def _circle_centralizer(rs: RootSystem, d: int, fixed: tuple,
+                        re: tuple) -> CentralizerData:
+    """`gauge_centralizer_circle` with A_re = re / d and A_im one of the
+    `fixed` points, all as integer numerators over d."""
     phi = [AffineRoot(idx, n)
-           for idx, (n,) in root_scan(rs, (a.a_im,), (a.a_re,))]
+           for idx, (n,) in int_root_scan(rs, d, fixed, (re,))]
     w_elements = [AffineWeylElement(w0, lam) for w0, (lam,) in
-                  weyl_scan(rs, (a.a_im,), ((a.a_re, a.a_re),))]
+                  int_weyl_scan(rs, d, fixed, ((re, re),))]
     return _centralizer_from_phi(rs, phi, w_elements)
 
 
@@ -248,15 +271,16 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     Double-affine levels follow the plus convention: (n1, n2, alpha) is in
     phi_B iff alpha(A1) + n1 = 0 and alpha(A2) + n2 = 0.
     """
-    a1, a2 = ratmat.vec(a1), ratmat.vec(a2)
+    d, (a1, a2) = ratmat.over_common_denominator(
+        (ratmat.vec(a1), ratmat.vec(a2)), rs.dim)
     phi_b = [DoubleAffineRoot(-v1, -v2, idx)
-             for idx, (v1, v2) in root_scan(rs, (), (a1, a2))]
-    w_b = [(w0, l1, l2)
-           for w0, (l1, l2) in weyl_scan(rs, (), ((a1, a1), (a2, a2)))]
+             for idx, (v1, v2) in int_root_scan(rs, d, (), (a1, a2))]
+    w_b = [(w0, l1, l2) for w0, (l1, l2) in
+           int_weyl_scan(rs, d, (), ((a1, a1), (a2, a2)))]
 
-    zero = ratmat.zeros(rs.dim)
-    proj1 = gauge_centralizer_circle(rs, GaugePoint(a1, zero))
-    proj2 = gauge_centralizer_circle(rs, GaugePoint(a2, zero))
+    # the circle centralizers at A1 and A2 (A_im = 0, which fixes nothing)
+    proj1 = _circle_centralizer(rs, d, (), a1)
+    proj2 = _circle_centralizer(rs, d, (), a2)
 
     # Cartesian: phi_B is exactly the fiber product of the two circle
     # centralizers over the finite root set, levels included.

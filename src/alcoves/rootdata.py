@@ -414,7 +414,20 @@ def reflection_group(gens: np.ndarray, bound: int | None = None
 def weyl_group(rs: RootSystem) -> list[WeylElement]:
     """The finite Weyl group, listed by `reflection_group` from the simple
     reflections: BFS order by word length, identity first, s_i w with
-    word w.word + (i,).  Ranks above `WEYL_RANK_GUARD` are refused."""
+    word w.word + (i,).  Ranks above `WEYL_RANK_GUARD` are refused.  W
+    is listed once per root system, together with `weyl_stack`."""
+    return list(_weyl_listing(rs)[0])
+
+
+def weyl_stack(rs: RootSystem) -> np.ndarray:
+    """The matrices of `weyl_group`, in its order, as the read-only
+    (|W|, dim, dim) int64 stack that `reflection_group` returned."""
+    return _weyl_listing(rs)[1]
+
+
+@lru_cache(maxsize=None)
+def _weyl_listing(rs: RootSystem) -> tuple[tuple[WeylElement, ...],
+                                           np.ndarray]:
     if rs.rank > WEYL_RANK_GUARD:
         raise EnumerationGuard(
             f"rank {rs.rank} exceeds enumeration guard {WEYL_RANK_GUARD}"
@@ -424,11 +437,12 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     gens = np.array([ratmat.int_identity(n)] * r, dtype=np.int64)
     gens[range(r), range(r)] -= np.array(rs.simple_grads, dtype=np.int64)
     stack, steps = reflection_group(gens)
+    stack.flags.writeable = False
     words = [()]
     for p, i in steps:
         words.append(words[p] + (i,))
-    return [WeylElement(tuple(map(tuple, m)), w)
-            for m, w in zip(stack.tolist(), words)]
+    return tuple(WeylElement(tuple(map(tuple, m)), w)
+                 for m, w in zip(stack.tolist(), words)), stack
 
 
 def times_word(rs: RootSystem, m: IntMat, word: tuple[int, ...]) -> IntMat:

@@ -2,15 +2,24 @@
 
 Elements are pairs (finite Weyl part, coweight translation) acting by
 x -> w(x) + t; the finite part is a `WeylElement`, whose matrices are
-integral.  Stabilizers and centralizers come from two scans, `root_scan`
-over roots and `weyl_scan` over the finite Weyl group; star regions are
-exact finite enumerations at a vertex, and a chart overlap is the one
-double coset W_{J2} W_{J1} of two face stabilizers.
+integral.  Stabilizers and centralizers come from two tests, each with
+one implementation on integer numerators over one denominator:
+`int_root_scan` over the roots, one product of the points with a cached
+gradient array, and `int_weyl_scan` over the finite Weyl group, one
+product of the distinct points with a cached stack of the C (w - 1),
+C = coweight_inv_num, with any point whose translation is not wanted
+tested only on the elements kept.  `root_scan` and `weyl_scan` are their
+Fraction fronts; `stabilizer_of_point` and the centralizers in
+`centralizer` write their points over one denominator once and call the
+integer tests directly.  Star regions are exact finite enumerations at a
+vertex, and a chart overlap is the one double coset W_{J2} W_{J1} of two
+face stabilizers, read off their translations without forming a product.
 
 The kernels write their points once as integer numerators over one
 common denominator, Weyl elements act by integer matrices, and Fractions
 are built only for the values returned; each kernel's docstring states
-its bound (the int64 bound of `weyl_scan`, the step cap of
+its bound (the int64 bounds of `int_root_scan` and `int_weyl_scan`, past
+which they run on Python ints, and the step cap of
 `reduce_to_alcove`).  `point_reflection_subgroup` lists the reflection
 group of a point with `rootdata.reflection_group`, the enumerator of W,
 from one linear reflection per wall through the point.  `root_scan`,
@@ -29,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -52,6 +62,7 @@ from .rootdata import (
     times_word,
     weyl_element,
     weyl_group,
+    weyl_stack,
 )
 
 _CLOSURE_GUARD = 20000
@@ -234,37 +245,65 @@ def root_scan(rs: RootSystem, fixed: tuple[Vec, ...],
               points: tuple[Vec, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """The roots that vanish at every `fixed` point and take integer values
     at every one of `points`, in root-index order, each as (root index,
-    its values at `points`).  All points are written over one common
-    denominator d, so each test is an integer dot product and a remainder
-    mod d."""
+    its values at `points`): `int_root_scan` on all the points written
+    over one common denominator."""
     d, nums = ratmat.over_common_denominator(tuple(fixed) + tuple(points),
                                              rs.dim)
-    fixed_n, points_n = nums[:len(fixed)], nums[len(fixed):]
-    out = []
-    for idx, g in enumerate(rs.grads):
-        if any(ratmat.int_dot(g, x) for x in fixed_n):
-            continue
-        vals = []
-        for p in points_n:
-            v, rem = divmod(ratmat.int_dot(g, p), d)
-            if rem:
-                break
-            vals.append(v)
-        else:
-            out.append((idx, tuple(vals)))
-    return out
+    return int_root_scan(rs, d, nums[:len(fixed)], nums[len(fixed):])
+
+
+def int_root_scan(rs: RootSystem, d: int, fixed: tuple, points: tuple
+                  ) -> list[tuple[int, tuple[int, ...]]]:
+    """`root_scan` on points given as integer numerators over d.  One
+    product of the points with the gradient array of `_grad_arrays`
+    gives d times every root value, and one remainder mod d tests
+    integrality.  With X the largest |numerator| and G the largest |entry|
+    of a gradient, every product entry is at most n G X, n = dim: the
+    arrays are int64 when n G X < 2^63 and d < 2^63, else dtype object
+    (Python ints)."""
+    nf, pts = len(fixed), (*fixed, *points)
+    dtype = _scan_dtype(rs, d, pts, roots=True)
+    # (points, roots): row k holds d times every root value at point k
+    vals = _rows(pts, rs.dim, dtype) @ _grad_arrays(rs)[dtype is object]
+    ok = ~(vals % d).any(axis=0)  # a value 0 at a fixed point is 0 mod d
+    if nf:
+        ok &= ~vals[:nf].any(axis=0)
+    idx = ok.nonzero()[0]
+    return list(zip(idx.tolist(),
+                    map(tuple, (vals[nf:, idx] // d).T.tolist())))
+
+
+def _rows(nums, n: int, dtype: type) -> np.ndarray:
+    """The integer points `nums` as the rows of a (len(nums), n) array in
+    `dtype`."""
+    return np.array(nums, dtype=dtype).reshape(len(nums), n)
+
+
+@lru_cache(maxsize=None)
+def _grad_arrays(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
+    """(grads, grads_object, x_limit), built once per root system: the
+    root gradients as the columns of a read-only (dim, |Phi|) int64
+    array, in root-index order, the same in dtype object, and the largest
+    |numerator| X with n G X < 2^63, n = dim and G the largest |entry| of
+    a gradient.  No W is listed."""
+    g = np.array(rs.grads, dtype=np.int64).T
+    out = (g, g.astype(object))
+    for a in out:
+        a.flags.writeable = False
+    return (*out, (2 ** 63 - 1) // (rs.dim * int(abs(g).max())))
 
 
 @lru_cache(maxsize=None)
 def _weyl_stack(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
-    """(stack, cinv, x_limit), built once per root system: the matrices of
-    `weyl_elements` as one read-only (|W|, dim, dim) int64 array, in that
-    order; `coweight_inv_num` as a read-only int64 array; and the largest
-    |numerator| X with n K (n A + 1) X < 2^63, where n = dim, A is the
-    largest |entry| of the stack and K that of `coweight_inv_num`."""
-    stack = np.array([w.matrix for w in weyl_elements(rs)], dtype=np.int64)
+    """(stack, cinv, x_limit), built once per root system: the read-only
+    (|W|, dim, dim) int64 stack of `rootdata.weyl_stack`, in
+    `weyl_elements` order; `coweight_inv_num` as a read-only int64 array;
+    and the largest |numerator| X with n K (n A + 1) X < 2^63, where
+    n = dim, A is the largest |entry| of the stack and K that of
+    `coweight_inv_num`."""
+    stack = weyl_stack(rs)
     cinv = np.array(rs.coweight_inv_num, dtype=np.int64)
-    stack.flags.writeable = cinv.flags.writeable = False
+    cinv.flags.writeable = False
     n = rs.dim
     bound = n * int(abs(cinv).max()) * (n * int(abs(stack).max()) + 1)
     return stack, cinv, (2 ** 63 - 1) // bound
@@ -272,23 +311,31 @@ def _weyl_stack(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
 
 @lru_cache(maxsize=None)
 def _scan_arrays(rs: RootSystem, dtype: type) -> tuple[np.ndarray, ...]:
-    """`_weyl_stack`'s stack and cinv, and the coweight-image stack cinv @ w
-    ((|W| dim, dim), `weyl_elements` order), in `dtype`, read-only."""
+    """`_weyl_stack`'s stack and cinv, and the stack dw of the C (w - 1),
+    C = cinv, with W along its last axis: dw[k, j, i] is entry (k, j) of
+    C (w - 1) for the i-th element of `weyl_elements`; in `dtype`,
+    read-only."""
     stack, cinv, _ = _weyl_stack(rs)
-    out = tuple(a.astype(dtype, copy=False) for a in (
-        stack, cinv, np.matmul(cinv, stack).reshape(-1, rs.dim)))
+    dw = (np.matmul(cinv, stack) - cinv).transpose(1, 2, 0)
+    out = tuple(a.astype(dtype) for a in (stack, cinv, dw))
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _scan_dtype(rs: RootSystem, d: int, nums) -> type:
-    """np.int64 when the numerators `nums` over d are within the bound of
-    `_weyl_stack` and d * coweight_inv_den < 2^63; object otherwise."""
-    x_max = max((abs(c) for p in nums for c in p), default=0)
-    if x_max <= _weyl_stack(rs)[2] and d * rs.coweight_inv_den < 2 ** 63:
-        return np.int64
-    return object
+def _scan_dtype(rs: RootSystem, d: int, nums, roots: bool = False) -> type:
+    """np.int64 when the numerators `nums` over d are within the int64
+    bound of the product they feed, object otherwise.  The W test of
+    `int_weyl_scan` needs |numerators| within the limit of `_weyl_stack`
+    and d * coweight_inv_den < 2^63; the root test of `int_root_scan`
+    (`roots`) needs them within the limit of `_grad_arrays` and
+    d < 2^63."""
+    x_max = max(map(abs, chain.from_iterable(nums)), default=0)
+    if roots:
+        limit, m = _grad_arrays(rs)[2], d
+    else:
+        limit, m = _weyl_stack(rs)[2], d * rs.coweight_inv_den
+    return np.int64 if x_max <= limit and m < 2 ** 63 else object
 
 
 def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
@@ -296,33 +343,79 @@ def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
               ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
     """Each w0 in W that fixes every `fixed` point and makes y - w0(x) a
     coweight for every (x, y) in `pairs`, in `weyl_elements` order, each
-    as (w0, those translations in the order of `pairs`).
+    as (w0, those translations in the order of `pairs`): `int_weyl_scan`
+    on all the points written over one common denominator."""
+    nf = len(fixed)
+    d, nums = ratmat.over_common_denominator(
+        (*fixed, *(p for pair in pairs for p in pair)), rs.dim)
+    return int_weyl_scan(rs, d, nums[:nf],
+                         tuple(zip(nums[nf::2], nums[nf + 1::2])))
 
-    The points are written over one denominator d, and one 2-D product
-    with the coweight-image stack cw = C w, C = coweight_inv_num, tests all
-    of W: C is invertible, so w0 fixes x iff C w0 x - C x = 0, and y - w0 x
-    is a coweight iff d * coweight_inv_den divides C w0 x - C y; y - w0 x is
-    formed only for the elements kept.  With X the largest |numerator|,
-    |cw x| <= n^2 K A X and |C y| <= n K X, within the n K (n A + 1) X of
-    `_weyl_stack`: the arrays are int64 when that and d * coweight_inv_den
-    are below 2^63, else dtype object (Python ints).  Each distinct
-    numerator of a translation becomes a Fraction once, memoized per scan
-    over its d."""
-    n, nf, nx = rs.dim, len(fixed), len(fixed) + len(pairs)
-    # columns: each fixed point (its own target), each x, then each y
-    pts = (*fixed, *(x for x, _ in pairs), *(y for _, y in pairs))
-    d, nums = ratmat.over_common_denominator(pts, n)
-    stack, cinv, cw = _scan_arrays(rs, _scan_dtype(rs, d, nums))
-    cols = np.array(nums, dtype=cw.dtype).reshape(len(nums), n).T
-    tgt = np.concatenate((cols[:, :nf], cols[:, nx:]), axis=1)
-    res = (cw @ cols[:, :nx]).reshape(-1, n, nx) - cinv @ tgt
-    res[:, :, nf:] %= d * rs.coweight_inv_den
-    rows = np.flatnonzero((res == 0).all(axis=(1, 2)))  # bools on numpy 1.x
-    lam = cols[:, nx:] - stack[rows] @ cols[:, nf:nx]
+
+def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
+                  lattice: tuple = ()
+                  ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
+    """`weyl_scan` on points given as integer numerators over d, with the
+    further condition that x - w0(x) be a coweight for every x in
+    `lattice`, whose translations are not formed.
+
+    C = coweight_inv_num is invertible, so w0 fixes x iff
+    C (w0 - 1) x = 0, and y - w0 x is a coweight iff d * coweight_inv_den
+    divides C w0 x - C y = C (w0 - 1) x - C (y - x), whose second term is
+    0 for a pair (x, x).  Each distinct point is one row of one integer
+    array, so a pair (x, x) is one.  One product of the x rows with the
+    stack of the C (w - 1) of `_scan_arrays`, W along its last axis,
+    tests the fixed points and the pairs on all of W at once; the
+    `lattice` points are then tested only on the elements kept (on all
+    of W if there is nothing else to test), and y - w0 x is formed only
+    for the elements kept, which stay in `weyl_elements` order.  A test
+    with x = y = 0 holds for every w0 and is left out.
+
+    The int64 bound: with X the largest |numerator|, n = dim and A, K the
+    largest |entries| of the Weyl matrices and of C, |C (w0 - 1) x| and
+    |C w0 x - C y| are at most n K (n A + 1) X, and |C (y - x)| is at
+    most 2 n K X, which is no more: the arrays are int64 when
+    n K (n A + 1) X < 2^63 (the limit of `_weyl_stack`) and
+    d * coweight_inv_den < 2^63, else dtype object (Python ints).  Each
+    distinct numerator of a translation becomes a Fraction once,
+    memoized per scan over its d."""
+    n, zero = rs.dim, (0,) * rs.dim
+    # (x, y) of each test: the fixed points, exact, then the pairs
+    first = [(x, y) for x, y in (*((x, x) for x in fixed), *pairs)
+             if x != zero or y != zero]
+    exact = sum(x != zero for x in fixed)
+    later = [(x, x) for x in lattice if x != zero]
+    if not first:
+        first, later = later, []
+    cols = list(dict.fromkeys(
+        p for test in (*first, *later, *pairs) for p in test))
+    at = {c: k for k, c in enumerate(cols)}
+    dtype = _scan_dtype(rs, d, cols)
+    stack, cinv, dw = _scan_arrays(rs, dtype)
+    pts = _rows(cols, n, dtype)
+
+    def kept(dw: np.ndarray, tests: list, ne: int) -> np.ndarray:
+        """Which elements, the last axis of dw, pass `tests`, the first ne
+        of them exact: C w0 x - C y as an (n, len(tests), len(elements))
+        array."""
+        xs, ys = [at[x] for x, _ in tests], [at[y] for _, y in tests]
+        res = pts[xs] @ dw
+        if xs != ys:
+            res -= (cinv @ (pts[ys] - pts[xs]).T)[:, :, None]
+        res[:, ne:] %= d * rs.coweight_inv_den
+        return ~res.any(axis=(0, 1))
+
+    rows = kept(dw, first, exact).nonzero()[0] if first \
+        else np.arange(len(stack))
+    if later and len(rows):
+        rows = rows[kept(dw[:, :, rows], later, 0)]
+    # (element, pair, coordinate): y - w0 x
+    lam = (pts[[at[y] for _, y in pairs]]
+           - pts[[at[x] for x, _ in pairs]] @ stack[rows].transpose(0, 2, 1))
     frac = {c: Fraction(c, d) for c in set(lam.ravel().tolist())}.__getitem__
     elements = weyl_elements(rs)
     return [(elements[i], tuple(tuple(map(frac, t)) for t in ts))
-            for i, ts in zip(rows.tolist(), lam.transpose(0, 2, 1).tolist())]
+            for i, ts in zip(rows.tolist(), lam.tolist())]
 
 
 def vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]
@@ -335,10 +428,12 @@ def vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]
 
 
 def stabilizer_of_point(rs: RootSystem, x: Vec) -> FiniteSubgroup:
-    """All (w0, lam) in W x X_* fixing x, by solving lam = x - w0(x)."""
+    """All (w0, lam) in W x X_* fixing x, by solving lam = x - w0(x);
+    x is written over its denominator once and scanned as one column."""
+    d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
     return FiniteSubgroup(tuple(
         AffineWeylElement(w0, lam)
-        for w0, (lam,) in weyl_scan(rs, (), ((x, x),))
+        for w0, (lam,) in int_weyl_scan(rs, d, (), ((num, num),))
     ))
 
 
@@ -523,26 +618,34 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
     for some a in W_{J1} and b in W_{J2}, that is w = b a^-1: the set is
     the one double coset W_{J2} W_{J1}.  Its representative is its first
     element in `weyl_elements` order, ties broken by the coweight
-    coordinates of the translation in ascending lexicographic order.  The
-    coset and the pair stabilizer are formed on integer (matrix,
-    translation) pairs; Fractions are built only for the values returned."""
+    coordinates of the translation in ascending lexicographic order.
+
+    The coset holds 1 = 1 * 1, and 1 is the first element of
+    `weyl_elements`, so the representative is a translation t_lam.  The
+    product b a has finite part 1 iff b and a^-1 have the same finite
+    part, and a -> a^-1 maps W_{J1} onto itself, so the translations of
+    the coset are the t_b - t_a for a in W_{J1} and b in W_{J2} with the
+    same finite part.  A point stabilizer holds each finite part at most
+    once, so they are matched on it, with no product formed: the cost is
+    O(|W_{J1}| + |W_{J2}|).  The translations and the pair stabilizer
+    are formed on integer numerators; Fractions are built only for the
+    values returned."""
     w1 = stabilizer_of_face(rs, j1)
     w2 = stabilizer_of_face(rs, j2)
     bd = rs.coweight_den
     g1 = [_int_pair(a, bd) for a in w1.elements]
     by_pair2 = {_int_pair(b, bd): b for b in w2.elements}
-    coset: dict = {}
-    for m, lam in (_pair_product(b, a) for b in by_pair2 for a in g1):
-        coset.setdefault(m, []).append(lam)
-    w0 = next(w for w in weyl_elements(rs) if w.matrix in coset)
-    lam = min(coset[w0.matrix],
+    t2 = {m: t for m, t in by_pair2}
+    lam = min((tuple(b - a for b, a in zip(t2[m], t)) for m, t in g1
+               if m in t2),
               key=lambda t: ratmat.int_matvec(rs.coweight_inv_num, t))
-    w = (w0.matrix, lam)
-    # the pair stabilizer: (w a) w^-1 for a in W_J1, within W_J2
-    m_inv = times_word(rs, ratmat.int_identity(rs.dim), w0.word)
-    w_inv = (m_inv, tuple(-c for c in ratmat.int_matvec(m_inv, lam)))
-    pair = [by_pair2[c] for c in (_pair_product(_pair_product(w, a), w_inv)
-                                  for a in g1) if c in by_pair2]
+    # the pair stabilizer: t_lam a t_-lam = (m, lam + t - m lam) for
+    # a = (m, t) in W_J1, within W_J2
+    pair = [by_pair2[c] for c in (
+        (m, tuple(a + b - c for a, b, c in
+                  zip(lam, t, ratmat.int_matvec(m, lam)))) for m, t in g1)
+        if c in by_pair2]
     pair.sort(key=lambda el: (el.finite_part.word, el.translation))
-    rep = AffineWeylElement(w0, tuple(Fraction(c, bd) for c in lam))
+    rep = AffineWeylElement(weyl_elements(rs)[0],
+                            tuple(Fraction(c, bd) for c in lam))
     return [(rep, FiniteSubgroup(tuple(pair)))]

@@ -96,17 +96,18 @@ def _run(capsys, argv):
 
 
 def _count_face_scans(monkeypatch):
-    """Patch `weyl_scan` where the library binds it; the returned list
-    gets the pairs of each W scan made inside `stabilizer_of_face` or
-    `centralizer_face`: a scan at a face witness for face data.  Scans at
-    sampled points that happen to be face witnesses are not counted."""
+    """Patch `int_weyl_scan`, the one W test, where the library binds it;
+    the returned list gets the pairs of each W scan made inside
+    `stabilizer_of_face` or `centralizer_face`: a scan at a face witness
+    for face data.  Scans at sampled points that happen to be face
+    witnesses are not counted."""
     calls, depth = [], [0]
-    scan = weylaff.weyl_scan
+    scan = weylaff.int_weyl_scan
 
-    def counting(r, fixed, pairs):
+    def counting(r, d, fixed, pairs, lattice=()):
         if depth[0]:
             calls.append(pairs)
-        return scan(r, fixed, pairs)
+        return scan(r, d, fixed, pairs, lattice)
 
     def inside(fn):
         def wrapped(*args):
@@ -117,8 +118,8 @@ def _count_face_scans(monkeypatch):
                 depth[0] -= 1
         return wrapped
 
-    monkeypatch.setattr(weylaff, "weyl_scan", counting)
-    monkeypatch.setattr(centralizer, "weyl_scan", counting)
+    monkeypatch.setattr(weylaff, "int_weyl_scan", counting)
+    monkeypatch.setattr(centralizer, "int_weyl_scan", counting)
     monkeypatch.setattr(weylaff, "stabilizer_of_face",
                         inside(weylaff.stabilizer_of_face))
     monkeypatch.setattr(centralizer, "centralizer_face",

@@ -30,13 +30,20 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
-from alcoves import ratmat, weylaff
+from alcoves import centralizer, ratmat, rootdata, weylaff
 from alcoves.alcove import (
     alcove_vertices,
     faces_of_alcove,
     facet_closure_contains,
     facet_of,
     fundamental_alcove,
+)
+from alcoves.centralizer import (
+    GaugePoint,
+    centralizer_elliptic,
+    double_affine_centralizer,
+    exp_point,
+    gauge_centralizer_circle,
 )
 from alcoves.rootdata import (
     FAMILIES,
@@ -50,6 +57,7 @@ from alcoves.rootdata import (
 from alcoves.weylaff import (
     reduce_to_alcove,
     root_scan,
+    stabilizer_of_point,
     weyl_elements,
     weyl_scan,
 )
@@ -343,18 +351,22 @@ class DtypeSpy:
         self.force_object = False
         monkeypatch.setattr(weylaff, "_scan_dtype", self)
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         if self.force_object:
             return object
-        dtype = self.pick(*args)
+        dtype = self.pick(*args, **kwargs)
         self.seen.add(dtype)
         return dtype
 
     def both_scans(self, rs, fixed, pairs):
-        natural = weyl_scan(rs, fixed, pairs)
+        return self.both(weyl_scan, rs, fixed, pairs)
+
+    def both(self, fn, *args):
+        """fn(*args) on the dtypes the scans pick, then on dtype object."""
+        natural = fn(*args)
         self.force_object = True
         try:
-            return natural, weyl_scan(rs, fixed, pairs)
+            return natural, fn(*args)
         finally:
             self.force_object = False
 
@@ -444,6 +456,132 @@ def test_scans_match_fraction_scans(family, rank, isogeny, generic, special,
     assert spy.seen == {np.int64, object}
 
 
+# -- the point-stabilizer kernels against composed oracles ---------------------
+
+
+def oracle_from_coweight_coords(rs, c):
+    """sum c_i b_i over the coweight lattice basis, in Fractions."""
+    out = ratmat.zeros(rs.dim)
+    for ci, b in zip(c, rs.coweight_lattice_basis, strict=True):
+        out = ratmat.add(out, ratmat.scale(ci, b))
+    return out
+
+
+def half_grid(rng, dim, size=4):
+    return tuple(Fraction(rng.randint(-size, size), 2) for _ in range(dim))
+
+
+def kernel_inputs(rs, rng):
+    """(theta, a, a_im) triples: theta in coweight coordinates, a and a_im
+    in ambient coordinates.  theta = 0 at a special point; 1/2-grid theta
+    at a 1/2-grid point and at two points of `large_points` past the
+    int64 bounds, one by its numerators, one by its denominator.  a_im is
+    a scaled alcove vertex, so that the gauge scans keep a parabolic
+    subgroup."""
+    large = large_points(rs, rng)
+    pts = [special_point(rs, rng, 10), half_grid(rng, rs.dim), large[1],
+           large[-1]]
+    out = []
+    for k, a in enumerate(pts):
+        theta = ratmat.zeros(rs.dim) if k == 0 else half_grid(rng, rs.dim, 1)
+        a_im = ratmat.scale(rng.randint(1, 9),
+                            rng.choice(alcove_vertices(rs)))
+        out.append((theta, a, a_im))
+    return out
+
+
+def centralizer_rows(data):
+    """The roots and the group part of `CentralizerData`, comparable with
+    the oracles."""
+    return ([(ar.root_index, ar.level) for ar in data.phi],
+            [(e.finite_part.matrix, e.finite_part.word, e.translation)
+             for e in data.w.elements])
+
+
+@pytest.mark.parametrize("family,rank,isogeny", RANK4_TYPES,
+                         ids=[f"{f}{r}-{i}" for f, r, i in RANK4_TYPES])
+def test_point_kernels_match_composed_oracles(family, rank, isogeny,
+                                              monkeypatch):
+    """`centralizer_elliptic`, `gauge_centralizer_circle`,
+    `double_affine_centralizer` and `stabilizer_of_point` against the
+    Fraction root and W scan oracles composed as the earlier code
+    composed the scans, element order included, on both dtypes: theta
+    enters through the Fraction sum over the lattice basis, and W is
+    scanned whole, with the translation at theta formed and dropped."""
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(f"point-kernels-{family}{rank}-{isogeny}")
+    spy = DtypeSpy(monkeypatch)
+    zero = ratmat.zeros(rs.dim)
+    for theta, a, a_im in kernel_inputs(rs, rng):
+        t = oracle_from_coweight_coords(rs, theta)
+        both = oracle_weyl_scan(rs, (), ((t, t), (a, a)))
+        at_t = oracle_weyl_scan(rs, (), ((t, t),))
+        at_a = oracle_weyl_scan(rs, (), ((a, a),))
+        roots = oracle_root_scan(rs, (), (t, a))
+        circle = {
+            x: ([(i, n) for i, (n,) in oracle_root_scan(rs, (), (x,))],
+                [(m, word, lam) for m, word, (lam,) in scan])
+            for x, scan in ((t, at_t), (a, at_a))}
+        want = ([(i, n) for i, (_, n) in roots],
+                [(m, word, lam) for m, word, (_, lam) in both])
+        for got in spy.both(centralizer_elliptic, rs, exp_point(rs, theta, a)):
+            assert centralizer_rows(got) == want
+        for got in spy.both(stabilizer_of_point, rs, a):
+            assert [(e.finite_part.matrix, e.finite_part.word,
+                     (e.translation,)) for e in got.elements] == at_a
+        want = ([(i, n) for i, (n,) in oracle_root_scan(rs, (a_im,), (a,))],
+                [(m, word, lam) for m, word, (lam,) in
+                 oracle_weyl_scan(rs, (a_im,), ((a, a),))])
+        for got in spy.both(gauge_centralizer_circle, rs, GaugePoint(a, a_im)):
+            assert centralizer_rows(got) == want
+        for got in spy.both(gauge_centralizer_circle, rs, GaugePoint(a, zero)):
+            assert centralizer_rows(got) == circle[a]
+        for got in spy.both(double_affine_centralizer, rs, t, a):
+            assert [(r.n1, r.n2, r.root_index) for r in got.phi_b] == \
+                [(-v1, -v2, i) for i, (v1, v2) in roots]
+            assert [(w0.matrix, w0.word, (l1, l2)) for w0, l1, l2 in
+                    got.w_b] == both
+            assert centralizer_rows(got.proj1) == circle[t]
+            assert centralizer_rows(got.proj2) == circle[a]
+    assert spy.seen == {np.int64, object}
+
+
+def test_one_centralizer_call_converts_its_points_once(monkeypatch):
+    """theta reaches ambient coordinates on integers, not through the
+    Fraction `from_coweight_coords`, and theta and a are written over one
+    denominator once, for both scans."""
+    rs = rs_of("F", 4, "adjoint")
+    s = exp_point(rs, tuple(map(Fraction, ("1/4", "0", "1/2", "3/4"))),
+                  tuple(map(Fraction, ("5/6", "7/6", "-5/3", "1"))))
+    want = centralizer_elliptic(rs, s)
+    calls = {"from_coweight_coords": 0, "over_common_denominator": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(rootdata.RootSystem, "from_coweight_coords")
+    counted(ratmat, "over_common_denominator")
+    assert centralizer_elliptic(rs, s) == want
+    assert calls == {"from_coweight_coords": 0, "over_common_denominator": 1}
+
+
+def test_w_scans_reuse_the_bfs_stack():
+    """The W scans test W on the stack the Weyl-group BFS returned, not on
+    a stack rebuilt from the listed tuples."""
+    for family, rank in (("B", 3), ("F", 4)):
+        rs = rs_of(family, rank, "sc")
+        stack = rootdata.weyl_stack(rs)
+        assert weylaff._weyl_stack(rs)[0] is stack
+        assert not stack.flags.writeable
+        assert [tuple(map(tuple, m)) for m in stack.tolist()] == \
+            [w.matrix for w in weyl_group(rs)]
+
+
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
                          ids=IDS)
 def test_scan_dtype_follows_the_int64_bound(family, rank, isogeny, generic,
@@ -471,6 +609,25 @@ def test_scan_dtype_follows_the_int64_bound(family, rank, isogeny, generic,
     assert pick(rs, top, ((1,) + rest,)) is np.int64
     assert pick(rs, top + 1, ((1,) + rest,)) is object
     assert pick(rs, 1, ()) is np.int64
+    # the root test: n G X < 2^63, G the largest |entry| of a gradient,
+    # and d < 2^63; the gradients are cached, read-only, in root order
+    grads, grads_object, _ = weylaff._grad_arrays(rs)
+    assert weylaff._grad_arrays(rs)[0] is grads
+    assert grads.dtype == np.int64 and grads_object.dtype == object
+    assert not grads.flags.writeable and not grads_object.flags.writeable
+    assert [tuple(c) for c in grads.T.tolist()] == \
+        [grad(rs, i) for i in range(len(rs.all_roots))]
+    assert grads_object.tolist() == grads.tolist()
+    g_max = max(abs(c) for i in range(len(rs.all_roots)) for c in grad(rs, i))
+    g_limit = (2 ** 63 - 1) // (rs.dim * g_max)
+    for sign in (1, -1):
+        assert pick(rs, 1, ((sign * g_limit,) + rest,), roots=True) \
+            is np.int64
+        assert pick(rs, 1, (rest + (sign * (g_limit + 1),),), roots=True) \
+            is object
+    assert pick(rs, 2 ** 63 - 1, ((1,) + rest,), roots=True) is np.int64
+    assert pick(rs, 2 ** 63, ((1,) + rest,), roots=True) is object
+    assert pick(rs, 1, (), roots=True) is np.int64
 
 
 def test_one_f4_scan_calls_no_python_matvec(monkeypatch):
@@ -689,29 +846,33 @@ def test_from_coweight_coords_is_the_fraction_sum(family, rank, isogeny):
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
                          ids=IDS)
 def test_coweight_image_stack(family, rank, isogeny, generic, special):
-    """The stack `weyl_scan` tests W on: cached, read-only, int64, and
-    row block k is coweight_inv_num times the k-th element of
-    `weyl_elements`, checked against the Fraction inverse and oracle.
-    The dtype-object copies hold the same values and are read-only too."""
+    """The stack `int_weyl_scan` tests W on: cached, read-only, int64,
+    and its entry [k, j, i] is entry (k, j) of coweight_inv_num times
+    (w - 1), w the i-th element of `weyl_elements`, checked against the
+    Fraction inverse and oracle.  The dtype-object copies hold the same
+    values and are read-only too."""
     rs = rs_of(family, rank, isogeny)
     arrays = weylaff._scan_arrays(rs, np.int64)
-    cw = arrays[2]
-    assert weylaff._scan_arrays(rs, np.int64)[2] is cw
+    dw = arrays[2]
+    assert weylaff._scan_arrays(rs, np.int64)[2] is dw
     assert all(np.array_equal(a, b)
                for a, b in zip(arrays, weylaff._weyl_stack(rs)[:2]))
-    assert cw.dtype == np.int64 and not cw.flags.writeable
+    assert dw.dtype == np.int64 and not dw.flags.writeable
     objects = weylaff._scan_arrays(rs, object)
     for a, b in zip(arrays, objects):
         assert b.dtype == object and not b.flags.writeable
         assert b.tolist() == a.tolist()
     den = coweight_den(rs)
-    want = [tuple(int(c * den) for c in row)
-            for m, _ in oracle_weyl_group(rs)
-            for row in ratmat.matmul(coweight_inverse(rs), m)]
+    one = frac_identity(rs.dim)
+    want = [tuple(tuple(int(c * den) for c in row) for row in ratmat.matmul(
+                coweight_inverse(rs),
+                tuple(ratmat.sub(r, e) for r, e in zip(m, one))))
+            for m, _ in oracle_weyl_group(rs)]
     assert [w.matrix for w in weyl_elements(rs)] == \
         [m for m, _ in oracle_weyl_group(rs)]
-    assert cw.shape == (len(want), rs.dim)
-    assert [tuple(r) for r in cw.tolist()] == want
+    assert dw.shape == (rs.dim, rs.dim, len(want))
+    assert [tuple(map(tuple, m)) for m in dw.transpose(2, 0, 1).tolist()] \
+        == want
 
 
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
