@@ -2,18 +2,14 @@
 
 Elements are pairs (finite Weyl part, coweight translation) acting by
 x -> w(x) + t; the finite part is a `WeylElement`, whose matrices are
-integral.  Stabilizers and centralizers come from two tests, each with
-one implementation on integer numerators over one denominator:
-`int_root_scan` over the roots, one product of the points with a cached
-gradient array, and `int_weyl_scan` over the finite Weyl group, one
-product of the distinct points with a cached stack of the C (w - 1),
-C = coweight_inv_num, with any point whose translation is not wanted
-tested only on the elements kept.  `root_scan` and `weyl_scan` are their
-Fraction fronts; `stabilizer_of_point` and the centralizers in
-`centralizer` write their points over one denominator once and call the
-integer tests directly.  Star regions are exact finite enumerations at a
-vertex, and a chart overlap is the one double coset W_{J2} W_{J1} of two
-face stabilizers, read off their translations without forming a product.
+integral.  Stabilizers and centralizers come from two tests on integer
+numerators over one denominator, `int_root_scan` over the roots and
+`int_weyl_scan` over the finite Weyl group; `root_scan` and `weyl_scan`
+are their Fraction fronts, and `stabilizer_of_point` and the
+centralizers of `centralizer` call the integer tests on points converted
+once.  Star regions are exact finite enumerations at a vertex, and a
+chart overlap is the one double coset W_{J2} W_{J1} of two face
+stabilizers, read off their translations without forming a product.
 
 The kernels write their points once as integer numerators over one
 common denominator, Weyl elements act by integer matrices, and Fractions
@@ -264,7 +260,8 @@ def int_root_scan(rs: RootSystem, d: int, fixed: tuple, points: tuple
     nf, pts = len(fixed), (*fixed, *points)
     dtype = _scan_dtype(rs, d, pts, roots=True)
     # (points, roots): row k holds d times every root value at point k
-    vals = _rows(pts, rs.dim, dtype) @ _grad_arrays(rs)[dtype is object]
+    grads = _grad_arrays(rs)[1 if dtype is object else 0]
+    vals = _rows(pts, rs.dim, dtype) @ grads
     ok = ~(vals % d).any(axis=0)  # a value 0 at a fixed point is 0 mod d
     if nf:
         ok &= ~vals[:nf].any(axis=0)
@@ -316,8 +313,10 @@ def _scan_arrays(rs: RootSystem, dtype: type) -> tuple[np.ndarray, ...]:
     C (w - 1) for the i-th element of `weyl_elements`; in `dtype`,
     read-only."""
     stack, cinv, _ = _weyl_stack(rs)
-    dw = (np.matmul(cinv, stack) - cinv).transpose(1, 2, 0)
-    out = tuple(a.astype(dtype) for a in (stack, cinv, dw))
+    dw = np.matmul(cinv, stack)
+    dw -= cinv
+    out = (stack.astype(dtype, copy=False), cinv.astype(dtype, copy=False),
+           np.ascontiguousarray(dw.transpose(1, 2, 0), dtype=dtype))
     for a in out:
         a.flags.writeable = False
     return out
@@ -641,11 +640,13 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
               key=lambda t: ratmat.int_matvec(rs.coweight_inv_num, t))
     # the pair stabilizer: t_lam a t_-lam = (m, lam + t - m lam) for
     # a = (m, t) in W_J1, within W_J2
-    pair = [by_pair2[c] for c in (
-        (m, tuple(a + b - c for a, b, c in
-                  zip(lam, t, ratmat.int_matvec(m, lam)))) for m, t in g1)
-        if c in by_pair2]
+    pair = []
+    for m, t in g1:
+        c = (m, tuple(x + y - z for x, y, z in
+                      zip(lam, t, ratmat.int_matvec(m, lam))))
+        if c in by_pair2:
+            pair.append(by_pair2[c])
     pair.sort(key=lambda el: (el.finite_part.word, el.translation))
-    rep = AffineWeylElement(weyl_elements(rs)[0],
+    rep = AffineWeylElement(identity_element(rs).finite_part,
                             tuple(Fraction(c, bd) for c in lam))
     return [(rep, FiniteSubgroup(tuple(pair)))]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -313,6 +314,30 @@ def test_chart_overlap_a2_vertices():
                     # pair stabilizer fixes the moved face and sits in W_J2
                     assert b.apply(moved) == moved
                     assert b in w2
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_rank4_vertex_self_overlap_forms_no_product(family, monkeypatch):
+    """A vertex with itself: the coset is W_J W_J = W_J, so the
+    representative is the identity and the pair stabilizer is W_J, in
+    (word, translation) order.  The translations are read off the
+    elements that share a finite part: no pair product b a is formed, so
+    the 384 x 384 pairs of a rank-4 vertex take well under a second."""
+    rs = rs_of(family, 4)
+    v = faces_of_alcove(rs).face_by_walls({0, 1, 2, 3})
+    wj = stabilizer_of_face(rs, v)
+    assert wj.order == 384
+    products = []
+    pair_product = weylaff._pair_product
+    monkeypatch.setattr(weylaff, "_pair_product",
+                        lambda x, y: products.append(1) or pair_product(x, y))
+    start = time.perf_counter()
+    (rep, stab), = chart_overlap(rs, v, v)
+    assert time.perf_counter() - start < 1.0
+    assert products == []
+    assert rep.is_identity() and rep.finite_part.word == ()
+    assert stab.elements == tuple(sorted(
+        wj.elements, key=lambda e: (e.finite_part.word, e.translation)))
 
 
 @settings(max_examples=25, deadline=None)
