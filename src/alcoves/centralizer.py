@@ -7,10 +7,9 @@ alpha(a) = n.  The internal affine-root convention is alpha - n throughout;
 the opposite-sign double-affine convention is converted at this module's
 boundary and stored as written there.
 
-Each centralizer writes its points once as integer numerators over one
-denominator (theta through the integer `coweight_num`) and feeds those
-numerators to both tests of `weylaff`, `int_root_scan` and
-`int_weyl_scan`; no Fraction point is formed on the way.
+Each centralizer writes its points over one denominator once and feeds
+the numerators to both tests of `weylaff`, `int_root_scan` and
+`int_weyl_scan`.
 """
 
 from __future__ import annotations
@@ -194,14 +193,10 @@ def _centralizer_from_phi(rs: RootSystem, phi: list[AffineRoot],
 
 
 def centralizer_elliptic(rs: RootSystem, s: ExpPoint) -> CentralizerData:
-    """Centralizer data at s = Exp(theta, a tau).
-
-    theta and a are written once over one denominator e, and theta is
-    taken to ambient coordinates by the integer `coweight_num`, so both
-    are integer numerators over d = e * coweight_den.  Those numerators
-    feed both tests: the roots integral at theta and a, and the w0 that
-    move a and theta by coweights, a tested on all of W and theta only on
-    the elements a keeps."""
+    """Centralizer data at s = Exp(theta, a tau).  theta and a are written
+    over one denominator e once, theta taken to ambient coordinates by the
+    integer `coweight_num`, so both are numerators over e * coweight_den;
+    W is tested at a on all of W and at theta on the elements a keeps."""
     e, (th, a) = ratmat.over_common_denominator((s.theta, s.a), rs.dim)
     d = e * rs.coweight_den
     theta = ratmat.int_matvec(rs.coweight_num, th)

@@ -354,30 +354,26 @@ def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
 def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
                   lattice: tuple = ()
                   ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
-    """`weyl_scan` on points given as integer numerators over d, with the
-    further condition that x - w0(x) be a coweight for every x in
-    `lattice`, whose translations are not formed.
+    """`weyl_scan` on points given as integer numerators over d, and also
+    x - w0(x) a coweight for every x in `lattice`, with no translation.
 
     C = coweight_inv_num is invertible, so w0 fixes x iff
     C (w0 - 1) x = 0, and y - w0 x is a coweight iff d * coweight_inv_den
-    divides C w0 x - C y = C (w0 - 1) x - C (y - x), whose second term is
-    0 for a pair (x, x).  Each distinct point is one row of one integer
-    array, so a pair (x, x) is one.  One product of the x rows with the
-    stack of the C (w - 1) of `_scan_arrays`, W along its last axis,
-    tests the fixed points and the pairs on all of W at once; the
-    `lattice` points are then tested only on the elements kept (on all
-    of W if there is nothing else to test), and y - w0 x is formed only
-    for the elements kept, which stay in `weyl_elements` order.  A test
-    with x = y = 0 holds for every w0 and is left out.
+    divides C w0 x - C y = C (w0 - 1) x - C (y - x).  Each distinct point
+    is one row, so a pair (x, x) is one, with C (y - x) = 0.  One product
+    with the stack of the C (w - 1) of `_scan_arrays` tests the fixed
+    points and the pairs on all of W; the `lattice` points are tested only
+    on the elements kept (on all of W if nothing else is tested), and
+    y - w0 x is formed only for the elements kept, in `weyl_elements`
+    order.  A test with x = y = 0 holds for every w0 and is left out.
 
     The int64 bound: with X the largest |numerator|, n = dim and A, K the
     largest |entries| of the Weyl matrices and of C, |C (w0 - 1) x| and
-    |C w0 x - C y| are at most n K (n A + 1) X, and |C (y - x)| is at
-    most 2 n K X, which is no more: the arrays are int64 when
-    n K (n A + 1) X < 2^63 (the limit of `_weyl_stack`) and
-    d * coweight_inv_den < 2^63, else dtype object (Python ints).  Each
-    distinct numerator of a translation becomes a Fraction once,
-    memoized per scan over its d."""
+    |C w0 x - C y| are at most n K (n A + 1) X, and |C (y - x)| at most
+    2 n K X, no more: the arrays are int64 when n K (n A + 1) X < 2^63
+    (the limit of `_weyl_stack`) and d * coweight_inv_den < 2^63, else
+    dtype object (Python ints).  Each distinct numerator of a translation
+    becomes a Fraction once, memoized per scan over its d."""
     n, zero = rs.dim, (0,) * rs.dim
     # (x, y) of each test: the fixed points, exact, then the pairs
     first = [(x, y) for x, y in (*((x, x) for x in fixed), *pairs)

@@ -30,7 +30,7 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
-from alcoves import centralizer, ratmat, rootdata, weylaff
+from alcoves import ratmat, rootdata, weylaff
 from alcoves.alcove import (
     alcove_vertices,
     faces_of_alcove,
