@@ -32,10 +32,30 @@ stack Z + wI of a group of shells, and one matmul for each power of the
 inverses.  A group grows while its stack holds at most _GROUP_ENTRIES =
 2^12 complex entries (64 KiB), so at n = 1 the shells 1..31 make one
 group, and at n = 8 each shell past 3 is a group of its own; no stack is
-larger than 64 KiB unless one shell alone is.  A group's stacks are freed
-before the next group's are built.  Each shell's slice of the powers is
-summed on its own and added in shell order, so p and p' keep every bit
-of inverting one shell at a time.
+larger than 64 KiB unless one shell alone is.
+
+The groups are independent.  From n = _THREADED_N = 5 a pass runs them
+on min(usable CPUs, groups) threads: the caller and helper threads it
+starts for the pass, each taking the next group no thread has taken, so
+which thread inverts which group depends on timing.  The usable CPUs
+are those of os.sched_getaffinity where it exists, else os.cpu_count.
+Below n = 5, with one usable CPU, or with one group (every n = 1 pass up
+to shell 31, `wp_scalar` among them), the caller inverts every group.
+The thread that inverts a group sums each shell's slice of the powers on
+its own; the caller adds those sums in shell order, so p and p' keep
+every bit of inverting one shell at a time, on any number of threads.
+Each thread frees a group's stacks before it builds its next group's.
+
+The threads pay only where np.linalg.inv dominates: stacked small
+matmuls slow each other down when two threads make them.  Per
+cubic_report call (p25 of 60, two threads against the caller alone,
+2-vCPU Xeon VM, one BLAS thread) n = 2 went from 7.6 to 11.3 ms, n = 3
+from 11.1 to 12.4, n = 4 from 11.3 to 11.6, n = 5 from 15.8 to 13.2 and
+n = 8 from 26.2 to 18.4.  Helpers run in a copy of the caller's context
+(np.errstate holds), live for one pass and are joined before it
+returns, also when a group raises, so a process forked after a pass
+inherits none.  An exception in a group stops the groups not yet taken,
+and the caller raises the one of the first failing group.
 
 What a shell contributes apart from Z is built once per lattice and kept
 in a table (`_ShellTable`) that grows to the largest shell asked for so
@@ -51,10 +71,12 @@ last 8 lattices used are kept.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
+import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -69,6 +91,8 @@ _POINTS_CAP = 128  # shells whose points a lattice's table keeps
 # complex entries of the stack Z + wI that one np.linalg.inv call of the
 # shell pass takes, 64 KiB: at n = 1 the shells up to 31 in one call
 _GROUP_ENTRIES = 2 ** 12
+# the smallest n whose shell pass inverts its groups on helper threads too
+_THREADED_N = 5
 
 
 class DegenerateLattice(ValueError):
@@ -311,6 +335,83 @@ def _shell_groups(radius: int, n: int):
         first = last + 1
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_group(fn, groups: list, threads: int) -> list:
+    """[fn(g) for g in groups], run on the calling thread and on
+    threads - 1 helper threads, each thread taking the next group no
+    thread has taken.  A helper runs in a copy of the caller's context,
+    so numpy's error state (np.errstate) is the caller's on every thread.
+    An exception of fn stops the groups not yet taken; once every helper
+    has ended, the caller raises the one of the first failing group,
+    unchanged."""
+    if threads < 2:
+        return [fn(g) for g in groups]
+    out = [None] * len(groups)
+    errors = {}
+    todo = iter(range(len(groups)))
+    lock = threading.Lock()
+
+    def drain():
+        with lock:
+            for _ in todo:
+                pass
+
+    def work():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                out[i] = fn(groups[i])
+            except BaseException as exc:  # raised by the caller below
+                errors[i] = exc
+                drain()
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work,))
+               for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        drain()
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def _group_sums(z: np.ndarray, lat: Lattice, shells: list, r_p: int,
+                r_dp: int, group: range) -> list:
+    """Inverts the stack Z + wI of one group of shells; returns, for each
+    shell of the group, the sums of (Z + wI)^-2 and of (Z + wI)^-3 over
+    its points, or None where the shell is past r_p or r_dp."""
+    eye = np.eye(z.shape[0], dtype=complex)
+    w = np.concatenate([
+        _shell_points(lat, s) if shells[s - 1][0] is None
+        else shells[s - 1][0] for s in group])
+    inv = np.linalg.inv(z[None, :, :] + w[:, None, None] * eye)
+    inv2 = inv @ inv
+    inv3 = inv2 @ inv if group[0] <= r_dp else None
+    out = []
+    end = 0
+    for s in group:
+        start, end = end, end + 8 * s
+        out.append((
+            np.add.reduce(inv2[start:end], axis=0) if s <= r_p else None,
+            np.add.reduce(inv3[start:end], axis=0) if s <= r_dp else None))
+    return out
+
+
 def _shell_sums(z: np.ndarray, lat: Lattice, r_p: int, r_dp: int):
     """One pass over the shells 1..max(r_p, r_dp), each Z + wI inverted once.
 
@@ -320,33 +421,28 @@ def _shell_sums(z: np.ndarray, lat: Lattice, r_p: int, r_dp: int):
     0 skips that series, and its pair is (None, None).  The points, the
     w^-2 sums and the raw G_k sums come from the lattice's table.
 
-    The shells are inverted a group at a time (`_shell_groups`); each
-    shell's slice of the powers is summed on its own and added in shell
+    The shells are inverted a group at a time (`_shell_groups`), on
+    helper threads too from n = _THREADED_N (`_each_group`); each shell's
+    slice of the powers is summed on its own and added here in shell
     order, so the order of every addition is that of the separate p, p'
     and G_k loops, and every bit is that of inverting one shell at a time."""
+    n = z.shape[0]
     table = _shell_table(lat)
-    eye = np.eye(z.shape[0], dtype=complex)
+    eye = np.eye(n, dtype=complex)
     inv0 = np.linalg.inv(z)
     p = inv0 @ inv0 if r_p else None
     dp = -2 * inv0 @ inv0 @ inv0 if r_dp else None
     shells = table.grow(max(r_p, r_dp))
-    for group in _shell_groups(len(shells), z.shape[0]):
-        w = np.concatenate([
-            _shell_points(lat, s) if shells[s - 1][0] is None
-            else shells[s - 1][0] for s in group])
-        inv = np.linalg.inv(z[None, :, :] + w[:, None, None] * eye)
-        inv2 = inv @ inv
-        inv3 = inv2 @ inv if group[0] <= r_dp else None
-        end = 0
-        for s in group:
-            start, end = end, end + 8 * s
-            if s <= r_p:
-                w2_sum = shells[s - 1][1]
-                p = p + np.add.reduce(inv2[start:end], axis=0) - w2_sum * eye
-            if s <= r_dp:
-                dp = dp - 2 * np.add.reduce(inv3[start:end], axis=0)
-        # free this group's stacks before the next group's are built
-        del w, inv, inv2, inv3
+    groups = list(_shell_groups(len(shells), n))
+    fn = partial(_group_sums, z, lat, shells, r_p, r_dp)
+    threads = min(_usable_cpus(), len(groups)) if n >= _THREADED_N else 1
+    sums = _each_group(fn, groups, threads)
+    for group, group_sums in zip(groups, sums):
+        for s, (s2, s3) in zip(group, group_sums):
+            if s2 is not None:
+                p = p + s2 - shells[s - 1][1] * eye
+            if s3 is not None:
+                dp = dp - 2 * s3
 
     def tail(r):
         if not r:

@@ -190,14 +190,34 @@ def oracle_root_scan(rs, fixed, points):
     return out
 
 
-def oracle_weyl_scan(rs, fixed, pairs):
+class PointImages:
+    """Each point's Fraction images m x under the elements m of
+    `oracle_weyl_group(rs)`, in that order, computed once per point: a
+    case makes one and hands it to each of its oracle scans."""
+
+    def __init__(self, rs):
+        self.group = oracle_weyl_group(rs)
+        self._images = {}
+
+    def __call__(self, x):
+        x = tuple(x)
+        if x not in self._images:
+            self._images[x] = [ratmat.matvec(m, x) for m, _ in self.group]
+        return self._images[x]
+
+
+def oracle_weyl_scan(rs, fixed, pairs, images=None):
+    if images is None:
+        images = PointImages(rs)
+    fixed = [(tuple(x), images(x)) for x in fixed]
+    pairs = [(images(x), y) for x, y in pairs]
     out = []
-    for m, word in oracle_weyl_group(rs):
-        if any(ratmat.matvec(m, x) != tuple(x) for x in fixed):
+    for k, (m, word) in enumerate(images.group):
+        if any(image[k] != x for x, image in fixed):
             continue
         lams = []
-        for x, y in pairs:
-            lam = ratmat.sub(y, ratmat.matvec(m, x))
+        for image, y in pairs:
+            lam = ratmat.sub(y, image[k])
             if not in_lattice(rs, lam):
                 break
             lams.append(lam)
@@ -428,6 +448,7 @@ def test_scans_match_fraction_scans(family, rank, isogeny, generic, special,
     rng = random.Random(seed_of(family, rank, isogeny))
     pts = points(rs, rng.random(), generic, special) + large_points(rs, rng)
     group = oracle_weyl_group(rs)
+    images = PointImages(rs)
     spy = DtypeSpy(monkeypatch)
     nontrivial = 0
     for k, x in enumerate(pts):
@@ -441,7 +462,7 @@ def test_scans_match_fraction_scans(family, rank, isogeny, generic, special,
         fixed = [(), (x,), (ratmat.sub(x, y),), (v,)][k % 4]
         for pair_set in (((x, x),), ((x, y),), ((x, x), (z, z)),
                          ((x, y), (v, v))):
-            want = oracle_weyl_scan(rs, fixed, pair_set)
+            want = oracle_weyl_scan(rs, fixed, pair_set, images)
             for got in spy.both_scans(rs, fixed, pair_set):
                 assert [(w0.matrix, w0.word, lams)
                         for w0, lams in got] == want
@@ -511,12 +532,13 @@ def test_point_kernels_match_composed_oracles(family, rank, isogeny,
     rs = rs_of(family, rank, isogeny)
     rng = random.Random(f"point-kernels-{family}{rank}-{isogeny}")
     spy = DtypeSpy(monkeypatch)
+    images = PointImages(rs)
     zero = ratmat.zeros(rs.dim)
     for theta, a, a_im in kernel_inputs(rs, rng):
         t = oracle_from_coweight_coords(rs, theta)
-        both = oracle_weyl_scan(rs, (), ((t, t), (a, a)))
-        at_t = oracle_weyl_scan(rs, (), ((t, t),))
-        at_a = oracle_weyl_scan(rs, (), ((a, a),))
+        both = oracle_weyl_scan(rs, (), ((t, t), (a, a)), images)
+        at_t = oracle_weyl_scan(rs, (), ((t, t),), images)
+        at_a = oracle_weyl_scan(rs, (), ((a, a),), images)
         roots = oracle_root_scan(rs, (), (t, a))
         circle = {
             x: ([(i, n) for i, (n,) in oracle_root_scan(rs, (), (x,))],
@@ -531,7 +553,7 @@ def test_point_kernels_match_composed_oracles(family, rank, isogeny,
                      (e.translation,)) for e in got.elements] == at_a
         want = ([(i, n) for i, (n,) in oracle_root_scan(rs, (a_im,), (a,))],
                 [(m, word, lam) for m, word, (lam,) in
-                 oracle_weyl_scan(rs, (a_im,), ((a, a),))])
+                 oracle_weyl_scan(rs, (a_im,), ((a, a),), images)])
         for got in spy.both(gauge_centralizer_circle, rs, GaugePoint(a, a_im)):
             assert centralizer_rows(got) == want
         for got in spy.both(gauge_centralizer_circle, rs, GaugePoint(a, zero)):

@@ -2,8 +2,16 @@
 to the module's wp_matrix and wp_prime_matrix through a one-entry slot;
 standalone calls sum only their own series.  The shells' Z-independent
 data come from a per-lattice table, built once and grown on demand.  The
-pass inverts the shells in groups; the pass that inverts one shell at a
-time is kept here as its oracle, and the two agree bit for bit."""
+pass inverts the shells in groups, at n >= 5 on helper threads too; the
+pass that inverts one shell at a time is kept here as its oracle, and the
+two agree bit for bit."""
+
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,16 +44,20 @@ def cold_tables():
 
 @pytest.fixture
 def inverted(monkeypatch):
-    """The number of matrices handed to each np.linalg.inv call."""
-    sizes = []
+    """Each np.linalg.inv call as (the number of matrices handed to it,
+    the top-left entry of the first).  Groups of shells may be inverted
+    on several threads, so the calls are listed in the order the threads
+    made them."""
+    calls = []
     inner = np.linalg.inv
 
     def counting(a):
-        sizes.append(int(np.prod(np.shape(a)[:-2])))
+        calls.append((int(np.prod(np.shape(a)[:-2])),
+                      complex(np.asarray(a).flat[0])))
         return inner(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting)
-    return sizes
+    return calls
 
 
 @pytest.fixture
@@ -93,13 +105,33 @@ def shell_groups(radius, n, budget):
     return groups
 
 
-def one_pass(radius, n, budget=None):
-    """Inversions of one pass through shell radius: Z, then the 8s matrices
-    Z + wI of each group of shells in one stack; 1 + 4R(R+1) in all."""
+def assert_one_pass(calls, z, lat, radius, budget=None):
+    """`inverted` calls of one pass through shell radius, in any order but
+    Z's: Z is inverted first; then each group of shells is inverted once,
+    in one call, as the stack of the 8s matrices Z + wI of its shells; a
+    stack holds at most budget entries unless its one shell alone is
+    over; and 1 + 4R(R+1) matrices are inverted in all.  A call is matched
+    to its group by its first matrix, whose top-left entry is z[0, 0] plus
+    the first point of the group's first shell.  Returns each group's
+    stack size, in shell order."""
     if budget is None:
         budget = weierstrass._GROUP_ENTRIES
-    return [1] + [sum(8 * s for s in g)
-                  for g in shell_groups(radius, n, budget)]
+    n = z.shape[0]
+    groups = [tuple(g) for g in shell_groups(radius, n, budget)]
+    assert calls[0] == (1, complex(z[0, 0]))
+    group_of = {complex(z[0, 0] + weierstrass._shell_points(lat, g[0])[0]): g
+                for g in groups}
+    sizes = {}
+    for size, first in calls[1:]:
+        group = group_of[first]
+        assert group not in sizes
+        sizes[group] = size
+    assert set(sizes) == set(groups)
+    for g in groups:
+        assert sizes[g] == sum(8 * s for s in g)
+        assert sizes[g] * n * n <= budget or len(g) == 1
+    assert sum(size for size, _ in calls) == 1 + 4 * radius * (radius + 1)
+    return [sizes[g] for g in groups]
 
 
 def test_group_budget_is_64_kib():
@@ -113,24 +145,18 @@ def test_group_budget_is_64_kib():
 @pytest.mark.parametrize("name", CASES)
 def test_one_shell_pass_per_cubic_report(name, inverted):
     z, lat = CASES[name]
-    n = z.shape[0]
     r_p = _stop_radius(z, lat, 100, derivative=False)
     r_dp = _stop_radius(z, lat, 100, derivative=True)
-    r = max(r_p, r_dp)
-    budget = weierstrass._GROUP_ENTRIES
     for _ in range(2):  # a cold table, then a warm one
         inverted.clear()
         cubic_report(z, lat, 100)
-        assert inverted == one_pass(r, n)
-        assert sum(inverted) == 1 + 4 * r * (r + 1)
-        for size, group in zip(inverted[1:], shell_groups(r, n, budget)):
-            assert size * n * n <= budget or len(group) == 1
+        assert_one_pass(inverted, z, lat, max(r_p, r_dp))
     inverted.clear()
     wp_matrix(z, lat, 100)
-    assert inverted == one_pass(r_p, n)
+    assert_one_pass(inverted, z, lat, r_p)
     inverted.clear()
     wp_prime_matrix(z, lat, 100)
-    assert inverted == one_pass(r_dp, n)
+    assert_one_pass(inverted, z, lat, r_dp)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -401,13 +427,12 @@ def test_groups_follow_the_budget(n, budget, inverted, monkeypatch):
     for r_p, r_dp in [(45, 44), (12, 0), (0, 12)]:
         inverted.clear()
         got = weierstrass._shell_sums(z, RECT, r_p, r_dp)
-        sizes = list(inverted)
-        assert sizes == one_pass(max(r_p, r_dp), n, budget)
+        sizes = assert_one_pass(inverted, z, RECT, max(r_p, r_dp), budget)
         assert_same_bits(got, shell_sums_per_shell(z, RECT, r_p, r_dp))
         if (n, budget) == (1, 48):
-            assert sizes[1:4] == [48, 32, 40]
+            assert sizes[:3] == [48, 32, 40]
         if (n, budget) == (8, 2 ** 12):
-            assert sizes[1:7] == [48, 32, 40, 48, 56, 64]
+            assert sizes[:6] == [48, 32, 40, 48, 56, 64]
 
 
 def test_groups_past_the_points_cap_match_the_per_shell_pass(inverted):
@@ -416,9 +441,161 @@ def test_groups_past_the_points_cap_match_the_per_shell_pass(inverted):
     rebuilds."""
     z = np.array([[50.3 + 20.2j]])
     got = weierstrass._shell_sums(z, RECT, 300, 300)
-    assert inverted == one_pass(300, 1)
+    assert_one_pass(inverted, z, RECT, 300)
     groups = shell_groups(300, 1, weierstrass._GROUP_ENTRIES)
     assert any(len(g) > 1 and g[0] > weierstrass._POINTS_CAP
                for g in groups)
     assert any(g[0] <= weierstrass._POINTS_CAP < g[-1] for g in groups)
     assert_same_bits(got, shell_sums_per_shell(z, RECT, 300, 300))
+
+
+# -- groups on helper threads ---------------------------------------------------
+
+N8_CASES = [name for name, (z, _) in CASES.items() if z.shape[0] == 8]
+SRC = Path(weierstrass.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+
+
+def run_python(script, *args):
+    """Runs script in a fresh interpreter that imports this checkout's
+    alcoves and these tests' modules; returns what it pickled to stdout."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, timeout=120, check=True)
+    return pickle.loads(done.stdout)
+
+
+ONE_CPU_PASS = """
+import os, pickle, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from alcoves import weierstrass
+from test_wp_shell_pass import ORACLE_MATRICES, PASS_RADII, _stop_radius
+
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda t: (started.append(t), start(t))
+z, lat = ORACLE_MATRICES[sys.argv[1]]
+stop = (_stop_radius(z, lat, 100, derivative=False),
+        _stop_radius(z, lat, 100, derivative=True))
+sums = [weierstrass._shell_sums(z, lat, r_p, r_dp)
+        for r_p, r_dp in [stop] + PASS_RADII]
+pickle.dump((weierstrass._usable_cpus(), len(started), sums), sys.stdout.buffer)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("name", N8_CASES)
+def test_one_cpu_pass_runs_inline_with_the_oracle_bits(name):
+    """Pinned to one CPU before alcoves is imported, the pass starts no
+    thread, and its sums keep the per-shell pass's bits."""
+    cpus, started, sums = run_python(ONE_CPU_PASS, name)
+    assert (cpus, started) == (1, 0)
+    z, lat = ORACLE_MATRICES[name]
+    stop = (_stop_radius(z, lat, 100, derivative=False),
+            _stop_radius(z, lat, 100, derivative=True))
+    for (r_p, r_dp), got in zip([stop] + PASS_RADII, sums, strict=True):
+        assert_same_bits(got, shell_sums_per_shell(z, lat, r_p, r_dp))
+
+
+@pytest.mark.parametrize("name", N8_CASES)
+def test_an_error_in_one_group_reaches_the_caller(name, monkeypatch):
+    """np.linalg.inv fails on the stacks of shells 8 and 9, the groups of
+    64 and 72 matrices; on two or more CPUs both fail, each waiting for
+    the other.  The caller gets the exception of shell 8, the same object,
+    once every helper has ended, and the next pass keeps the per-shell
+    pass's bits."""
+    z, lat = CASES[name]
+    r = _stop_radius(z, lat, 100, derivative=True)
+    assert shell_groups(r, 8, weierstrass._GROUP_ENTRIES)[4:7] == \
+        [[7], [8], [9]]
+    errors = {64: FloatingPointError("shell 8"), 72: ValueError("shell 9")}
+    threaded = weierstrass._usable_cpus() > 1
+    both_failing = threading.Barrier(2 if threaded else 1, timeout=60)
+    failed = []
+    inner = np.linalg.inv
+
+    def failing(a):
+        if len(a) in errors:
+            failed.append(len(a))
+            both_failing.wait()
+            raise errors[len(a)]
+        return inner(a)
+
+    threads = threading.active_count()
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    with pytest.raises(FloatingPointError) as info:
+        weierstrass._shell_sums(z, lat, r, r)
+    assert info.value is errors[64]
+    assert sorted(failed) == ([64, 72] if threaded else [64])
+    assert threading.active_count() == threads
+    monkeypatch.setattr(np.linalg, "inv", inner)
+    assert_same_bits(weierstrass._shell_sums(z, lat, r, r),
+                     shell_sums_per_shell(z, lat, r, r))
+
+
+FORK_AFTER_PASS = """
+import os, pickle, sys
+import numpy as np
+from alcoves import weierstrass
+from test_wp_stop_radius import CASES
+
+got = []
+for name in ("wp_matrix", "wp_prime_matrix"):
+    def capture(*args, _inner=getattr(weierstrass, name)):
+        got.append(_inner(*args))
+        return got[-1]
+    setattr(weierstrass, name, capture)
+
+def p_and_dp():
+    got.clear()
+    weierstrass.cubic_report(z, lat, 100)
+    return list(got)
+
+z, lat = CASES[sys.argv[1]]
+before = p_and_dp()
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.close(read)
+    with os.fdopen(write, "wb") as out:
+        pickle.dump(p_and_dp(), out)
+    os._exit(0)
+os.close(write)
+with os.fdopen(read, "rb") as pipe:
+    child = pickle.load(pipe)
+assert os.waitpid(pid, 0)[1] == 0
+pickle.dump((before, child), sys.stdout.buffer)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("name", N8_CASES)
+def test_a_child_forked_after_a_pass_gets_the_same_bits(name):
+    """A pass leaves no thread behind: a child forked after one finishes
+    its own cubic_report, within the timeout of `run_python`, with the
+    bits of the pass before the fork and of the per-shell sums."""
+    before, child = run_python(FORK_AFTER_PASS, name)
+    z, lat = CASES[name]
+    want = [reference_wp(z, lat, _stop_radius(z, lat, 100, False)),
+            reference_wp_prime(z, lat, _stop_radius(z, lat, 100, True))]
+    for got in (before, child):
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_helpers_run_with_the_callers_numpy_error_state():
+    """A group on a helper thread sees the np.errstate of the caller: the
+    first two groups wait for each other, so each runs on its own
+    thread."""
+    both_running = threading.Barrier(2, timeout=60)
+
+    def over(g):
+        if g < 2:
+            both_running.wait()
+        return threading.get_ident(), np.geterr()["over"]
+
+    with np.errstate(over="raise"):
+        seen = weierstrass._each_group(over, range(8), threads=2)
+    assert len({thread for thread, _ in seen[:2]}) == 2
+    assert [state for _, state in seen] == ["raise"] * 8
