@@ -537,7 +537,6 @@ def test_an_error_in_one_group_reaches_the_caller(name, monkeypatch):
 
 FORK_AFTER_PASS = """
 import os, pickle, sys
-import numpy as np
 from alcoves import weierstrass
 from test_wp_stop_radius import CASES
 
