@@ -34,28 +34,32 @@ inverses.  A group grows while its stack holds at most _GROUP_ENTRIES =
 group, and at n = 8 each shell past 3 is a group of its own; no stack is
 larger than 64 KiB unless one shell alone is.
 
-The groups are independent.  From n = _THREADED_N = 5 a pass runs them
-on min(usable CPUs, groups) threads: the caller and helper threads it
-starts for the pass, each taking the next group no thread has taken, so
-which thread inverts which group depends on timing.  The usable CPUs
-are those of os.sched_getaffinity where it exists, else os.cpu_count.
-Below n = 5, with one usable CPU, or with one group (every n = 1 pass up
-to shell 31, `wp_scalar` among them), the caller inverts every group.
-The thread that inverts a group sums each shell's slice of the powers on
-its own; the caller adds those sums in shell order, so p and p' keep
-every bit of inverting one shell at a time, on any number of threads.
-Each thread frees a group's stacks before it builds its next group's.
+The groups are independent.  From n = _THREADED_N = 7 a pass runs them
+on min(_MAX_THREADS = 2, usable CPUs, groups) helper threads it starts
+for the pass (a concurrent.futures.ThreadPoolExecutor, imported on the
+first such pass), each taking the next group no helper has taken, so
+which thread inverts which group depends on timing; the caller sleeps
+until they are done.  The usable CPUs are those of os.sched_getaffinity
+where it exists, else os.cpu_count.  Below n = 7, with one usable CPU,
+or with one group (every n = 1 pass up to shell 31, `wp_scalar` among
+them), the caller inverts every group.  The thread that inverts a group
+sums each shell's slice of the powers on its own; the caller adds those
+sums in shell order, so p and p' keep every bit of inverting one shell
+at a time, on any number of threads.  Each thread frees a group's
+stacks before it builds its next group's.
 
-The threads pay only where np.linalg.inv dominates: stacked small
-matmuls slow each other down when two threads make them.  Per
-cubic_report call (p25 of 60, two threads against the caller alone,
-2-vCPU Xeon VM, one BLAS thread) n = 2 went from 7.6 to 11.3 ms, n = 3
-from 11.1 to 12.4, n = 4 from 11.3 to 11.6, n = 5 from 15.8 to 13.2 and
-n = 8 from 26.2 to 18.4.  Helpers run in a copy of the caller's context
-(np.errstate holds), live for one pass and are joined before it
-returns, also when a group raises, so a process forked after a pass
-inherits none.  An exception in a group stops the groups not yet taken,
-and the caller raises the one of the first failing group.
+The helpers pay only where np.linalg.inv dominates: stacked small
+matmuls slow each other down when two threads make them, and starting
+and joining two helpers costs about 0.6 ms.  Per cubic_report call (p25
+of 120, inline and on two helpers interleaved, 2-vCPU Xeon VM, one BLAS
+thread) n = 3 went from 7.3 to 11.3 ms, n = 5 from 10.1 to 11.4, n = 6
+from 10.9 to 13.6, n = 7 from 13.2 to 13.2 (median 16.6 to 14.8) and
+n = 8 from 16.2 to 14.8 (median 21.5 to 17.1).  Only two threads were
+measured, so a pass uses at most two, on any host.  Helpers run fn
+under the caller's np.errstate, live for one pass and are joined before
+it returns, also when a group raises, so a process forked after a pass
+inherits none.  An exception in a group drops the groups no helper has
+started, and the caller raises the one of the first failing group.
 
 What a shell contributes apart from Z is built once per lattice and kept
 in a table (`_ShellTable`) that grows to the largest shell asked for so
@@ -71,7 +75,6 @@ last 8 lattices used are kept.
 from __future__ import annotations
 
 import cmath
-import contextvars
 import math
 import os
 import threading
@@ -91,8 +94,10 @@ _POINTS_CAP = 128  # shells whose points a lattice's table keeps
 # complex entries of the stack Z + wI that one np.linalg.inv call of the
 # shell pass takes, 64 KiB: at n = 1 the shells up to 31 in one call
 _GROUP_ENTRIES = 2 ** 12
-# the smallest n whose shell pass inverts its groups on helper threads too
-_THREADED_N = 5
+# the smallest n whose shell pass inverts its groups on helper threads
+_THREADED_N = 7
+# the most helper threads of one pass: the count measured to pay (two CPUs)
+_MAX_THREADS = 2
 
 
 class DegenerateLattice(ValueError):
@@ -343,51 +348,28 @@ def _usable_cpus() -> int:
 
 
 def _each_group(fn, groups: list, threads: int) -> list:
-    """[fn(g) for g in groups], run on the calling thread and on
-    threads - 1 helper threads, each thread taking the next group no
-    thread has taken.  A helper runs in a copy of the caller's context,
-    so numpy's error state (np.errstate) is the caller's on every thread.
-    An exception of fn stops the groups not yet taken; once every helper
-    has ended, the caller raises the one of the first failing group,
-    unchanged."""
+    """[fn(g) for g in groups], from threads = 2 on that many helper
+    threads started for this call, each running fn under the caller's
+    numpy error state (np.errstate).  The caller sleeps until every group
+    is done or one has raised; the helpers are joined before it returns.
+    When fn raises, the groups no helper has started are dropped and the
+    caller raises the exception of the first failing group, unchanged."""
     if threads < 2:
         return [fn(g) for g in groups]
-    out = [None] * len(groups)
-    errors = {}
-    todo = iter(range(len(groups)))
-    lock = threading.Lock()
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    state, call = np.geterr(), np.geterrcall()
 
-    def drain():
-        with lock:
-            for _ in todo:
-                pass
+    def run(group):
+        with np.errstate(call=call, **state):
+            return fn(group)
 
-    def work():
-        while True:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            try:
-                out[i] = fn(groups[i])
-            except BaseException as exc:  # raised by the caller below
-                errors[i] = exc
-                drain()
-
-    helpers = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(work,))
-               for _ in range(threads - 1)]
-    for t in helpers:
-        t.start()
+    pool = ThreadPoolExecutor(threads)
     try:
-        work()
+        futures = [pool.submit(run, g) for g in groups]
+        wait(futures, return_when=FIRST_EXCEPTION)
     finally:
-        drain()
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return out
+        pool.shutdown(cancel_futures=True)
+    return [f.result() for f in futures]
 
 
 def _group_sums(z: np.ndarray, lat: Lattice, shells: list, r_p: int,
@@ -422,7 +404,7 @@ def _shell_sums(z: np.ndarray, lat: Lattice, r_p: int, r_dp: int):
     w^-2 sums and the raw G_k sums come from the lattice's table.
 
     The shells are inverted a group at a time (`_shell_groups`), on
-    helper threads too from n = _THREADED_N (`_each_group`); each shell's
+    helper threads from n = _THREADED_N (`_each_group`); each shell's
     slice of the powers is summed on its own and added here in shell
     order, so the order of every addition is that of the separate p, p'
     and G_k loops, and every bit is that of inverting one shell at a time."""
@@ -435,7 +417,9 @@ def _shell_sums(z: np.ndarray, lat: Lattice, r_p: int, r_dp: int):
     shells = table.grow(max(r_p, r_dp))
     groups = list(_shell_groups(len(shells), n))
     fn = partial(_group_sums, z, lat, shells, r_p, r_dp)
-    threads = min(_usable_cpus(), len(groups)) if n >= _THREADED_N else 1
+    threads = 1
+    if n >= _THREADED_N:
+        threads = min(_MAX_THREADS, _usable_cpus(), len(groups))
     sums = _each_group(fn, groups, threads)
     for group, group_sums in zip(groups, sums):
         for s, (s2, s3) in zip(group, group_sums):

@@ -2,7 +2,7 @@
 to the module's wp_matrix and wp_prime_matrix through a one-entry slot;
 standalone calls sum only their own series.  The shells' Z-independent
 data come from a per-lattice table, built once and grown on demand.  The
-pass inverts the shells in groups, at n >= 5 on helper threads too; the
+pass inverts the shells in groups, from n = 7 on helper threads; the
 pass that inverts one shell at a time is kept here as its oracle, and the
 two agree bit for bit."""
 
@@ -536,7 +536,7 @@ def test_an_error_in_one_group_reaches_the_caller(name, monkeypatch):
 
 
 FORK_AFTER_PASS = """
-import os, pickle, sys
+import os, pickle, signal, sys
 from alcoves import weierstrass
 from test_wp_stop_radius import CASES
 
@@ -557,6 +557,7 @@ before = p_and_dp()
 read, write = os.pipe()
 pid = os.fork()
 if pid == 0:
+    signal.alarm(100)  # a child that hangs does not outlive the test
     os.close(read)
     with os.fdopen(write, "wb") as out:
         pickle.dump(p_and_dp(), out)
@@ -598,3 +599,33 @@ def test_helpers_run_with_the_callers_numpy_error_state():
         seen = weierstrass._each_group(over, range(8), threads=2)
     assert len({thread for thread, _ in seen[:2]}) == 2
     assert [state for _, state in seen] == ["raise"] * 8
+
+
+@pytest.mark.parametrize("name", N8_CASES)
+def test_a_pass_runs_on_at_most_two_helpers(name, monkeypatch):
+    """With more usable CPUs than the two measured, a pass still starts at
+    most two helper threads, inverts every group on them, and keeps the
+    per-shell pass's bits."""
+    monkeypatch.setattr(weierstrass, "_usable_cpus", lambda: 16)
+    z, lat = CASES[name]
+    r = _stop_radius(z, lat, 100, derivative=True)
+    assert len(shell_groups(r, 8, weierstrass._GROUP_ENTRIES)) > 2
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda t: (started.append(t), start(t)))
+    inverting = set()
+    inner = np.linalg.inv
+
+    def recording(a):
+        if np.ndim(a) == 3:
+            inverting.add(threading.get_ident())
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    got = weierstrass._shell_sums(z, lat, r, r)
+    assert 1 <= len(started) <= weierstrass._MAX_THREADS == 2
+    assert threading.get_ident() not in inverting
+    assert len(inverting) <= 2
+    monkeypatch.setattr(np.linalg, "inv", inner)
+    assert_same_bits(got, shell_sums_per_shell(z, lat, r, r))
