@@ -14,12 +14,12 @@ the values with integer bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import ratmat
+from .jsontext import dumps_indented
 from .ratmat import Vec
 from .rootdata import RootSystem
 
@@ -265,4 +265,4 @@ def verify_ver_isomorphism(rs: RootSystem) -> bool:
 
 
 def face_category_json(rs: RootSystem) -> str:
-    return json.dumps(faces_of_alcove(rs).to_json(rs), indent=2)
+    return dumps_indented(faces_of_alcove(rs).to_json(rs))

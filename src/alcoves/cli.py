@@ -4,6 +4,12 @@ All combinatorial inputs are exact: rational arguments are given as
 comma-separated "p/q" strings, faces as comma-separated wall indices.
 Exit codes: 0 passed, 1 a check failed, 2 usage error, 141 stdout closed.
 
+A call is parsed once, by its command's subparser (`_parse_args`); the
+full parser runs only where that parse is not the whole story, so
+arguments, messages and exit codes are the full parser's.  JSON values
+are written by `jsontext.dumps_indented`, the bytes of
+`json.dumps(value, indent=2)` in one pass.
+
 `_COMMANDS` maps a command to a handler `(rs, args)` that returns a JSON
 value or a string.  `SUITES` maps a `verify` suite to a generator
 `(rs, rng, seed, samples, radius)`.  To add a check, yield one more
@@ -28,6 +34,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import alcove, centralizer, parabolic, ratmat, svg, weierstrass, weylaff
+from .jsontext import dumps_indented
 from .rootdata import CartanType, EnumerationGuard, InvalidCartanType, \
     RootSystem, build_root_system
 from .weylaff import compose, invert, star_contains
@@ -403,8 +410,9 @@ def _emit(args, text: str):
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parsing does not change it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and each command's subparser, built once:
+    parsing changes neither."""
     parser = argparse.ArgumentParser(
         prog="alcoves",
         description="Exact alcove geometry, loop-group centralizer "
@@ -475,7 +483,26 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--region", type=int, default=2)
     p.add_argument("--highlight", default=None, help="wall indices of a face")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The full parser's `parse_args(argv)`, parsing argv once when it can.
+
+    The full parser hands everything after the command to the command's
+    subparser and only adds the "unrecognized arguments" error.  So when
+    argv[0] names a command and its subparser leaves nothing over, that
+    parse is the full one; otherwise (no argv, an unknown command, an
+    option before the command, arguments left over) the full parser runs,
+    with its own messages and exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 # -- commands --------------------------------------------------------------
@@ -580,7 +607,7 @@ def _verify(args) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     code = 0
     try:
         if args.command == "verify":
@@ -589,7 +616,7 @@ def main(argv=None) -> int:
             out = _wp(args)
         else:
             out = _COMMANDS[args.command](_build(args), args)
-        _emit(args, out if isinstance(out, str) else json.dumps(out, indent=2))
+        _emit(args, out if isinstance(out, str) else dumps_indented(out))
     except BrokenPipeError:
         # stdout closed: exit as on SIGPIPE, with nothing left to flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

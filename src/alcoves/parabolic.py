@@ -8,13 +8,13 @@ phi_J nonnegative on J'.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .alcove import AffineRoot, Face, faces_of_alcove
 from .centralizer import matrix_shape
+from .jsontext import dumps_indented
 from .ratmat import int_dot, over_common_denominator
 from .rootdata import RootSystem
 from .weylaff import root_scan
@@ -143,4 +143,4 @@ def restriction_diagram(rs: RootSystem) -> dict:
 
 
 def restriction_diagram_json(rs: RootSystem) -> str:
-    return json.dumps(restriction_diagram(rs), indent=2)
+    return dumps_indented(restriction_diagram(rs))

@@ -192,18 +192,27 @@ def oracle_root_scan(rs, fixed, points):
 
 class PointImages:
     """Each point's Fraction images m x under the elements m of
-    `oracle_weyl_group(rs)`, in that order, computed once per point: a
-    case makes one and hands it to each of its oracle scans."""
+    `oracle_weyl_group(rs)`, in that order, computed once per point, and
+    `in_lattice` of each translation y - m x, tested once per vector (a
+    pair recurs across the scans of a case): a case makes one and hands
+    it to each of its oracle scans."""
 
     def __init__(self, rs):
+        self.rs = rs
         self.group = oracle_weyl_group(rs)
         self._images = {}
+        self._in_lattice = {}
 
     def __call__(self, x):
         x = tuple(x)
         if x not in self._images:
             self._images[x] = [ratmat.matvec(m, x) for m, _ in self.group]
         return self._images[x]
+
+    def in_lattice(self, lam):
+        if lam not in self._in_lattice:
+            self._in_lattice[lam] = in_lattice(self.rs, lam)
+        return self._in_lattice[lam]
 
 
 def oracle_weyl_scan(rs, fixed, pairs, images=None):
@@ -218,7 +227,7 @@ def oracle_weyl_scan(rs, fixed, pairs, images=None):
         lams = []
         for image, y in pairs:
             lam = ratmat.sub(y, image[k])
-            if not in_lattice(rs, lam):
+            if not images.in_lattice(lam):
                 break
             lams.append(lam)
         else:
