@@ -4,10 +4,9 @@ All combinatorial inputs are exact: rational arguments are given as
 comma-separated "p/q" strings, faces as comma-separated wall indices.
 Exit codes: 0 passed, 1 a check failed, 2 usage error, 141 stdout closed.
 
-A call is parsed once, by its command's subparser (`_parse_args`); the
-full parser runs only where that parse is not the whole story, so
-arguments, messages and exit codes are the full parser's.  JSON values
-are written by `jsontext.dumps_indented`, the bytes of
+A call is parsed once, by its command's own subparser, wherever that
+gives the full parser's answer (`_parse_args`), and a JSON value is
+written by `jsontext.dumps_indented`, the bytes of
 `json.dumps(value, indent=2)` in one pass.
 
 `_COMMANDS` maps a command to a handler `(rs, args)` that returns a JSON
