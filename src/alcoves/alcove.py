@@ -264,5 +264,8 @@ def verify_ver_isomorphism(rs: RootSystem) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def face_category_json(rs: RootSystem) -> str:
+    """The face category as JSON text, written once per root system; a
+    refusal (gl) is raised on every call and never cached."""
     return dumps_indented(faces_of_alcove(rs).to_json(rs))

@@ -48,8 +48,10 @@ class ExpPoint:
 def exp_point(rs: RootSystem, theta, a) -> ExpPoint:
     th = tuple(Fraction(t) % 1 for t in theta)
     av = ratmat.vec(a)
-    if len(th) != rs.dim or len(av) != rs.dim:
-        raise ValueError(f"expected dimension {rs.dim}")
+    for name, v in (("theta", th), ("a", av)):
+        if len(v) != rs.dim:
+            raise ValueError(
+                f"{name}: expected dimension {rs.dim}, got {len(v)}")
     return ExpPoint(th, av)
 
 

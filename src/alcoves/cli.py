@@ -4,10 +4,12 @@ All combinatorial inputs are exact: rational arguments are given as
 comma-separated "p/q" strings, faces as comma-separated wall indices.
 Exit codes: 0 passed, 1 a check failed, 2 usage error, 141 stdout closed.
 
-A call is parsed once, by its command's own subparser, wherever that
-gives the full parser's answer (`_parse_args`), and a JSON value is
+A call made of a command and exact `--opt value` or `--opt=value` pairs
+is read from a table of the parser's own actions (`_table_parse`); any
+other argv goes to the full parser, whose answer it is.  A JSON value is
 written by `jsontext.dumps_indented`, the bytes of
-`json.dumps(value, indent=2)` in one pass.
+`json.dumps(value, indent=2)` in one pass; the `roots`, `faces` and
+`diagram` texts are written once per root system.
 
 `_COMMANDS` maps a command to a handler `(rs, args)` that returns a JSON
 value or a string.  `SUITES` maps a `verify` suite to a generator
@@ -410,98 +412,131 @@ def _emit(args, text: str):
 
 @lru_cache(maxsize=None)
 def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser and each command's subparser, built once:
-    parsing changes neither."""
+    """The argument parser, and the table `_parse_args` reads: for each
+    command, its positional action (or None), its options by option
+    string, and every action its `add_argument` calls returned, in order.
+    Built once, on the first call: parsing changes neither."""
     parser = argparse.ArgumentParser(
         prog="alcoves",
         description="Exact alcove geometry, loop-group centralizer "
                     "combinatorics, and a matrix Weierstrass p-function.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    actions = {}
 
-    def common(p, isogeny=True):
-        p.add_argument("--type", required=True, choices=list("ABCDEFG"))
-        p.add_argument("--rank", required=True, type=int)
-        if isogeny:
-            p.add_argument("--isogeny", default="sc",
-                           choices=["sc", "adjoint", "gl"])
-        p.add_argument("--out", default=None)
+    def command(name, help, common=True):
+        """A subparser; returns its `add_argument`, which records each
+        action.  Every option is a single-value store option."""
+        p = sub.add_parser(name, help=help)
+        added = actions[name] = []
 
-    p = sub.add_parser("roots", help="root system data as JSON")
-    common(p)
+        def add(*names, **kwargs):
+            added.append(p.add_argument(*names, **kwargs))
+        if common:
+            add("--type", required=True, choices=list("ABCDEFG"))
+            add("--rank", required=True, type=int)
+            add("--isogeny", default="sc", choices=["sc", "adjoint", "gl"])
+            add("--out", default=None)
+        return add
 
-    p = sub.add_parser("faces", help="face category of the alcove as JSON")
-    common(p)
+    command("roots", "root system data as JSON")
+    command("faces", "face category of the alcove as JSON")
+    add = command("centralizer", "centralizer data at Exp(theta, a tau)")
+    add("--theta", default=None,
+        help="coweight-basis coordinates, p/q comma list")
+    add("--a", required=True,
+        help="coroot-basis coordinates of a, p/q comma list")
+    add = command("parabolic", "parabolic data for an arrow")
+    add("--face1", required=True, help="wall indices, e.g. 0,2")
+    add("--face2", required=True)
+    command("diagram", "full restriction diagram as JSON")
+    add = command("star", "star membership / star facets")
+    add("--face", required=True)
+    add("--point", default=None)
+    add = command("overlap", "double cosets of two chart stars")
+    add("--face1", required=True)
+    add("--face2", required=True)
 
-    p = sub.add_parser("centralizer",
-                       help="centralizer data at Exp(theta, a tau)")
-    common(p)
-    p.add_argument("--theta", default=None,
-                   help="coweight-basis coordinates, p/q comma list")
-    p.add_argument("--a", required=True,
-                   help="coroot-basis coordinates of a, p/q comma list")
+    add = command("wp", "matrix Weierstrass p report", common=False)
+    add("--omega1", required=True, help="re,im")
+    add("--omega2", required=True, help="re,im")
+    add("--radius", type=int, default=100, help=RADIUS_HELP)
+    add("--matrix", required=True,
+        help="JSON file, n x n array of [re, im] pairs")
+    add("--out", default=None)
 
-    p = sub.add_parser("parabolic", help="parabolic data for an arrow")
-    common(p)
-    p.add_argument("--face1", required=True, help="wall indices, e.g. 0,2")
-    p.add_argument("--face2", required=True)
+    add = command("verify", "run a verification suite", common=False)
+    add("suite", choices=(*SUITES, "all"))
+    add("--type", default="A", choices=list("ABCDEFG"))
+    add("--rank", type=int, default=1)
+    add("--isogeny", default="sc", choices=["sc", "adjoint", "gl"])
+    add("--seed", type=int, default=0)
+    add("--samples", type=int, default=100)
+    add("--radius", type=int, default=100, help=RADIUS_HELP)
+    add("--out", default=None)
 
-    p = sub.add_parser("diagram", help="full restriction diagram as JSON")
-    common(p)
+    add = command("svg", "rank-2 arrangement picture")
+    add("--region", type=int, default=2)
+    add("--highlight", default=None, help="wall indices of a face")
 
-    p = sub.add_parser("star", help="star membership / star facets")
-    common(p)
-    p.add_argument("--face", required=True)
-    p.add_argument("--point", default=None)
-
-    p = sub.add_parser("overlap", help="double cosets of two chart stars")
-    common(p)
-    p.add_argument("--face1", required=True)
-    p.add_argument("--face2", required=True)
-
-    p = sub.add_parser("wp", help="matrix Weierstrass p report")
-    p.add_argument("--omega1", required=True, help="re,im")
-    p.add_argument("--omega2", required=True, help="re,im")
-    p.add_argument("--radius", type=int, default=100, help=RADIUS_HELP)
-    p.add_argument("--matrix", required=True,
-                   help="JSON file, n x n array of [re, im] pairs")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=(*SUITES, "all"))
-    p.add_argument("--type", default="A", choices=list("ABCDEFG"))
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--isogeny", default="sc",
-                   choices=["sc", "adjoint", "gl"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--radius", type=int, default=100, help=RADIUS_HELP)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("svg", help="rank-2 arrangement picture")
-    common(p)
-    p.add_argument("--region", type=int, default=2)
-    p.add_argument("--highlight", default=None, help="wall indices of a face")
-    return parser, sub.choices
+    table = {name: (next((a for a in acts if not a.option_strings), None),
+                    {s: a for a in acts for s in a.option_strings},
+                    acts) for name, acts in actions.items()}
+    return parser, table
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """The full parser's `parse_args(argv)`, parsing argv once when it can.
-
-    The full parser hands everything after the command to the command's
-    subparser and only adds the "unrecognized arguments" error.  So when
-    argv[0] names a command and its subparser leaves nothing over, that
-    parse is the full one; otherwise (no argv, an unknown command, an
-    option before the command, arguments left over) the full parser runs,
-    with its own messages and exit code."""
+    """The full parser's `parse_args(argv)`, read from the table if it can
+    be."""
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands = _parsers()
-    if argv and argv[0] in commands:
-        args, rest = commands[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    args = _table_parse(argv)
+    return _parsers()[0].parse_args(argv) if args is None else args
+
+
+def _table_parse(argv) -> argparse.Namespace | None:
+    """The full parser's Namespace for a command followed by exact
+    `--opt value` or `--opt=value` pairs (`verify`'s suite first), each
+    value converted by the action's `type` and checked against its
+    `choices`, each option not given at its `default`, attributes in the
+    full parser's order.  None where only the full parser can answer: an
+    abbreviated, unknown or missing option, `-h`, `--`, a separate value
+    starting with "-" (but "-" itself), or a value `type` or `choices`
+    refuse."""
+    entry = _parsers()[1].get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    positional, options, actions = entry
+    rest, given = argv[1:], {}
+    if positional is not None:
+        if not rest or rest[0] not in positional.choices:
+            return None
+        given[positional], rest = rest[0], rest[1:]
+    i = 0
+    while i < len(rest):
+        if rest[i] in options and i + 1 < len(rest):
+            action, value = options[rest[i]], rest[i + 1]
+            # the full parser reads "-x" as an option, "-" as a value
+            if value.startswith("-") and value != "-":
+                return None
+            i += 2
+        else:
+            name, eq, value = rest[i].partition("=")
+            # the full parser drops "--" from `--opt=--`, leaving no value
+            if not eq or name not in options or value == "--":
+                return None
+            action = options[name]
+            i += 1
+        try:
+            value = action.type(value) if action.type else value
+        except ValueError:
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if any(a.required and a not in given for a in actions):
+        return None
+    return argparse.Namespace(command=argv[0], **{
+        a.dest: given.get(a, a.default) for a in actions})
 
 
 # -- commands --------------------------------------------------------------
@@ -566,9 +601,15 @@ def _svg(rs, args):
     return svg.render_svg(rs, args.region, highlight)
 
 
+@lru_cache(maxsize=None)
+def _roots_json(rs: RootSystem) -> str:
+    """The `roots` text, written once per root system."""
+    return dumps_indented(rs.to_json())
+
+
 # command -> handler (rs, args) returning a JSON value or a string
 _COMMANDS = {
-    "roots": lambda rs, args: rs.to_json(),
+    "roots": lambda rs, args: _roots_json(rs),
     "faces": lambda rs, args: alcove.face_category_json(rs),
     "centralizer": _centralizer,
     "parabolic": _parabolic,

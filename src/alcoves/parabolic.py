@@ -142,5 +142,8 @@ def restriction_diagram(rs: RootSystem) -> dict:
     }
 
 
+@lru_cache(maxsize=None)
 def restriction_diagram_json(rs: RootSystem) -> str:
+    """The diagram as JSON text, written once per root system; a refusal
+    is raised on every call and never cached."""
     return dumps_indented(restriction_diagram(rs))

@@ -231,6 +231,17 @@ NO_ARROW = {
         "the walls of J' to be a subset of those of J\n",
 }
 
+# a point of the wrong dimension: the line names the argument and the
+# length it got
+BAD_DIMENSION = {
+    ("centralizer", "--type", "A", "--rank", "2", "--a", "1/2"):
+        "error: a: expected dimension 2, got 1\n",
+    ("centralizer", "--type", "A", "--rank", "2", "--theta", "0,1/2,1",
+     "--a", "1/2,0"): "error: theta: expected dimension 2, got 3\n",
+    ("centralizer", "--type", "A", "--rank", "2", "--isogeny", "gl",
+     "--a", "0,0"): "error: a: expected dimension 3, got 2\n",
+}
+
 
 @pytest.mark.parametrize("argv", [
     # the Weyl-group enumeration guard refuses rank 6
@@ -254,6 +265,7 @@ NO_ARROW = {
     *map(list, FACE_LOOKUPS),
     *map(list, FACE_PARSES),
     *map(list, NO_ARROW),
+    *map(list, BAD_DIMENSION),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.main(argv)
@@ -262,7 +274,8 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
-    expected = {**FACE_LOOKUPS, **FACE_PARSES, **NO_ARROW}.get(tuple(argv))
+    expected = {**FACE_LOOKUPS, **FACE_PARSES, **NO_ARROW,
+                **BAD_DIMENSION}.get(tuple(argv))
     if expected is not None:
         assert captured.err == expected
 

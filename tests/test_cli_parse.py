@@ -1,9 +1,11 @@
-"""`cli.main` parses argv with the command's own subparser when it can,
-and must give exactly what the full parser gives: the same Namespace, or
-the same exit code with the same stdout and stderr.  These tests only
-parse: every command handler is replaced by one that stops with the
-parsed arguments, so no input can start a long computation."""
+"""`cli.main` reads argv from its table of the parser's own actions when
+it can, and must give exactly what the full parser gives: the same
+Namespace, attribute for attribute in the same order, or the same exit
+code with the same stdout and stderr.  These tests only parse: every
+command handler is replaced by one that stops with the parsed arguments,
+so no input can start a long computation."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -29,12 +31,13 @@ def _stop(args, *rest):
 
 
 def outcome(parse, argv):
-    """What `parse(argv)` gives: ("args", vars) or ("exit", code), with
-    everything written to stdout and stderr."""
+    """What `parse(argv)` gives: ("args", the Namespace's attributes in
+    order) or ("exit", code), with everything written to stdout and
+    stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = ("args", vars(parse(argv)))
+            result = ("args", list(vars(parse(argv)).items()))
         except SystemExit as e:
             result = ("exit", e.code)
     return result, out.getvalue(), err.getvalue()
@@ -60,7 +63,8 @@ def assert_same_parse(argv):
     assert outcome(through_main, argv) == outcome(full_parse, argv)
 
 
-COMMANDS = cli._parsers()[1]
+COMMANDS = next(a for a in cli._parsers()[0]._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 OPTIONS = sorted({o for p in COMMANDS.values() for a in p._actions
                   for o in a.option_strings})
 VALUES = sorted({str(c) for p in COMMANDS.values() for a in p._actions
@@ -127,31 +131,66 @@ def test_main_parses_as_the_full_parser(argv):
     assert_same_parse(argv)
 
 
+A2 = ["--type", "A", "--rank", "2"]
+
+# argvs the table reads itself
+TABLE_ROUTES = [
+    ["roots", *A2], ["verify", "all", "--type", "B", "--rank", "3",
+                     "--seed", "7"],
+    ["star", *A2, "--face", "-"], ["star", *A2, "--face="],
+    ["star", *A2, "--face", ""], ["star", *A2, "--face=-"],
+    ["centralizer", *A2, "--a=-1/2,0"], ["centralizer", *A2, "--a=1=2"],
+    ["roots", *A2, "--type", "B"], ["roots", "--type", "A", "--rank", "0_3"],
+    ["roots", "--rank", " 2 ", "--type=A", "--isogeny=gl", "--out", "x"],
+    ["wp", "--omega1", "1,0", "--omega2", "0,2", "--matrix", "m"],
+    ["verify", "faces", "--samples=-3"],
+]
+
+# argvs only the full parser reads
+FULL_PARSER_ROUTES = [
+    [], ["-h"], ["--help"], ["bogus"], ["-h", "roots"],
+    ["roots", *A2, "--bogus"], ["roots", *A2, "--bogus", "1"],
+    ["roots", *A2, "extra"], ["roots", "--type", "A"], ["roots", "-h"],
+    ["roots", "--type", "A", "-h"], ["roots", "--he"], ["roots", "--ran", "2"],
+    ["roots", "--ty", "A", "--ra", "2", "--iso", "gl"],
+    ["roots", "--type", "A", "--rank="],
+    ["roots", "--type", "A", "--rank", "x"],
+    ["roots", "--type", "Z", "--rank", "2"], ["roots", *A2, "--out"],
+    ["roots", "--type", "A", "--rank", "-1"],
+    ["roots", "--type=A=B", "--rank", "2"],
+    ["verify", "--seed", "3", "faces"], ["verify", "faces", "faces"],
+    ["verify", "--", "faces"], ["verify", "faces", "--", "x"], ["verify"],
+    ["centralizer", *A2, "--a", "-1/2,0"], ["star", *A2, "--face=--"],
+    ["star", *A2, "--face", "--"], ["svg", *A2, "--region", "x"],
+]
+
+
 def test_named_routes_parse_as_the_full_parser():
-    for argv in (
-            [], ["-h"], ["--help"], ["bogus"], ["-h", "roots"],
-            ["roots", "--type", "A", "--rank", "2"],
-            ["roots", "--type", "A", "--rank", "2", "--bogus"],
-            ["roots", "--type", "A", "--rank", "2", "extra"],
-            ["roots", "--type", "A"], ["roots", "-h"], ["roots", "--he"],
-            ["roots", "--ty", "A", "--ra", "2", "--iso", "gl"],
-            ["verify", "all", "--type", "B", "--rank", "3", "--seed", "7"],
-            ["verify", "--", "faces"], ["verify", "faces", "--", "x"],
-            ["centralizer", "--type", "A", "--rank", "2", "--a", "-1/2,0"],
-            ["centralizer", "--type", "A", "--rank", "2", "--a=-1/2,0"],
-            ["wp", "--omega1", "1,0", "--omega2", "0,2", "--matrix", "m"],
-            ["svg", "--type", "A", "--rank", "2", "--region", "x"]):
+    for argv in TABLE_ROUTES + FULL_PARSER_ROUTES:
         assert_same_parse(argv)
+    assert all(cli._table_parse(argv) is not None for argv in TABLE_ROUTES)
+    assert all(cli._table_parse(argv) is None for argv in FULL_PARSER_ROUTES)
 
 
 def test_every_benchmark_argv_parses_as_the_full_parser():
-    """Every argv the benchmark's `cli-session` workload sends."""
+    """Every argv the benchmark's `cli-session` workload sends is read
+    by the table, with no argparse parse, as the full parser reads it."""
     ref = json.loads(REFERENCE.read_text())["cli-session"]
     items = ref["fixed"] + [item for pool in ref["pools"].values()
                             for ops in pool for item in ops]
     argvs = [item["op"]["argv"] for item in items]
     assert len(argvs) > 200
+    cli._parsers()  # built before the spy: building parses nothing
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
     for argv in argvs:
-        result = outcome(through_main, argv)
-        assert result[0][0] == "args"
+        with mock.patch.object(argparse.ArgumentParser, "parse_known_args",
+                               spy):
+            result = outcome(through_main, argv)
+        assert calls == [] and result[0][0] == "args"
         assert result == outcome(full_parse, argv)

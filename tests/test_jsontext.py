@@ -49,7 +49,8 @@ class Level(enum.IntEnum):
 def test_every_pinned_cli_output():
     """Each value the CLI writes for an output pinned in `tests/fixtures`
     (`svg` writes text, `verify` one-line JSON), caught on its way to the
-    writer in `cli`, `alcove` and `parabolic`."""
+    writer in `cli`, `alcove` and `parabolic`.  The per-root-system texts
+    are cleared before each call, so every value reaches the writer."""
     seen = []
 
     def spy(obj):
@@ -67,6 +68,9 @@ def test_every_pinned_cli_output():
             mock.patch.object(alcove, "dumps_indented", spy), \
             mock.patch.object(parabolic, "dumps_indented", spy):
         for argv in argvs:
+            for text in (cli._roots_json, alcove.face_category_json,
+                         parabolic.restriction_diagram_json):
+                text.cache_clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv.split()) == 0, argv
     assert len(seen) == len(argvs)
