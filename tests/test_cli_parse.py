@@ -135,8 +135,8 @@ A2 = ["--type", "A", "--rank", "2"]
 
 # argvs the table reads itself
 TABLE_ROUTES = [
-    ["roots", *A2], ["verify", "all", "--type", "B", "--rank", "3",
-                     "--seed", "7"],
+    ["roots", *A2],
+    ["verify", "all", "--type", "B", "--rank", "3", "--seed", "7"],
     ["star", *A2, "--face", "-"], ["star", *A2, "--face="],
     ["star", *A2, "--face", ""], ["star", *A2, "--face=-"],
     ["centralizer", *A2, "--a=-1/2,0"], ["centralizer", *A2, "--a=1=2"],
