@@ -21,7 +21,6 @@ from .centralizer import (
     centralizer_elliptic,
     centralizer_face,
     double_affine_centralizer,
-    et_contains,
     exp_point,
     gauge_centralizer_circle,
     matrix_shape,
@@ -32,7 +31,6 @@ from .centralizer import (
 # `alcoves.parabolic` keeps referring to the module
 from .parabolic import (
     ParabolicData,
-    compose_parabolics,
     restriction_diagram,
 )
 from .rootdata import (
@@ -49,7 +47,6 @@ from .weierstrass import (
     cubic_report,
     eisenstein,
     eisenstein_truncated,
-    verify_cubic,
     wp_matrix,
     wp_prime_matrix,
 )
@@ -62,7 +59,6 @@ from .weylaff import (
     stabilizer_of_point,
     star_contains,
     verify_cover,
-    verify_open_embedding,
     verify_star_intersection,
 )
 

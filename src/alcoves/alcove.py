@@ -8,8 +8,7 @@ vertices and the face category are built once per root system.
 so each root value is an integer dot product.  A facet is keyed on their
 floors and remainders; `FacetKey.build` makes the key's vanishing set,
 for `facet_of` and for the facet enumerator at a vertex, and
-`FacetKey.closure_contains`, behind `facet_closure_contains`, compares
-the values with integer bounds.
+`FacetKey.closure_contains` compares the values with integer bounds.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ def eval_affine_root(rs: RootSystem, ar: AffineRoot, x: Vec) -> Fraction:
 
 
 def negate_affine_root(rs: RootSystem, ar: AffineRoot) -> AffineRoot:
-    return AffineRoot(rs.negate_index(ar.root_index), -ar.level)
+    return AffineRoot(rs.negation[ar.root_index], -ar.level)
 
 
 def fundamental_coweights(rs: RootSystem) -> tuple[Vec, ...]:
@@ -229,11 +228,6 @@ def facet_of(rs: RootSystem, x: Vec) -> FacetKey:
     d, values = root_values(rs, x)
     key = tuple((fl, not rem) for fl, rem in (divmod(t, d) for t in values))
     return FacetKey.build(rs, key, tuple(x))
-
-
-def facet_closure_contains(rs: RootSystem, x: Vec, y: Vec) -> bool:
-    """Whether y lies in the closure of the facet of x."""
-    return facet_of(rs, x).closure_contains(*root_values(rs, y))
 
 
 def verify_ver_isomorphism(rs: RootSystem) -> bool:

@@ -310,14 +310,6 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     )
 
 
-def et_contains(rs: RootSystem, s: ExpPoint, t: ExpPoint) -> bool:
-    """Whether G_t is contained in G_s at the level of root data."""
-    ds = centralizer_elliptic(rs, s)
-    dt = centralizer_elliptic(rs, t)
-    return (set(dt.phi) <= set(ds.phi)
-            and dt.w.element_set() <= ds.w.element_set())
-
-
 def se_contains(rs: RootSystem, j: Face, s: ExpPoint) -> bool:
     """Small-eigenvalue region of the face: theta free, a in St_J."""
     return star_contains(rs, j, s.a)

@@ -256,12 +256,12 @@ def suite_parabolic(rs, rng, seed, samples, radius):
 
     def check_nilradical_closed():
         for (i, j), p in table().items():  # identity arrows: no nilradical
-            amb = {(rs.all_roots[a.root_index], a.level) for a in p.ambient}
-            nil = {(rs.all_roots[a.root_index], a.level)
-                   for a in p.nilradical}
-            for (r1, n1) in nil:
-                for (r2, n2) in nil:
-                    s = (ratmat.add(r1, r2), n1 + n2)
+            # keyed by integer gradient, linear and one to one in the root
+            amb = {(rs.grads[a.root_index], a.level) for a in p.ambient}
+            nil = {(rs.grads[a.root_index], a.level) for a in p.nilradical}
+            for (g1, n1) in nil:
+                for (g2, n2) in nil:
+                    s = (tuple(a + b for a, b in zip(g1, g2)), n1 + n2)
                     if s in amb and s not in nil:
                         return f"nilradical not closed at arrow {(i, j)}"
         return None
@@ -377,9 +377,13 @@ def _parse_vec(s: str):
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
-def _parse_complex(s: str) -> complex:
-    re, im = s.split(",")
-    return complex(float(re), float(im))
+def _parse_complex(args, option: str) -> complex:
+    s = getattr(args, option)
+    try:
+        re, im = map(float, s.split(","))
+    except ValueError:
+        raise ValueError(f"--{option} {s!r} is not re,im") from None
+    return complex(re, im)
 
 
 def _parse_matrix(raw) -> list[list[complex]]:
@@ -621,8 +625,8 @@ _COMMANDS = {
 
 
 def _wp(args) -> dict:
-    lat = weierstrass.Lattice(_parse_complex(args.omega1),
-                              _parse_complex(args.omega2))
+    lat = weierstrass.Lattice(_parse_complex(args, "omega1"),
+                              _parse_complex(args, "omega2"))
     with open(args.matrix, encoding="utf-8") as fh:
         z = _parse_matrix(json.load(fh))
     rep = weierstrass.cubic_report(z, lat, args.radius)

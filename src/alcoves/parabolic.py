@@ -17,7 +17,7 @@ from .centralizer import matrix_shape
 from .jsontext import dumps_indented
 from .ratmat import int_dot, over_common_denominator
 from .rootdata import RootSystem
-from .weylaff import root_scan
+from .weylaff import int_root_scan
 
 _DIAGRAM_MAX_RANK = 3
 
@@ -69,7 +69,7 @@ def _face_scan(rs: RootSystem, j: Face) -> tuple:
     over d; at most 2^(ell+1) - 1 entries per root system."""
     d, (num,) = over_common_denominator((j.witness,), rs.dim)
     return (tuple(AffineRoot(idx, v) for idx, (v,) in
-                  root_scan(rs, (), (j.witness,))), d, num)
+                  int_root_scan(rs, d, (), (num,))), d, num)
 
 
 def parabolic(rs: RootSystem, j: Face, jp: Face) -> ParabolicData:
@@ -89,11 +89,6 @@ def composes(table: dict, i: int, j: int, k: int) -> bool:
     must give the parabolic of i -> k."""
     composed = table[j, k].parabolic_set() | frozenset(table[i, j].nilradical)
     return composed == table[i, k].parabolic_set()
-
-
-def compose_parabolics(rs: RootSystem, j: Face, jp: Face, jpp: Face) -> bool:
-    table = parabolics(rs, (j, jp, jpp), ((0, 1), (1, 2), (0, 2)))
-    return composes(table, 0, 1, 2)
 
 
 def restriction_diagram(rs: RootSystem) -> dict:

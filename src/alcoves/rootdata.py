@@ -198,15 +198,9 @@ class RootSystem:
         except KeyError:
             raise ValueError(f"{coords} is not a root") from None
 
-    def negate_index(self, idx: int) -> int:
-        return self.negation[idx]
-
     def eval_root(self, idx: int, x: Vec) -> Fraction:
         """alpha(x) for x in ambient t-coordinates."""
         return ratmat.dot(self.grads[idx], x)
-
-    def coroot(self, idx: int) -> tuple[int, ...]:
-        return self.coroots[idx]
 
     def coweight_coords(self, x: Vec) -> Vec:
         """Coordinates of x in the coweight-lattice basis."""
@@ -484,4 +478,4 @@ def reflect(rs: RootSystem, root, x: Vec) -> Vec:
     else:
         idx = rs.root_index(root)
     val = rs.eval_root(idx, x)
-    return ratmat.sub(x, ratmat.scale(val, rs.coroot(idx)))
+    return ratmat.sub(x, ratmat.scale(val, rs.coroots[idx]))

@@ -8,7 +8,6 @@ between walls are faithful.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .alcove import Face, alcove_vertices
 from .rootdata import RootSystem
@@ -41,6 +40,8 @@ def render_svg(rs: RootSystem, region: int = 2,
     the fundamental alcove shaded, and optionally one face's star."""
     if rs.rank != 2:
         raise ValueError("SVG rendering requires rank 2")
+    if rs.cartan_type.isogeny == "gl":
+        raise ValueError("fundamental alcove requires sc or adjoint isogeny")
     if region < 1:
         raise ValueError("region must be at least 1")
     emb = _embedding(rs)
@@ -80,14 +81,10 @@ def render_svg(rs: RootSystem, region: int = 2,
 
     # clip each hyperplane grad.x = n against the coordinate box
     for p in rs.positive_indices:
-        grad = [rs.eval_root(p, (Fraction(1), Fraction(0))),
-                rs.eval_root(p, (Fraction(0), Fraction(1)))]
-        gmax = sum(abs(float(g)) for g in grad) * region
-        for n in range(-int(gmax) - 1, int(gmax) + 2):
-            if abs(n) > region * max(1.0, max(abs(float(g)) for g in grad)):
-                continue
+        g0, g1 = rs.grads[p]
+        bound = region * max(abs(g0), abs(g1))
+        for n in range(-bound, bound + 1):
             pts = []
-            g0, g1 = float(grad[0]), float(grad[1])
             for edge_val in (lo, hi):
                 if g1 != 0:  # x0 fixed at edge_val
                     y = (n - g0 * edge_val) / g1

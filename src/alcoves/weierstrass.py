@@ -501,10 +501,6 @@ def wp_scalar(z: complex, lat: Lattice, radius: int = 100) -> complex:
     return complex(wp_matrix([[z]], lat, radius)[0, 0])
 
 
-def wp_prime_scalar(z: complex, lat: Lattice, radius: int = 100) -> complex:
-    return complex(wp_prime_matrix([[z]], lat, radius)[0, 0])
-
-
 def invariants(lat: Lattice) -> tuple[complex, complex]:
     """(g2, g3) = (60 G4, 140 G6)."""
     g = _shell_table(lat).exact
@@ -539,7 +535,3 @@ def cubic_report(z, lat: Lattice, radius: int = 100) -> dict:
         "residual_commutator": float(np.max(np.abs(comm))),
     }
 
-
-def verify_cubic(z, lat: Lattice, radius: int = 100) -> float:
-    r = cubic_report(z, lat, radius)
-    return max(r["residual_cubic"], r["residual_commutator"])

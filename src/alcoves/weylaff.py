@@ -4,12 +4,12 @@ Elements are pairs (finite Weyl part, coweight translation) acting by
 x -> w(x) + t; the finite part is a `WeylElement`, whose matrices are
 integral.  Stabilizers and centralizers come from two tests on integer
 numerators over one denominator, `int_root_scan` over the roots and
-`int_weyl_scan` over the finite Weyl group; `root_scan` and `weyl_scan`
-are their Fraction fronts, and `stabilizer_of_point` and the
-centralizers of `centralizer` call the integer tests on points converted
-once.  Star regions are exact finite enumerations at a vertex, and a
-chart overlap is the one double coset W_{J2} W_{J1} of two face
-stabilizers, read off their translations without forming a product.
+`int_weyl_scan` over the finite Weyl group.  They take numerators only:
+each caller, here, in `parabolic` and in `centralizer`, writes its
+points over one denominator once and passes that.  Star regions are
+exact finite enumerations at a vertex, and a chart overlap is the one
+double coset W_{J2} W_{J1} of two face stabilizers, read off their
+translations without forming a product.
 
 The kernels write their points once as integer numerators over one
 common denominator, Weyl elements act by integer matrices, and Fractions
@@ -18,7 +18,7 @@ its bound (the int64 bounds of `int_root_scan` and `int_weyl_scan`, past
 which they run on Python ints, and the step cap of
 `reduce_to_alcove`).  `point_reflection_subgroup` lists the reflection
 group of a point with `rootdata.reflection_group`, the enumerator of W,
-from one linear reflection per wall through the point.  `root_scan`,
+from one linear reflection per wall through the point.  `int_root_scan`,
 `reduce_to_alcove`, `compose` and `invert` list no W: a Weyl element is
 its matrix, its word given by `rootdata.weyl_element`.  The wall
 reflections of the alcove, its barycenter and the walk's step cap are
@@ -237,26 +237,16 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
     raise RuntimeError("alcove reduction exceeded its step cap (bug)")
 
 
-def root_scan(rs: RootSystem, fixed: tuple[Vec, ...],
-              points: tuple[Vec, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """The roots that vanish at every `fixed` point and take integer values
-    at every one of `points`, in root-index order, each as (root index,
-    its values at `points`): `int_root_scan` on all the points written
-    over one common denominator."""
-    d, nums = ratmat.over_common_denominator(tuple(fixed) + tuple(points),
-                                             rs.dim)
-    return int_root_scan(rs, d, nums[:len(fixed)], nums[len(fixed):])
-
-
 def int_root_scan(rs: RootSystem, d: int, fixed: tuple, points: tuple
                   ) -> list[tuple[int, tuple[int, ...]]]:
-    """`root_scan` on points given as integer numerators over d.  One
-    product of the points with the gradient array of `_grad_arrays`
-    gives d times every root value, and one remainder mod d tests
-    integrality.  With X the largest |numerator| and G the largest |entry|
-    of a gradient, every product entry is at most n G X, n = dim: the
-    arrays are int64 when n G X < 2^63 and d < 2^63, else dtype object
-    (Python ints)."""
+    """The roots that vanish at every `fixed` point and take integer values
+    at every one of `points`, all integer numerators over d, in root-index
+    order, each as (root index, its values at `points`).  One product of
+    the points with the gradient array of `_grad_arrays` gives d times
+    every root value, and one remainder mod d tests integrality.  With X
+    the largest |numerator| and G the largest |entry| of a gradient, every
+    product entry is at most n G X, n = dim: the arrays are int64 when
+    n G X < 2^63 and d < 2^63, else dtype object (Python ints)."""
     nf, pts = len(fixed), (*fixed, *points)
     dtype = _scan_dtype(rs, d, pts, roots=True)
     # (points, roots): row k holds d times every root value at point k
@@ -337,25 +327,13 @@ def _scan_dtype(rs: RootSystem, d: int, nums, roots: bool = False) -> type:
     return np.int64 if x_max <= limit and m < 2 ** 63 else object
 
 
-def weyl_scan(rs: RootSystem, fixed: tuple[Vec, ...],
-              pairs: tuple[tuple[Vec, Vec], ...]
-              ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
-    """Each w0 in W that fixes every `fixed` point and makes y - w0(x) a
-    coweight for every (x, y) in `pairs`, in `weyl_elements` order, each
-    as (w0, those translations in the order of `pairs`): `int_weyl_scan`
-    on all the points written over one common denominator."""
-    nf = len(fixed)
-    d, nums = ratmat.over_common_denominator(
-        (*fixed, *(p for pair in pairs for p in pair)), rs.dim)
-    return int_weyl_scan(rs, d, nums[:nf],
-                         tuple(zip(nums[nf::2], nums[nf + 1::2])))
-
-
 def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
                   lattice: tuple = ()
                   ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
-    """`weyl_scan` on points given as integer numerators over d, and also
-    x - w0(x) a coweight for every x in `lattice`, with no translation.
+    """Each w0 in W that fixes every `fixed` point and makes y - w0(x) a
+    coweight for every (x, y) in `pairs` and x - w0(x) one for every x in
+    `lattice`, all integer numerators over d, in `weyl_elements` order,
+    each as (w0, its translations y - w0(x) in the order of `pairs`).
 
     C = coweight_inv_num is invertible, so w0 fixes x iff
     C (w0 - 1) x = 0, and y - w0 x is a coweight iff d * coweight_inv_den
@@ -416,10 +394,10 @@ def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
 def vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]
                            ) -> list[AffineRoot]:
     """Affine roots vanishing at every point of the given finite set."""
-    p0 = tuple(points[0])
-    diffs = tuple(ratmat.sub(tuple(p), p0) for p in points[1:])
+    d, (p0, *rest) = ratmat.over_common_denominator(tuple(points), rs.dim)
+    diffs = tuple(tuple(a - b for a, b in zip(p, p0)) for p in rest)
     return [AffineRoot(idx, vals[0])
-            for idx, vals in root_scan(rs, diffs, (p0,))]
+            for idx, vals in int_root_scan(rs, d, diffs, (p0,))]
 
 
 def stabilizer_of_point(rs: RootSystem, x: Vec) -> FiniteSubgroup:
@@ -472,7 +450,7 @@ def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     taken on the Python-int numerators of x, which may be of any size."""
     d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
     gens = dict.fromkeys(_reflection_matrix(rs, idx)
-                         for idx, _ in root_scan(rs, (), (x,)))
+                         for idx, _ in int_root_scan(rs, d, (), (num,)))
     stack, _ = reflection_group(
         np.array(list(gens), dtype=np.int64).reshape(-1, rs.dim, rs.dim),
         _CLOSURE_GUARD)
@@ -502,16 +480,12 @@ def open_embedding_counterexample(rs: RootSystem, j: Face,
     for x, y in samples:
         if not (star_contains(rs, j, x) and star_contains(rs, j, y)):
             raise ValueError("sample pair not inside the star of the face")
-        for w0, (lam,) in weyl_scan(rs, (), ((x, y),)):
+        d, pair = ratmat.over_common_denominator((x, y), rs.dim)
+        for w0, (lam,) in int_weyl_scan(rs, d, (), (pair,)):
             w = AffineWeylElement(w0, lam)
             if w not in wj:
                 return (x, y, w)
     return None
-
-
-def verify_open_embedding(rs: RootSystem, j: Face,
-                          samples: list[tuple[Vec, Vec]]) -> bool:
-    return open_embedding_counterexample(rs, j, samples) is None
 
 
 def _facets_at_vertex(rs: RootSystem, v: Vec) -> tuple[FacetKey, ...]:

@@ -11,10 +11,10 @@ from alcoves.alcove import (
     eval_affine_root,
     face_category_json,
     faces_of_alcove,
-    facet_closure_contains,
     facet_of,
     fundamental_alcove,
     make_face,
+    root_values,
     verify_ver_isomorphism,
 )
 from alcoves.rootdata import CartanType, build_root_system
@@ -175,7 +175,8 @@ def test_closure_test_matches_arrows():
         arrows = set(cat.arrows)
         for i, fi in enumerate(cat.faces):
             for j, fj in enumerate(cat.faces):
-                geo = facet_closure_contains(rs, fj.witness, fi.witness)
+                geo = facet_of(rs, fj.witness).closure_contains(
+                    *root_values(rs, fi.witness))
                 assert ((i, j) in arrows) == geo
 
 
@@ -193,7 +194,7 @@ def test_facet_key_closure_contains_matches_closure_test():
                 vals = tuple(ratmat.int_dot(rs.grads[p], yn)
                              for p in rs.positive_indices)
                 assert key.closure_contains(d, vals) == \
-                    facet_closure_contains(rs, x, y)
+                    facet_of(rs, x).closure_contains(*root_values(rs, y))
 
 
 def test_json_export():

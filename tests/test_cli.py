@@ -242,6 +242,19 @@ BAD_DIMENSION = {
      "--a", "0,0"): "error: a: expected dimension 3, got 2\n",
 }
 
+# a value the command cannot use: a gl picture has no alcove, and a
+# period is not a re,im pair of floats
+BAD_VALUES = {
+    ("svg", "--type", "A", "--rank", "2", "--isogeny", "gl"):
+        "error: fundamental alcove requires sc or adjoint isogeny\n",
+    ("wp", "--omega1", "1", "--omega2", "0,1", "--matrix", WP_MATRIX):
+        "error: --omega1 '1' is not re,im\n",
+    ("wp", "--omega1", "1,2,3", "--omega2", "0,1", "--matrix", WP_MATRIX):
+        "error: --omega1 '1,2,3' is not re,im\n",
+    ("wp", "--omega1", "a,b", "--omega2", "0,1", "--matrix", WP_MATRIX):
+        "error: --omega1 'a,b' is not re,im\n",
+}
+
 
 @pytest.mark.parametrize("argv", [
     # the Weyl-group enumeration guard refuses rank 6
@@ -266,6 +279,7 @@ BAD_DIMENSION = {
     *map(list, FACE_PARSES),
     *map(list, NO_ARROW),
     *map(list, BAD_DIMENSION),
+    *map(list, BAD_VALUES),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.main(argv)
@@ -275,7 +289,7 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     expected = {**FACE_LOOKUPS, **FACE_PARSES, **NO_ARROW,
-                **BAD_DIMENSION}.get(tuple(argv))
+                **BAD_DIMENSION, **BAD_VALUES}.get(tuple(argv))
     if expected is not None:
         assert captured.err == expected
 

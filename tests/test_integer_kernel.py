@@ -2,16 +2,19 @@
 Fraction oracles.
 
 The oracles below are the earlier Fraction implementations of
-`weyl_group`, `root_scan`, `weyl_scan`, `facet_of`,
-`facet_closure_contains` and `reduce_to_alcove`.  They use only the
+`weyl_group`, the root and W scans, `facet_of`, the facet closure test
+and `reduce_to_alcove`.  They use only the
 Fraction data of a root system (Cartan matrix, roots, inner product,
 coweight basis), never its integer tables.  Each kernel must give the
 same values in the same order on seeded points: generic ones with
 numerators near 10^12 over denominators up to 10^6, and special ones
 (W-images of alcove vertices and face witnesses, shifted by large
-coweights) where the scans keep elements.  `weyl_scan` runs on int64
-arrays inside a stated bound and on Python ints past it; it is checked
-on both, with points on either side of the bound and far past it.
+coweights) where the scans keep elements.  The scans `int_root_scan` and
+`int_weyl_scan` take integer numerators over one denominator, and
+`scan_roots` and `scan_weyl` below write the points so.  The W scan
+runs on int64 arrays inside a stated bound and on Python ints past it;
+it is checked on both, with points on either side of the bound and far
+past it.
 The alcove-reduction oracle, the wall-order walk, takes O(|x|) wall
 reflections, so its points have |x| <= 8, still over denominators up to
 10^6, or lie on walls shifted by at most 50 coroots above rank 4.
@@ -34,9 +37,9 @@ from alcoves import ratmat, rootdata, weylaff
 from alcoves.alcove import (
     alcove_vertices,
     faces_of_alcove,
-    facet_closure_contains,
     facet_of,
     fundamental_alcove,
+    root_values,
 )
 from alcoves.centralizer import (
     GaugePoint,
@@ -55,11 +58,11 @@ from alcoves.rootdata import (
     weyl_group,
 )
 from alcoves.weylaff import (
+    int_root_scan,
+    int_weyl_scan,
     reduce_to_alcove,
-    root_scan,
     stabilizer_of_point,
     weyl_elements,
-    weyl_scan,
 )
 
 # (family, rank, isogeny, generic points, special points)
@@ -96,6 +99,28 @@ TABLE_IDS = [f"{f}{r}-{i}" for f, r, i in TABLE_TYPES]
 
 def rs_of(family, rank, isogeny):
     return build_root_system(CartanType(family, rank, isogeny))
+
+
+def scan_roots(rs, fixed, points):
+    """`int_root_scan` on the points written over one common
+    denominator."""
+    d, nums = ratmat.over_common_denominator((*fixed, *points), rs.dim)
+    return int_root_scan(rs, d, nums[:len(fixed)], nums[len(fixed):])
+
+
+def scan_weyl(rs, fixed, pairs):
+    """`int_weyl_scan` on the points written over one common
+    denominator."""
+    nf = len(fixed)
+    d, nums = ratmat.over_common_denominator(
+        (*fixed, *(p for pair in pairs for p in pair)), rs.dim)
+    return int_weyl_scan(rs, d, nums[:nf],
+                         tuple(zip(nums[nf::2], nums[nf + 1::2])))
+
+
+def closure_contains(rs, x, y):
+    """Whether y lies in the closure of the facet of x."""
+    return facet_of(rs, x).closure_contains(*root_values(rs, y))
 
 
 # -- Fraction oracles ------------------------------------------------------
@@ -328,7 +353,7 @@ def seed_of(family, rank, isogeny):
     return f"{family}{rank}-{isogeny}"
 
 
-# -- the int64 bound of weyl_scan ------------------------------------------
+# -- the int64 bound of the W scan ---------------------------------------
 
 
 def coweight_den(rs):
@@ -388,7 +413,7 @@ class DtypeSpy:
         return dtype
 
     def both_scans(self, rs, fixed, pairs):
-        return self.both(weyl_scan, rs, fixed, pairs)
+        return self.both(scan_weyl, rs, fixed, pairs)
 
     def both(self, fn, *args):
         """fn(*args) on the dtypes the scans pick, then on dtype object."""
@@ -433,8 +458,8 @@ def test_root_tables(family, rank, isogeny, generic, special):
     rs = rs_of(family, rank, isogeny)
     for idx, root in enumerate(rs.all_roots):
         assert rs.grads[idx] == grad(rs, idx)
-        assert rs.coroot(idx) == coroot(rs, idx)
-        assert rs.negate_index(idx) == negate(rs, idx)
+        assert rs.coroots[idx] == coroot(rs, idx)
+        assert rs.negation[idx] == negate(rs, idx)
         assert rs.root_index(root) == idx
     rng = random.Random(seed_of(family, rank, isogeny))
     for x in points(rs, rng.random(), generic, special):
@@ -451,7 +476,7 @@ def test_root_tables(family, rank, isogeny, generic, special):
                          ids=IDS)
 def test_scans_match_fraction_scans(family, rank, isogeny, generic, special,
                                     monkeypatch):
-    """Both dtypes of `weyl_scan` against the oracle: the one it picks,
+    """Both dtypes of the W scan against the oracle: the one it picks,
     and dtype object forced on every input."""
     rs = rs_of(family, rank, isogeny)
     rng = random.Random(seed_of(family, rank, isogeny))
@@ -480,7 +505,7 @@ def test_scans_match_fraction_scans(family, rank, isogeny, generic, special,
                                for lam in lams for c in lam)
             nontrivial += len(got) > 1
         for pt_set in ((x,), (x, y), (x, z), (v,)):
-            assert root_scan(rs, fixed, pt_set) == \
+            assert scan_roots(rs, fixed, pt_set) == \
                 oracle_root_scan(rs, fixed, pt_set)
     assert nontrivial  # the special points keep more than the identity
     assert spy.seen == {np.int64, object}
@@ -669,7 +694,7 @@ def test_one_f4_scan_calls_no_python_matvec(monkeypatch):
     monkeypatch.setattr(ratmat, "int_matvec",
                         lambda m, v: calls.append(v) or matvec(m, v))
     x = tuple(map(Fraction, ("1/2", "1/2", "0", "0")))
-    assert len(weyl_scan(rs, (), ((x, x),))) == 96
+    assert len(scan_weyl(rs, (), ((x, x),))) == 96
     assert calls == []
 
 
@@ -715,11 +740,11 @@ def test_facets_match_fraction_facets(family, rank, isogeny, generic,
                   rng.choice(witnesses),
                   ratmat.add(rng.choice(witnesses), shift)):
             for a, b in ((x, y), (y, x)):
-                assert facet_closure_contains(rs, a, b) == \
+                assert closure_contains(rs, a, b) == \
                     oracle_facet_closure_contains(rs, a, b)
     for a in witnesses:
         for b in witnesses:
-            assert facet_closure_contains(rs, a, b) == \
+            assert closure_contains(rs, a, b) == \
                 oracle_facet_closure_contains(rs, a, b)
 
 

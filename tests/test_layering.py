@@ -4,6 +4,10 @@
   must be explicit exceptions.
 - No module reaches into another module's private names, neither by
   `from .m import _x` nor by `m._x` on an imported module.
+- Every public top-level function is used by library code outside its
+  own definition and `__init__` (a `Name` or `Attribute` node, not a
+  docstring), or is kept in `KEEP` for the reason given there: a public
+  name that only re-spells others is written out where it is used.
 """
 
 import ast
@@ -15,6 +19,19 @@ import alcoves
 
 SRC = Path(alcoves.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+# public functions no library code calls, each with why it stays
+KEEP = {
+    "alcove.eval_affine_root":
+        "the Fraction reference for the integer root values",
+    "rootdata.reflect":
+        "the Fraction reflection the integer Weyl matrices are checked on",
+    "weierstrass.eisenstein_truncated":
+        "the literal lattice sum the shell tables are checked against",
+    "centralizer.gauge_centralizer_circle":
+        "the paper's centralizer of a constant gauge field on the circle",
+}
 
 
 def _private(name: str) -> bool:
@@ -58,3 +75,29 @@ def _violations(path: Path) -> list[str]:
 @pytest.mark.parametrize("module", MODULES)
 def test_module_layering(module):
     assert _violations(SRC / f"{module}.py") == []
+
+
+def _unused_public_functions() -> list[str]:
+    """Each public top-level function of the package, as "module.name",
+    that no `Name` or `Attribute` node outside its own definition and
+    `__init__` refers to."""
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text(encoding="utf-8"))
+             for m in MODULES if m != "__init__"}
+    public, used = [], set()
+    for module, tree in trees.items():
+        own = {}  # node -> the name of the top-level function holding it
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not top.name.startswith("_"):
+                    public.append((module, top.name))
+                own.update((node, top.name) for node in ast.walk(top))
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None and own.get(node) != name:
+                used.add(name)
+    return sorted(f"{m}.{n}" for m, n in public if n not in used)
+
+
+def test_public_functions_are_used_or_kept():
+    assert _unused_public_functions() == sorted(KEEP)

@@ -5,7 +5,7 @@ from alcoves.alcove import eval_affine_root, faces_of_alcove, \
 from alcoves.centralizer import matrix_shape
 from alcoves.parabolic import (
     ParabolicData,
-    compose_parabolics,
+    composes,
     has_arrow,
     parabolic,
     parabolics,
@@ -114,9 +114,10 @@ def test_compose_exhaustive_rank_le_3():
         for i, j in cat.arrows:
             for j2, k in cat.arrows:
                 if j2 == j and (i, k) in arrow_set:
-                    assert compose_parabolics(
-                        rs, cat.faces[i], cat.faces[j], cat.faces[k]
-                    )
+                    table = parabolics(
+                        rs, (cat.faces[i], cat.faces[j], cat.faces[k]),
+                        ((0, 1), (1, 2), (0, 2)))
+                    assert composes(table, 0, 1, 2)
 
 
 def test_diagram_counts_sl2():

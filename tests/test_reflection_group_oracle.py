@@ -4,7 +4,7 @@ The oracle is the earlier library code of `point_reflection_subgroup`:
 the affine reflections in the walls through x, one per wall, closed one
 (matrix, translation) product at a time, breadth-first from the
 identity, each new product kept in order of first appearance.  The walls
-are found here from the Fraction root values, not by `root_scan`.
+are found here from the Fraction root values, not by `int_root_scan`.
 
 The library lists the same group from the linear parts alone, with the
 batched `rootdata.reflection_group`.  It must give the same elements,

@@ -24,7 +24,6 @@ from alcoves.weylaff import (
     star_contains,
     star_facet_witnesses,
     verify_cover,
-    verify_open_embedding,
     verify_star_intersection,
     weyl_elements,
 )
@@ -216,7 +215,7 @@ def test_open_embedding_sl2():
     v0 = cat.face_by_walls({0})
     pairs = [((Fraction(1, 8),), (Fraction(-1, 8),)),
              (v0.witness, v0.witness)]
-    assert verify_open_embedding(rs, v0, pairs)
+    assert open_embedding_counterexample(rs, v0, pairs) is None
 
 
 def test_open_embedding_rejects_points_outside_star():
@@ -224,8 +223,8 @@ def test_open_embedding_rejects_points_outside_star():
     cat = faces_of_alcove(rs)
     v0 = cat.face_by_walls({0})
     with pytest.raises(ValueError):
-        verify_open_embedding(rs, v0, [((Fraction(3, 4),),
-                                        (Fraction(1, 4),))])
+        open_embedding_counterexample(rs, v0, [((Fraction(3, 4),),
+                                                (Fraction(1, 4),))])
 
 
 def test_open_embedding_random_pairs():
