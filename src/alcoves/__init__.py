@@ -24,7 +24,6 @@ from .centralizer import (
     exp_point,
     gauge_centralizer_circle,
     matrix_shape,
-    se_contains,
     subsystem_type,
 )
 # the parabolic() operation itself stays on the submodule so that

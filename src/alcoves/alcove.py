@@ -13,12 +13,11 @@ for `facet_of` and for the facet enumerator at a vertex, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import ratmat
-from .jsontext import dumps_indented
 from .ratmat import Vec
 from .rootdata import RootSystem
 
@@ -82,17 +81,8 @@ class Face:
     """
 
     vanishing_walls: frozenset[int]
-    vertices: tuple[Vec, ...]
-    witness: Vec
-
-    def __hash__(self):
-        return hash(self.vanishing_walls)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Face)
-            and self.vanishing_walls == other.vanishing_walls
-        )
+    vertices: tuple[Vec, ...] = field(compare=False)
+    witness: Vec = field(compare=False)
 
 
 def make_face(rs: RootSystem, vanishing: frozenset[int]) -> Face:
@@ -177,14 +167,8 @@ class FacetKey:
     """
 
     key: tuple[tuple[int, bool], ...]  # one (floor, on-wall) per positive root
-    vanishing_set: tuple[AffineRoot, ...]
-    witness: Vec
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return isinstance(other, FacetKey) and self.key == other.key
+    vanishing_set: tuple[AffineRoot, ...] = field(compare=False)
+    witness: Vec = field(compare=False)
 
     @classmethod
     def build(cls, rs: RootSystem, key: tuple[tuple[int, bool], ...],
@@ -256,10 +240,3 @@ def verify_ver_isomorphism(rs: RootSystem) -> bool:
             if ((i, j) in arrow_set) != kj.closure_contains(*vi):
                 return False
     return True
-
-
-@lru_cache(maxsize=None)
-def face_category_json(rs: RootSystem) -> str:
-    """The face category as JSON text, written once per root system; a
-    refusal (gl) is raised on every call and never cached."""
-    return dumps_indented(faces_of_alcove(rs).to_json(rs))

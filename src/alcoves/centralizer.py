@@ -7,9 +7,9 @@ alpha(a) = n.  The internal affine-root convention is alpha - n throughout;
 the opposite-sign double-affine convention is converted at this module's
 boundary and stored as written there.
 
-Each centralizer writes its points over one denominator once and feeds
-the numerators to both tests of `weylaff`, `int_root_scan` and
-`int_weyl_scan`.
+Every centralizer is built by one kernel, `_centralizer`, which feeds
+integer numerators over one denominator to both tests of `weylaff`,
+`int_root_scan` and `int_weyl_scan`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .weylaff import (
     FiniteSubgroup,
     int_root_scan,
     int_weyl_scan,
-    star_contains,
     vanishing_affine_roots,
 )
 
@@ -172,26 +171,27 @@ def subsystem_type(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> str:
 # -- centralizer computations --------------------------------------------
 
 
-def _centralizer_from_phi(rs: RootSystem, phi: list[AffineRoot],
-                          w_elements: list[AffineWeylElement]
-                          ) -> CentralizerData:
+def _centralizer(rs: RootSystem, d: int, fixed: tuple, lattice: tuple,
+                 a: tuple) -> CentralizerData:
+    """The centralizer at a, all points integer numerators over d: the
+    roots vanishing at the `fixed` points and integral at a and at the
+    `lattice` points, at level alpha(a), and the w0 in W fixing the
+    `fixed` points and keeping a and the `lattice` points mod coweights."""
+    phi = tuple(AffineRoot(idx, vals[-1])
+                for idx, vals in int_root_scan(rs, d, fixed, (*lattice, a)))
+    w = FiniteSubgroup(tuple(AffineWeylElement(w0, lam) for w0, (lam,) in
+                             int_weyl_scan(rs, d, fixed, ((a, a),), lattice)))
     # W_s° is generated by the reflections in phi, which all fix one point,
     # so it is the Weyl group of the linear parts of phi
-    typ = subsystem_type(rs, tuple(phi))
+    typ = subsystem_type(rs, phi)
     w0_order = prod(_weyl_order(c) for c in typ.split("+") if c != "0")
-    pi0, rem = divmod(len(w_elements), w0_order)
+    pi0, rem = divmod(w.order, w0_order)
     if rem:
         raise RuntimeError(f"|W_s°| = {w0_order} does not divide "
-                           f"|W_s| = {len(w_elements)} (bug)")
-    return CentralizerData(
-        phi=tuple(phi),
-        dim=rs.dim + len(phi),
-        w=FiniteSubgroup(tuple(w_elements)),
-        w0_order=w0_order,
-        pi0_order=pi0,
-        connected=(pi0 == 1),
-        subsystem_type=typ,
-    )
+                           f"|W_s| = {w.order} (bug)")
+    return CentralizerData(phi=phi, dim=rs.dim + len(phi), w=w,
+                           w0_order=w0_order, pi0_order=pi0,
+                           connected=pi0 == 1, subsystem_type=typ)
 
 
 def centralizer_elliptic(rs: RootSystem, s: ExpPoint) -> CentralizerData:
@@ -200,14 +200,9 @@ def centralizer_elliptic(rs: RootSystem, s: ExpPoint) -> CentralizerData:
     integer `coweight_num`, so both are numerators over e * coweight_den;
     W is tested at a on all of W and at theta on the elements a keeps."""
     e, (th, a) = ratmat.over_common_denominator((s.theta, s.a), rs.dim)
-    d = e * rs.coweight_den
     theta = ratmat.int_matvec(rs.coweight_num, th)
-    a = tuple(rs.coweight_den * c for c in a)
-    phi = [AffineRoot(idx, n)
-           for idx, (_, n) in int_root_scan(rs, d, (), (theta, a))]
-    w_elements = [AffineWeylElement(w0, lam) for w0, (lam,) in
-                  int_weyl_scan(rs, d, (), ((a, a),), (theta,))]
-    return _centralizer_from_phi(rs, phi, w_elements)
+    return _centralizer(rs, e * rs.coweight_den, (), (theta,),
+                        tuple(rs.coweight_den * c for c in a))
 
 
 def centralizer_face(rs: RootSystem, j: Face) -> CentralizerData:
@@ -225,9 +220,8 @@ def centralizer_face(rs: RootSystem, j: Face) -> CentralizerData:
 def _face_centralizer(rs: RootSystem, j: Face) -> CentralizerData:
     """The centralizer at theta = 0, a = the witness of J, checked once
     against the affine roots vanishing at the vertices of J."""
-    data = centralizer_elliptic(
-        rs, ExpPoint(ratmat.zeros(rs.dim), j.witness)
-    )
+    d, (a,) = ratmat.over_common_denominator((j.witness,), rs.dim)
+    data = _centralizer(rs, d, (), (), a)
     if set(data.phi) != set(vanishing_affine_roots(rs, j.vertices)):
         raise RuntimeError("roots at the face witness differ from the roots "
                            "vanishing on the face (bug)")
@@ -237,18 +231,7 @@ def _face_centralizer(rs: RootSystem, j: Face) -> CentralizerData:
 def gauge_centralizer_circle(rs: RootSystem, a: GaugePoint) -> CentralizerData:
     """Centralizer data of a constant gauge field A on the circle."""
     d, (im, re) = ratmat.over_common_denominator((a.a_im, a.a_re), rs.dim)
-    return _circle_centralizer(rs, d, (im,), re)
-
-
-def _circle_centralizer(rs: RootSystem, d: int, fixed: tuple,
-                        re: tuple) -> CentralizerData:
-    """`gauge_centralizer_circle` with A_re = re / d and A_im one of the
-    `fixed` points, all as integer numerators over d."""
-    phi = [AffineRoot(idx, n)
-           for idx, (n,) in int_root_scan(rs, d, fixed, (re,))]
-    w_elements = [AffineWeylElement(w0, lam) for w0, (lam,) in
-                  int_weyl_scan(rs, d, fixed, ((re, re),))]
-    return _centralizer_from_phi(rs, phi, w_elements)
+    return _centralizer(rs, d, (im,), (), re)
 
 
 @dataclass(frozen=True)
@@ -276,8 +259,8 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
            int_weyl_scan(rs, d, (), ((a1, a1), (a2, a2)))]
 
     # the circle centralizers at A1 and A2 (A_im = 0, which fixes nothing)
-    proj1 = _circle_centralizer(rs, d, (), a1)
-    proj2 = _circle_centralizer(rs, d, (), a2)
+    proj1 = _centralizer(rs, d, (), (), a1)
+    proj2 = _centralizer(rs, d, (), (), a2)
 
     # Cartesian: phi_B is exactly the fiber product of the two circle
     # centralizers over the finite root set, levels included.
@@ -308,11 +291,6 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
         cartesian=cartesian,
         injective=inj_phi and inj_w,
     )
-
-
-def se_contains(rs: RootSystem, j: Face, s: ExpPoint) -> bool:
-    """Small-eigenvalue region of the face: theta free, a in St_J."""
-    return star_contains(rs, j, s.a)
 
 
 # -- type-A matrix shapes -------------------------------------------------

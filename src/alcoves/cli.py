@@ -8,8 +8,8 @@ A call made of a command and exact `--opt value` or `--opt=value` pairs
 is read from a table of the parser's own actions (`_table_parse`); any
 other argv goes to the full parser, whose answer it is.  A JSON value is
 written by `jsontext.dumps_indented`, the bytes of
-`json.dumps(value, indent=2)` in one pass; the `roots`, `faces` and
-`diagram` texts are written once per root system.
+`json.dumps(value, indent=2)` in one pass; `_text` writes the `roots`,
+`faces` and `diagram` texts once per root system.
 
 `_COMMANDS` maps a command to a handler `(rs, args)` that returns a JSON
 value or a string.  `SUITES` maps a `verify` suite to a generator
@@ -191,7 +191,7 @@ def suite_centralizer(rs, rng, seed, samples, radius):
             fw = fdata.w.element_set()
             for a in _star_samples(rs, f, rng, per_face):
                 s = centralizer.exp_point(rs, _rand_theta(rng, rs.dim), a)
-                if not centralizer.se_contains(rs, f, s):
+                if not star_contains(rs, f, s.a):
                     return f"sampled point left the star at face {f}"
                 sdata = centralizer.centralizer_elliptic(rs, s)
                 if not (set(sdata.phi) <= fphi
@@ -370,11 +370,13 @@ def run_suite(suite: str, rs: RootSystem | None, seed: int,
 # -- argument parsing ------------------------------------------------------
 
 
-def _parse_vec(s: str):
+def _parse_vec(args, option: str):
+    s = getattr(args, option)
     try:
         return tuple(ratmat.parse_frac(p) for p in s.split(","))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--{option} {s!r} is not a comma list of p/q") \
+            from None
 
 
 def _parse_complex(args, option: str) -> complex:
@@ -561,9 +563,9 @@ def _face(rs: RootSystem, args, option: str):
 
 
 def _centralizer(rs, args):
-    theta = _parse_vec(args.theta) if args.theta else ratmat.zeros(rs.dim)
+    theta = _parse_vec(args, "theta") if args.theta else ratmat.zeros(rs.dim)
     data = centralizer.centralizer_elliptic(
-        rs, centralizer.exp_point(rs, theta, _parse_vec(args.a)))
+        rs, centralizer.exp_point(rs, theta, _parse_vec(args, "a")))
     out = data.to_json()
     if rs.cartan_type.family == "A":
         shape = centralizer.matrix_shape(rs, data.phi)
@@ -586,7 +588,7 @@ def _parabolic(rs, args):
 def _star(rs, args):
     j = _face(rs, args, "face")
     if args.point is not None:
-        return {"contains": star_contains(rs, j, _parse_vec(args.point))}
+        return {"contains": star_contains(rs, j, _parse_vec(args, "point"))}
     return {"facet_witnesses": [ratmat.vec_str(w) for w in
                                 weylaff.star_facet_witnesses(rs, j)]}
 
@@ -605,19 +607,27 @@ def _svg(rs, args):
     return svg.render_svg(rs, args.region, highlight)
 
 
+# command -> the JSON value of its text, which depends on rs only; each
+# builder is looked up at call time, so tracing sees a rebound one
+_TEXTS = {
+    "roots": lambda rs: rs.to_json(),
+    "faces": lambda rs: alcove.faces_of_alcove(rs).to_json(rs),
+    "diagram": lambda rs: parabolic.restriction_diagram(rs),
+}
+
+
 @lru_cache(maxsize=None)
-def _roots_json(rs: RootSystem) -> str:
-    """The `roots` text, written once per root system."""
-    return dumps_indented(rs.to_json())
+def _text(rs: RootSystem, command: str) -> str:
+    """The text of a `_TEXTS` command, written once per root system; a
+    refusal is raised on every call and never cached."""
+    return dumps_indented(_TEXTS[command](rs))
 
 
 # command -> handler (rs, args) returning a JSON value or a string
 _COMMANDS = {
-    "roots": lambda rs, args: _roots_json(rs),
-    "faces": lambda rs, args: alcove.face_category_json(rs),
+    **dict.fromkeys(_TEXTS, lambda rs, args: _text(rs, args.command)),
     "centralizer": _centralizer,
     "parabolic": _parabolic,
-    "diagram": lambda rs, args: parabolic.restriction_diagram_json(rs),
     "star": _star,
     "overlap": _overlap,
     "svg": _svg,
@@ -628,7 +638,10 @@ def _wp(args) -> dict:
     lat = weierstrass.Lattice(_parse_complex(args, "omega1"),
                               _parse_complex(args, "omega2"))
     with open(args.matrix, encoding="utf-8") as fh:
-        z = _parse_matrix(json.load(fh))
+        try:
+            z = _parse_matrix(json.load(fh))
+        except json.JSONDecodeError as e:
+            raise ValueError(f"--matrix {args.matrix!r}: {e}") from None
     rep = weierstrass.cubic_report(z, lat, args.radius)
     return {
         "g2": [rep["g2"].real, rep["g2"].imag],

@@ -14,7 +14,6 @@ from functools import lru_cache
 
 from .alcove import AffineRoot, Face, faces_of_alcove
 from .centralizer import matrix_shape
-from .jsontext import dumps_indented
 from .ratmat import int_dot, over_common_denominator
 from .rootdata import RootSystem
 from .weylaff import int_root_scan
@@ -135,10 +134,3 @@ def restriction_diagram(rs: RootSystem) -> dict:
         "edges": edges,
         "triangles": triangles,
     }
-
-
-@lru_cache(maxsize=None)
-def restriction_diagram_json(rs: RootSystem) -> str:
-    """The diagram as JSON text, written once per root system; a refusal
-    is raised on every call and never cached."""
-    return dumps_indented(restriction_diagram(rs))

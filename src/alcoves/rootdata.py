@@ -140,10 +140,11 @@ class WeylElement:
     ``matrix`` acts on t (coroot-basis coordinates); W preserves the
     coroot lattice, so it is integral in this basis.  The word (j1, ...,
     jm) is s_jm ... s_j1, the first reduced word in lexicographic order.
+    Equality and hash are the matrix's, from which the word is derived.
     """
 
     matrix: IntMat
-    word: tuple[int, ...]
+    word: tuple[int, ...] = field(compare=False)
 
     def apply(self, x: Vec) -> Vec:
         return ratmat.matvec(self.matrix, x)

@@ -72,15 +72,6 @@ class AffineWeylElement:
     def apply(self, x: Vec) -> Vec:
         return ratmat.add(self.finite_part.apply(x), self.translation)
 
-    def key(self):
-        return (self.finite_part.matrix, self.translation)
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __eq__(self, other):
-        return isinstance(other, AffineWeylElement) and self.key() == other.key()
-
     def is_identity(self) -> bool:
         return self.finite_part.is_identity() and not any(self.translation)
 

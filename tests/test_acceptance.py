@@ -16,7 +16,6 @@ import numpy as np
 from alcoves import cli, weierstrass
 from alcoves.alcove import faces_of_alcove
 from alcoves.centralizer import centralizer_elliptic, exp_point, matrix_shape
-from alcoves.parabolic import restriction_diagram_json
 from alcoves.rootdata import CartanType, build_root_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -76,7 +75,7 @@ def test_criterion_3_pgl2_component_group(capsys):
 
 def test_criterion_4_sl3_diagram_fixture(capsys):
     t0 = time.monotonic()
-    produced = restriction_diagram_json(rs_of("A", 2)) + "\n"
+    produced = cli._text(rs_of("A", 2), "diagram") + "\n"
     committed = (FIXTURES / "sl3_diagram.json").read_text()
     ok = produced == committed
     data = json.loads(produced)

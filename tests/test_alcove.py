@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from alcoves import alcove, ratmat
+from alcoves import alcove, cli, ratmat
 from alcoves.alcove import (
     AffineRoot,
     alcove_vertices,
     eval_affine_root,
-    face_category_json,
     faces_of_alcove,
     facet_of,
     fundamental_alcove,
@@ -199,7 +198,7 @@ def test_facet_key_closure_contains_matches_closure_test():
 
 def test_json_export():
     rs = rs_of("A", 2)
-    data = json.loads(face_category_json(rs))
+    data = json.loads(cli._text(rs, "faces"))
     assert len(data["faces"]) == 7
     assert len(data["arrows"]) == 19
     assert len(data["walls"]) == 3

@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from alcoves import centralizer, ratmat
-from alcoves.alcove import AffineRoot, faces_of_alcove
+from alcoves.alcove import AffineRoot, alcove_vertices, faces_of_alcove
 from alcoves.centralizer import (
     GaugePoint,
     centralizer_elliptic,
@@ -14,7 +14,6 @@ from alcoves.centralizer import (
     exp_point,
     gauge_centralizer_circle,
     matrix_shape,
-    se_contains,
     subsystem_type,
 )
 from alcoves.rootdata import CartanType, build_root_system
@@ -154,6 +153,29 @@ def test_double_affine_random():
             assert data.injective
 
 
+ENTRY_TYPES = [(f, r, iso) for f, r in (("A", 2), ("B", 2), ("G", 2),
+                                         ("A", 3), ("B", 4))
+               for iso in ("sc", "adjoint")]
+
+
+@pytest.mark.parametrize("family,rank,isogeny", ENTRY_TYPES,
+                         ids=[f"{f}{r}-{i}" for f, r, i in ENTRY_TYPES])
+def test_kernel_entry_points_agree(family, rank, isogeny):
+    """At theta = 0 and A_im = 0 the elliptic, the circle-gauge and the
+    first double-affine projection are one centralizer: equal data, phi
+    and W in the same order."""
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(f"entry-points-{family}{rank}-{isogeny}")
+    zero = ratmat.zeros(rs.dim)
+    grid = [tuple(Fraction(rng.randint(-12, 12), 6) for _ in range(rs.dim))
+            for _ in range(4)]
+    for a in (*alcove_vertices(rs), *grid):
+        b = tuple(Fraction(rng.randint(-12, 12), 4) for _ in range(rs.dim))
+        circle = gauge_centralizer_circle(rs, GaugePoint(a, zero))
+        assert centralizer_elliptic(rs, exp_point(rs, zero, a)) == circle
+        assert double_affine_centralizer(rs, a, b).proj1 == circle
+
+
 def test_et_contains():
     rs = rs_of("A", 1)
     s = exp_point(rs, (0,), (Fraction(1, 2),))
@@ -180,8 +202,8 @@ def test_se_contains_and_seinet():
             fphi = set(fdata.phi)
             fw = fdata.w.element_set()
             wits = star_facet_witnesses(rs, f)
-            assert se_contains(
-                rs, f, exp_point(rs, (Fraction(1, 3),) * rs.dim, f.witness)
+            assert star_contains(
+                rs, f, exp_point(rs, (Fraction(1, 3),) * rs.dim, f.witness).a
             )
             for _ in range(6):
                 p = wits[rng.randrange(len(wits))]
@@ -193,7 +215,7 @@ def test_se_contains_and_seinet():
                 theta = tuple(Fraction(rng.randint(0, 3), 4)
                               for _ in range(rs.dim))
                 s = exp_point(rs, theta, a)
-                assert se_contains(rs, f, s)
+                assert star_contains(rs, f, s.a)
                 sdata = centralizer_elliptic(rs, s)
                 assert set(sdata.phi) <= fphi
                 assert sdata.w.element_set() <= fw
@@ -204,7 +226,7 @@ def test_se_outside_star():
     cat = faces_of_alcove(rs)
     v0 = cat.face_by_walls({0})
     s = exp_point(rs, (0,), (Fraction(3, 4),))
-    assert not se_contains(rs, v0, s)
+    assert not star_contains(rs, v0, s.a)
 
 
 def test_w_equivariance():

@@ -9,6 +9,8 @@ import pytest
 from alcoves import cli
 
 WP_MATRIX = str(Path(__file__).parent / "fixtures" / "wp_1x1.json")
+# re,im written as text, not as a JSON array
+WP_NOT_JSON = str(Path(__file__).parent / "fixtures" / "wp_not_json.txt")
 
 
 def run(capsys, argv):
@@ -253,6 +255,18 @@ BAD_VALUES = {
         "error: --omega1 '1,2,3' is not re,im\n",
     ("wp", "--omega1", "a,b", "--omega2", "0,1", "--matrix", WP_MATRIX):
         "error: --omega1 'a,b' is not re,im\n",
+    ("centralizer", "--type", "A", "--rank", "2", "--a", ","):
+        "error: --a ',' is not a comma list of p/q\n",
+    ("centralizer", "--type", "A", "--rank", "2", "--a", "1/0,1"):
+        "error: --a '1/0,1' is not a comma list of p/q\n",
+    ("centralizer", "--type", "A", "--rank", "2", "--theta", "1/2,x",
+     "--a", "0,0"):
+        "error: --theta '1/2,x' is not a comma list of p/q\n",
+    ("star", "--type", "A", "--rank", "2", "--face", "0", "--point", "1/2,q"):
+        "error: --point '1/2,q' is not a comma list of p/q\n",
+    ("wp", "--omega1", "1,0", "--omega2", "0,1", "--matrix", WP_NOT_JSON):
+        f"error: --matrix {WP_NOT_JSON!r}: Extra data: line 1 column 4 "
+        "(char 3)\n",
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcoves import alcove, cli, parabolic
+from alcoves import cli, parabolic
 from alcoves.jsontext import dumps_indented
 from alcoves.rootdata import CartanType, build_root_system
 
@@ -49,8 +49,8 @@ class Level(enum.IntEnum):
 def test_every_pinned_cli_output():
     """Each value the CLI writes for an output pinned in `tests/fixtures`
     (`svg` writes text, `verify` one-line JSON), caught on its way to the
-    writer in `cli`, `alcove` and `parabolic`.  The per-root-system texts
-    are cleared before each call, so every value reaches the writer."""
+    writer in `cli`.  The per-root-system texts of `cli._text` are
+    cleared before each call, so every value reaches the writer."""
     seen = []
 
     def spy(obj):
@@ -64,13 +64,9 @@ def test_every_pinned_cli_output():
     argvs += ["roots --type {} --rank {} --isogeny {}".format(
         t[0], *t[1:].split("-"))
         for t in json.loads((FIXTURES / "rootdata_digests.json").read_text())]
-    with mock.patch.object(cli, "dumps_indented", spy), \
-            mock.patch.object(alcove, "dumps_indented", spy), \
-            mock.patch.object(parabolic, "dumps_indented", spy):
+    with mock.patch.object(cli, "dumps_indented", spy):
         for argv in argvs:
-            for text in (cli._roots_json, alcove.face_category_json,
-                         parabolic.restriction_diagram_json):
-                text.cache_clear()
+            cli._text.cache_clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv.split()) == 0, argv
     assert len(seen) == len(argvs)

@@ -1,5 +1,5 @@
 """The per-root-system texts: the `roots`, `faces` and `diagram` outputs,
-each written once per root system.
+each written once per root system by `cli._text`.
 
 A cached text must equal a cold build after `cache_clear`, and the text
 built without the cache; a refusal must be raised on every call, with
@@ -28,21 +28,23 @@ def _ids(types):
     return ["".join(map(str, t)) for t in types]
 
 
-def assert_cached_equals_cold(text, rs, build):
-    """`text(rs)` is kept, and equals both a cold build after
-    `cache_clear` and `build(rs)`, which does not read the cache."""
-    warm = text(rs)
-    assert text(rs) is warm
+def assert_cached_equals_cold(command, rs, build):
+    """`cli._text(rs, command)` is kept, and equals both a cold build
+    after `cache_clear` and `build(rs)`, which does not read the cache."""
+    text = cli._text
+    warm = text(rs, command)
+    assert text(rs, command) is warm
     text.cache_clear()
-    assert text(rs) == warm == build(rs)
+    assert text(rs, command) == warm == build(rs)
     assert text.cache_info().currsize == 1
 
 
-def assert_refused(text, rs, message):
+def assert_refused(command, rs, message):
+    text = cli._text
     size = text.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError) as e:
-            text(rs)
+            text(rs, command)
         assert str(e.value) == message
     assert text.cache_info().currsize == size
 
@@ -56,21 +58,21 @@ def test_every_type_is_listed():
 def test_cached_diagram_equals_cold(family, rank):
     rs = build_root_system(CartanType(family, rank))
     assert_cached_equals_cold(
-        parabolic.restriction_diagram_json, rs,
+        "diagram", rs,
         lambda rs: dumps_indented(parabolic.restriction_diagram(rs)))
 
 
 @pytest.mark.parametrize("family,rank,isogeny", TYPES, ids=_ids(TYPES))
 def test_cached_roots_and_faces_equal_cold(family, rank, isogeny):
     rs = build_root_system(CartanType(family, rank, isogeny))
-    assert_cached_equals_cold(cli._roots_json, rs,
+    assert_cached_equals_cold("roots", rs,
                               lambda rs: dumps_indented(rs.to_json()))
     if isogeny == "gl":
-        assert_refused(alcove.face_category_json, rs,
+        assert_refused("faces", rs,
                        "fundamental alcove requires sc or adjoint isogeny")
     else:
         assert_cached_equals_cold(
-            alcove.face_category_json, rs,
+            "faces", rs,
             lambda rs: dumps_indented(alcove.faces_of_alcove(rs).to_json(rs)))
 
 
@@ -83,7 +85,7 @@ def test_cached_roots_and_faces_equal_cold(family, rank, isogeny):
 def test_diagram_refusals_are_raised_on_every_call(family, rank, isogeny,
                                                    message):
     rs = build_root_system(CartanType(family, rank, isogeny))
-    assert_refused(parabolic.restriction_diagram_json, rs, message)
+    assert_refused("diagram", rs, message)
 
 
 def test_diagram_refusal_exits_2_on_every_call(capsys):
