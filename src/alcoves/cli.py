@@ -638,10 +638,11 @@ def _wp(args) -> dict:
     lat = weierstrass.Lattice(_parse_complex(args, "omega1"),
                               _parse_complex(args, "omega2"))
     with open(args.matrix, encoding="utf-8") as fh:
-        try:
-            z = _parse_matrix(json.load(fh))
-        except json.JSONDecodeError as e:
+        try:  # not JSON, or not UTF-8
+            raw = json.load(fh)
+        except ValueError as e:
             raise ValueError(f"--matrix {args.matrix!r}: {e}") from None
+    z = _parse_matrix(raw)
     rep = weierstrass.cubic_report(z, lat, args.radius)
     return {
         "g2": [rep["g2"].real, rep["g2"].imag],

@@ -9,8 +9,10 @@ import pytest
 from alcoves import cli
 
 WP_MATRIX = str(Path(__file__).parent / "fixtures" / "wp_1x1.json")
-# re,im written as text, not as a JSON array
+# re,im written as text, not as a JSON array; a first byte that is not
+# UTF-8
 WP_NOT_JSON = str(Path(__file__).parent / "fixtures" / "wp_not_json.txt")
+WP_NOT_UTF8 = str(Path(__file__).parent / "fixtures" / "wp_not_utf8.json")
 
 
 def run(capsys, argv):
@@ -267,6 +269,9 @@ BAD_VALUES = {
     ("wp", "--omega1", "1,0", "--omega2", "0,1", "--matrix", WP_NOT_JSON):
         f"error: --matrix {WP_NOT_JSON!r}: Extra data: line 1 column 4 "
         "(char 3)\n",
+    ("wp", "--omega1", "1,0", "--omega2", "0,1", "--matrix", WP_NOT_UTF8):
+        f"error: --matrix {WP_NOT_UTF8!r}: 'utf-8' codec can't decode byte "
+        "0xff in position 0: invalid start byte\n",
 }
 
 
