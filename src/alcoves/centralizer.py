@@ -279,10 +279,9 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     img1 = [(d.root_index, -d.n1) for d in phi_b]
     img2 = [(d.root_index, -d.n2) for d in phi_b]
     inj_phi = len(set(img1)) == len(img1) and len(set(img2)) == len(img2)
-    w1 = {e.finite_part.matrix for e in proj1.w.elements}
-    w2 = {e.finite_part.matrix for e in proj2.w.elements}
-    inj_w = all(w0.matrix in w1 and w0.matrix in w2 for (w0, _, _) in w_b) \
-        and len({w0.matrix for (w0, _, _) in w_b}) == len(w_b)
+    w0s = {w0 for w0, _, _ in w_b}
+    inj_w = len(w0s) == len(w_b) and all(
+        w0s <= {e.finite_part for e in p.w.elements} for p in (proj1, proj2))
     return DoubleCentralizerData(
         phi_b=tuple(phi_b),
         w_b=tuple(w_b),
