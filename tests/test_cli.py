@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from alcoves import cli
+from alcoves import cli, verify
 
 WP_MATRIX = str(Path(__file__).parent / "fixtures" / "wp_1x1.json")
 # re,im written as text, not as a JSON array; a first byte that is not
@@ -160,15 +160,31 @@ def test_verify_command_and_exit_codes(capsys):
     assert all("cartan_type" in r and "elapsed_ms" in r for r in reports)
 
 
+def test_verify_out_writes_stdout_without_last_newline(tmp_path, capsys):
+    argv = ["verify", "faces", "--type", "A", "--rank", "2"]
+    out_file = tmp_path / "faces.jsonl"
+    code, out = run(capsys, [*argv, "--out", str(out_file)])
+    assert code == 0 and out == ""
+    code, out = run(capsys, argv)
+    assert code == 0 and out.endswith("}\n")
+
+    def lines(text):
+        return [{k: v for k, v in json.loads(line).items()
+                 if k != "elapsed_ms"} for line in text.split("\n")]
+    written = out_file.read_text(encoding="utf-8")
+    assert not written.endswith("\n")
+    assert lines(written) == lines(out[:-1])
+
+
 def stub_suite(check):
-    """A suite of one check, for the `faces` entry of `cli.SUITES`."""
+    """A suite of one check, for the `faces` entry of `verify.SUITES`."""
     def suite(rs, rng, seed, samples, radius):
         yield "stub", {}, check
     return suite, True
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli.SUITES, "faces", stub_suite(lambda: "forced"))
+    monkeypatch.setitem(verify.SUITES, "faces", stub_suite(lambda: "forced"))
     code, out = run(capsys, ["verify", "faces", "--type", "A", "--rank", "1"])
     assert code == 1
     report = json.loads(out.strip())
@@ -180,7 +196,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_check_that_raises_fails(capsys, monkeypatch):
     def check():
         raise RuntimeError("boom")
-    monkeypatch.setitem(cli.SUITES, "faces", stub_suite(check))
+    monkeypatch.setitem(verify.SUITES, "faces", stub_suite(check))
     code, out = run(capsys, ["verify", "faces", "--type", "A", "--rank", "1"])
     assert code == 1
     report = json.loads(out.strip())
@@ -244,6 +260,15 @@ BAD_DIMENSION = {
      "--a", "1/2,0"): "error: theta: expected dimension 2, got 3\n",
     ("centralizer", "--type", "A", "--rank", "2", "--isogeny", "gl",
      "--a", "0,0"): "error: a: expected dimension 3, got 2\n",
+    ("star", "--type", "A", "--rank", "2", "--face", "0", "--point", "1/2"):
+        "error: point: expected dimension 2, got 1\n",
+}
+
+# a guard hit in a later suite discards the lines of the suites before
+# it: the E6 `faces` checks pass, then `stabilizers` needs W(E6)
+GUARD_HITS = {
+    ("verify", "all", "--type", "E", "--rank", "6", "--samples", "2"):
+        "error: rank 6 exceeds enumeration guard 4\n",
 }
 
 # a value the command cannot use: a gl picture has no alcove, and a
@@ -299,6 +324,7 @@ BAD_VALUES = {
     *map(list, NO_ARROW),
     *map(list, BAD_DIMENSION),
     *map(list, BAD_VALUES),
+    *map(list, GUARD_HITS),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     code = cli.main(argv)
@@ -308,7 +334,7 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     expected = {**FACE_LOOKUPS, **FACE_PARSES, **NO_ARROW,
-                **BAD_DIMENSION, **BAD_VALUES}.get(tuple(argv))
+                **BAD_DIMENSION, **BAD_VALUES, **GUARD_HITS}.get(tuple(argv))
     if expected is not None:
         assert captured.err == expected
 

@@ -4,6 +4,8 @@
   must be explicit exceptions.
 - No module reaches into another module's private names, neither by
   `from .m import _x` nor by `m._x` on an imported module.
+- No module imports `cli`: the command-line front end sits on top, and
+  the verification harness it runs is the `verify` module.
 - Every public top-level function is used by library code outside its
   own definition and `__init__` (a `Name` or `Attribute` node resolved
   to its module, not a docstring), or is kept in `KEEP` for the reason
@@ -79,6 +81,11 @@ def _violations(path: Path) -> list[str]:
                 if source != here and _private(alias.name):
                     out.append(f"line {node.lineno}: imports "
                                f"{source}.{alias.name}")
+                if "cli" in (source, alias.name) and here != "cli":
+                    out.append(f"line {node.lineno}: imports cli")
+        elif isinstance(node, ast.Import) and here != "cli":
+            if any(a.name == "alcoves.cli" for a in node.names):
+                out.append(f"line {node.lineno}: imports cli")
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and _private(node.attr)
                 and isinstance(node.value, ast.Name)
