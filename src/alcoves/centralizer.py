@@ -9,15 +9,21 @@ boundary and stored as written there.
 
 Every centralizer is built by one kernel, `_centralizer`, which feeds
 integer numerators over one denominator to both tests of `weylaff`,
-`int_root_scan` and `int_weyl_scan`.
+`int_root_scan` and `int_weyl_test`.  It keeps W_s as integers, the
+indices of its finite parts in `weyl_elements` and its translations'
+numerators over coweight_den, and builds the group from them when `w` is
+first read.  The subsystem type is read from integer tables of the roots
+built once per root system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, prod
+from functools import cached_property, lru_cache
+from itertools import combinations
+from math import factorial, gcd, prod
+from operator import add
 
 from . import ratmat
 from .alcove import AffineRoot, Face
@@ -28,7 +34,10 @@ from .weylaff import (
     FiniteSubgroup,
     int_root_scan,
     int_weyl_scan,
+    int_weyl_test,
+    int_weyl_translations,
     vanishing_affine_roots,
+    weyl_elements,
 )
 
 
@@ -45,7 +54,8 @@ class ExpPoint:
 
 
 def exp_point(rs: RootSystem, theta, a) -> ExpPoint:
-    th = tuple(Fraction(t) % 1 for t in theta)
+    th = tuple(Fraction(t.numerator % t.denominator, t.denominator)
+               for t in map(Fraction, theta))
     av = ratmat.vec(a)
     for name, v in (("theta", th), ("a", av)):
         if len(v) != rs.dim:
@@ -73,19 +83,37 @@ class DoubleAffineRoot:
 
 @dataclass(frozen=True)
 class CentralizerData:
+    """phi, and W_s in integers: `w_index` holds the indices of its finite
+    parts in `weyl_elements(rs)`, ascending, and `w_translation` the
+    numerators over `rs.coweight_den` of its translations, `rs.dim` per
+    element in the same order.  `w`, the group itself, is built from them
+    on first read; equality and the hash read rs and the integers, never
+    the group."""
+
+    rs: RootSystem = field(repr=False)
     phi: tuple[AffineRoot, ...]
     dim: int
-    w: FiniteSubgroup
+    w_index: tuple[int, ...]
+    w_translation: tuple[int, ...] = field(repr=False)
     w0_order: int  # |W_s°|, the Weyl group order of subsystem_type
     pi0_order: int
     connected: bool
     subsystem_type: str
 
+    @cached_property
+    def w(self) -> FiniteSubgroup:
+        rs, t = self.rs, self.w_translation
+        frac = {c: Fraction(c, rs.coweight_den) for c in set(t)}.__getitem__
+        elements, n = weyl_elements(rs), rs.dim
+        return FiniteSubgroup(tuple(
+            AffineWeylElement(elements[i], tuple(map(frac, t[k:k + n])))
+            for i, k in zip(self.w_index, range(0, len(t), n))))
+
     def to_json(self) -> dict:
         return {
             "phi": [[ar.root_index, ar.level] for ar in self.phi],
             "dim": self.dim,
-            "w_order": self.w.order,
+            "w_order": len(self.w_index),
             "w0_order": self.w0_order,
             "pi0": self.pi0_order,
             "connected": self.connected,
@@ -95,8 +123,10 @@ class CentralizerData:
 
 # -- subsystem classification -------------------------------------------
 
+@lru_cache(maxsize=None)
 def _weyl_order(label: str) -> int:
-    """Order of the Weyl group of one irreducible type such as "B3"."""
+    """Order of the Weyl group of one irreducible type such as "B3"; read
+    once per label."""
     r = int(label[1:])
     return {"A": factorial(r + 1), "B": 2 ** r * factorial(r),
             "C": 2 ** r * factorial(r), "D": 2 ** (r - 1) * factorial(r),
@@ -130,27 +160,41 @@ def _classify_component(cmat: list[list[int]]) -> str:
     return f"D{k}" if leaves >= 2 else f"E{k}"
 
 
-def subsystem_type(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> str:
-    """Dynkin type of the root subsystem spanned by the linear parts."""
-    by_root = {tuple(map(int, rs.all_roots[ar.root_index])): ar.root_index
-               for ar in phi}
-    if not by_root:
-        return "0"
-    positives = {r for r in by_root if next(c for c in r if c) > 0}
-    simples = [by_root[r] for r in sorted(
-        r for r in positives
-        if not any(tuple(a - b for a, b in zip(r, s)) in positives
-                   for s in positives if s != r)
-    )]
+@lru_cache(maxsize=None)
+def _root_tables(rs: RootSystem) -> tuple[tuple, ...]:
+    """(positive, sums, pairing), built once per root system, with
+    |Phi| = N and the roots in root-index order: positive[i] tells whether
+    root i is positive; sums[i][j] is the index of root i + root j, or N
+    when that is no root, found from the roots' integer coordinates and
+    their index; pairing[i][j] = alpha_j(alpha_i-check) =
+    2(alpha_i, alpha_j)/(alpha_i, alpha_i), the Cartan pairing.  Each
+    table has at most N^2 entries."""
+    coords = [tuple(map(int, r)) for r in rs.all_roots]
+    index = {c: i for i, c in enumerate(coords)}
+    n = len(coords)
+    return (tuple(sum(c) > 0 for c in coords),
+            tuple(tuple(index.get(tuple(map(add, r, s)), n) for s in coords)
+                  for r in coords),
+            tuple(tuple(ratmat.int_dot(g, c) for g in rs.grads)
+                  for c in rs.coroots))
 
-    # the Cartan pairing 2(a_i, a_j)/(a_i, a_i) = a_j(a_i-check)
-    k = len(simples)
-    cmat = [[ratmat.int_dot(rs.grads[simples[j]], rs.coroots[simples[i]])
-             for j in range(k)] for i in range(k)]
+
+def subsystem_type(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> str:
+    """Dynkin type of the root subsystem spanned by the linear parts, read
+    from `_root_tables`: its simple roots are its positive roots that are
+    no sum of two of them, and their Cartan matrix splits into connected
+    Dynkin diagrams."""
+    positive, sums, pairing = _root_tables(rs)
+    pos = [ar.root_index for ar in phi if positive[ar.root_index]]
+    sums_of_two = {sums[i][j] for i, j in combinations(pos, 2)}
+    simples = [i for i in pos if i not in sums_of_two]
+    if not simples:
+        return "0"
+    cmat = [[pairing[i][j] for j in simples] for i in simples]
 
     # split into connected components of the Dynkin graph
     labels = []
-    remaining = set(range(k))
+    remaining = set(range(len(simples)))
     while remaining:
         comp = []
         stack = [min(remaining)]
@@ -171,27 +215,41 @@ def subsystem_type(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> str:
 # -- centralizer computations --------------------------------------------
 
 
+def _over_coweight_den(rs: RootSystem, points: tuple
+                       ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, nums) with points[k] == nums[k] / d, d the least common multiple
+    of coweight_den and the entries' denominators, so that a coweight's
+    numerators over d divide by d / coweight_den exactly."""
+    d, nums = ratmat.over_common_denominator(points, rs.dim)
+    k = rs.coweight_den // gcd(d, rs.coweight_den)
+    return d * k, tuple(tuple(k * c for c in p) for p in nums)
+
+
 def _centralizer(rs: RootSystem, d: int, fixed: tuple, lattice: tuple,
                  a: tuple) -> CentralizerData:
-    """The centralizer at a, all points integer numerators over d: the
-    roots vanishing at the `fixed` points and integral at a and at the
-    `lattice` points, at level alpha(a), and the w0 in W fixing the
-    `fixed` points and keeping a and the `lattice` points mod coweights."""
+    """The centralizer at a, all points integer numerators over d, a
+    multiple of coweight_den: the roots vanishing at the `fixed` points
+    and integral at a and at the `lattice` points, at level alpha(a), and
+    the w0 in W fixing the `fixed` points and keeping a and the `lattice`
+    points mod coweights, with their translations a - w0(a) over
+    coweight_den."""
     phi = tuple(AffineRoot(idx, vals[-1])
                 for idx, vals in int_root_scan(rs, d, fixed, (*lattice, a)))
-    w = FiniteSubgroup(tuple(AffineWeylElement(w0, lam) for w0, (lam,) in
-                             int_weyl_scan(rs, d, fixed, ((a, a),), lattice)))
+    rows = int_weyl_test(rs, d, fixed, ((a, a),), lattice)
+    lam = int_weyl_translations(rs, d, rows, ((a, a),))
     # W_s° is generated by the reflections in phi, which all fix one point,
     # so it is the Weyl group of the linear parts of phi
     typ = subsystem_type(rs, phi)
     w0_order = prod(_weyl_order(c) for c in typ.split("+") if c != "0")
-    pi0, rem = divmod(w.order, w0_order)
+    pi0, rem = divmod(len(rows), w0_order)
     if rem:
         raise RuntimeError(f"|W_s°| = {w0_order} does not divide "
-                           f"|W_s| = {w.order} (bug)")
-    return CentralizerData(phi=phi, dim=rs.dim + len(phi), w=w,
-                           w0_order=w0_order, pi0_order=pi0,
-                           connected=pi0 == 1, subsystem_type=typ)
+                           f"|W_s| = {len(rows)} (bug)")
+    return CentralizerData(
+        rs=rs, phi=phi, dim=rs.dim + len(phi), w_index=tuple(rows.tolist()),
+        w_translation=tuple((lam // (d // rs.coweight_den)).ravel().tolist()),
+        w0_order=w0_order, pi0_order=pi0, connected=pi0 == 1,
+        subsystem_type=typ)
 
 
 def centralizer_elliptic(rs: RootSystem, s: ExpPoint) -> CentralizerData:
@@ -220,7 +278,7 @@ def centralizer_face(rs: RootSystem, j: Face) -> CentralizerData:
 def _face_centralizer(rs: RootSystem, j: Face) -> CentralizerData:
     """The centralizer at theta = 0, a = the witness of J, checked once
     against the affine roots vanishing at the vertices of J."""
-    d, (a,) = ratmat.over_common_denominator((j.witness,), rs.dim)
+    d, (a,) = _over_coweight_den(rs, (j.witness,))
     data = _centralizer(rs, d, (), (), a)
     if set(data.phi) != set(vanishing_affine_roots(rs, j.vertices)):
         raise RuntimeError("roots at the face witness differ from the roots "
@@ -230,7 +288,7 @@ def _face_centralizer(rs: RootSystem, j: Face) -> CentralizerData:
 
 def gauge_centralizer_circle(rs: RootSystem, a: GaugePoint) -> CentralizerData:
     """Centralizer data of a constant gauge field A on the circle."""
-    d, (im, re) = ratmat.over_common_denominator((a.a_im, a.a_re), rs.dim)
+    d, (im, re) = _over_coweight_den(rs, (a.a_im, a.a_re))
     return _centralizer(rs, d, (im,), (), re)
 
 
@@ -251,8 +309,7 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     Double-affine levels follow the plus convention: (n1, n2, alpha) is in
     phi_B iff alpha(A1) + n1 = 0 and alpha(A2) + n2 = 0.
     """
-    d, (a1, a2) = ratmat.over_common_denominator(
-        (ratmat.vec(a1), ratmat.vec(a2)), rs.dim)
+    d, (a1, a2) = _over_coweight_den(rs, (ratmat.vec(a1), ratmat.vec(a2)))
     phi_b = [DoubleAffineRoot(-v1, -v2, idx)
              for idx, (v1, v2) in int_root_scan(rs, d, (), (a1, a2))]
     w_b = [(w0, l1, l2) for w0, (l1, l2) in
@@ -280,8 +337,9 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     img2 = [(d.root_index, -d.n2) for d in phi_b]
     inj_phi = len(set(img1)) == len(img1) and len(set(img2)) == len(img2)
     w0s = {w0 for w0, _, _ in w_b}
+    elements = weyl_elements(rs)
     inj_w = len(w0s) == len(w_b) and all(
-        w0s <= {e.finite_part for e in p.w.elements} for p in (proj1, proj2))
+        w0s <= {elements[i] for i in p.w_index} for p in (proj1, proj2))
     return DoubleCentralizerData(
         phi_b=tuple(phi_b),
         w_b=tuple(w_b),

@@ -216,7 +216,10 @@ def _table_parse(argv) -> argparse.Namespace | None:
 
 def _face(rs: RootSystem, args, option: str):
     """The face named by `--option`: its vanishing walls as a comma list;
-    "", "-" and "interior" name the interior."""
+    "", "-" and "interior" name the interior.  A gl group has no alcove,
+    so its faces are refused as `faces` refuses them."""
+    if rs.cartan_type.isogeny == "gl":
+        raise ValueError("fundamental alcove requires sc or adjoint isogeny")
     walls = getattr(args, option)
     try:
         key = frozenset() if walls in ("", "-", "interior") \

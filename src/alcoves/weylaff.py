@@ -4,9 +4,12 @@ Elements are pairs (finite Weyl part, coweight translation) acting by
 x -> w(x) + t; the finite part is a `WeylElement`, whose matrices are
 integral.  Stabilizers and centralizers come from two tests on integer
 numerators over one denominator, `int_root_scan` over the roots and
-`int_weyl_scan` over the finite Weyl group.  They take numerators only:
-each caller, here, in `parabolic` and in `centralizer`, writes its
-points over one denominator once and passes that.  Star regions are
+`int_weyl_test` over the finite Weyl group, which returns the indices of
+the elements it keeps; `int_weyl_translations` forms their translations
+y - w0(x), and `int_weyl_scan` composes the two into Weyl elements and
+Fraction translations.  They take numerators only: each caller, here,
+in `parabolic` and in `centralizer`, writes its points over one
+denominator once and passes that.  Star regions are
 exact finite enumerations at a vertex, and a chart overlap is the one
 double coset W_{J2} W_{J1} of two face stabilizers, read off their
 translations without forming a product.
@@ -14,7 +17,7 @@ translations without forming a product.
 The kernels write their points once as integer numerators over one
 common denominator, Weyl elements act by integer matrices, and Fractions
 are built only for the values returned; each kernel's docstring states
-its bound (the int64 bounds of `int_root_scan` and `int_weyl_scan`, past
+its bound (the int64 bounds of `int_root_scan` and `int_weyl_test`, past
 which they run on Python ints, and the step cap of
 `reduce_to_alcove`).  `point_reflection_subgroup` lists the reflection
 group of a point with `rootdata.reflection_group`, the enumerator of W,
@@ -306,8 +309,9 @@ def _scan_arrays(rs: RootSystem, dtype: type) -> tuple[np.ndarray, ...]:
 def _scan_dtype(rs: RootSystem, d: int, nums, roots: bool = False) -> type:
     """np.int64 when the numerators `nums` over d are within the int64
     bound of the product they feed, object otherwise.  The W test of
-    `int_weyl_scan` needs |numerators| within the limit of `_weyl_stack`
-    and d * coweight_inv_den < 2^63; the root test of `int_root_scan`
+    `int_weyl_test` needs |numerators| within the limit of `_weyl_stack`
+    and d * coweight_inv_den < 2^63, and `int_weyl_translations` is held
+    to the same; the root test of `int_root_scan`
     (`roots`) needs them within the limit of `_grad_arrays` and
     d < 2^63."""
     x_max = max(map(abs, chain.from_iterable(nums)), default=0)
@@ -318,13 +322,12 @@ def _scan_dtype(rs: RootSystem, d: int, nums, roots: bool = False) -> type:
     return np.int64 if x_max <= limit and m < 2 ** 63 else object
 
 
-def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
-                  lattice: tuple = ()
-                  ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
-    """Each w0 in W that fixes every `fixed` point and makes y - w0(x) a
-    coweight for every (x, y) in `pairs` and x - w0(x) one for every x in
-    `lattice`, all integer numerators over d, in `weyl_elements` order,
-    each as (w0, its translations y - w0(x) in the order of `pairs`).
+def int_weyl_test(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
+                  lattice: tuple = ()) -> np.ndarray:
+    """The indices into `weyl_elements`, ascending, of each w0 in W that
+    fixes every `fixed` point and makes y - w0(x) a coweight for every
+    (x, y) in `pairs` and x - w0(x) one for every x in `lattice`, all
+    integer numerators over d.
 
     C = coweight_inv_num is invertible, so w0 fixes x iff
     C (w0 - 1) x = 0, and y - w0 x is a coweight iff d * coweight_inv_den
@@ -332,18 +335,16 @@ def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
     is one row, so a pair (x, x) is one, with C (y - x) = 0.  One product
     with the stack of the C (w - 1) of `_scan_arrays` tests the fixed
     points and the pairs on all of W; the `lattice` points are tested only
-    on the elements kept (on all of W if nothing else is tested), and
-    y - w0 x is formed only for the elements kept, in `weyl_elements`
-    order.  A test with x = y = 0 holds for every w0 and is left out.
+    on the elements kept (on all of W if nothing else is tested).  A test
+    with x = y = 0 holds for every w0 and is left out.
 
     The int64 bound: with X the largest |numerator|, n = dim and A, K the
     largest |entries| of the Weyl matrices and of C, |C (w0 - 1) x| and
     |C w0 x - C y| are at most n K (n A + 1) X, and |C (y - x)| at most
     2 n K X, no more: the arrays are int64 when n K (n A + 1) X < 2^63
     (the limit of `_weyl_stack`) and d * coweight_inv_den < 2^63, else
-    dtype object (Python ints).  Each distinct numerator of a translation
-    becomes a Fraction once, memoized per scan over its d."""
-    n, zero = rs.dim, (0,) * rs.dim
+    dtype object (Python ints)."""
+    zero = (0,) * rs.dim
     # (x, y) of each test: the fixed points, exact, then the pairs
     first = [(x, y) for x, y in (*((x, x) for x in fixed), *pairs)
              if x != zero or y != zero]
@@ -351,12 +352,11 @@ def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
     later = [(x, x) for x in lattice if x != zero]
     if not first:
         first, later = later, []
-    cols = list(dict.fromkeys(
-        p for test in (*first, *later, *pairs) for p in test))
+    cols = list(dict.fromkeys(p for test in (*first, *later) for p in test))
     at = {c: k for k, c in enumerate(cols)}
     dtype = _scan_dtype(rs, d, cols)
-    stack, cinv, dw = _scan_arrays(rs, dtype)
-    pts = _rows(cols, n, dtype)
+    _, cinv, dw = _scan_arrays(rs, dtype)
+    pts = _rows(cols, rs.dim, dtype)
 
     def kept(dw: np.ndarray, tests: list, ne: int) -> np.ndarray:
         """Which elements, the last axis of dw, pass `tests`, the first ne
@@ -370,12 +370,34 @@ def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
         return ~res.any(axis=(0, 1))
 
     rows = kept(dw, first, exact).nonzero()[0] if first \
-        else np.arange(len(stack))
+        else np.arange(dw.shape[2])
     if later and len(rows):
         rows = rows[kept(dw[:, :, rows], later, 0)]
-    # (element, pair, coordinate): y - w0 x
-    lam = (pts[[at[y] for _, y in pairs]]
-           - pts[[at[x] for x, _ in pairs]] @ stack[rows].transpose(0, 2, 1))
+    return rows
+
+
+def int_weyl_translations(rs: RootSystem, d: int, rows: np.ndarray,
+                          pairs: tuple) -> np.ndarray:
+    """y - w0(x) for the elements w0 of `weyl_elements` at `rows` and each
+    (x, y) in `pairs`, integer numerators over d: a (len(rows),
+    len(pairs), dim) array, int64 within the bound of `int_weyl_test`
+    (|y - w0 x| is at most (n A + 1) X), else dtype object."""
+    pts = tuple(chain.from_iterable(pairs))  # x, y of each pair in turn
+    dtype = _scan_dtype(rs, d, pts)
+    xy = _rows(pts, rs.dim, dtype)
+    stack = _scan_arrays(rs, dtype)[0][rows]
+    return xy[1::2] - xy[::2] @ stack.transpose(0, 2, 1)
+
+
+def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
+                  lattice: tuple = ()
+                  ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
+    """The elements that `int_weyl_test` keeps, in `weyl_elements` order,
+    each as (w0, its translations y - w0(x) in the order of `pairs`) from
+    `int_weyl_translations`.  Each distinct numerator of a translation
+    becomes a Fraction once, memoized per scan over its d."""
+    rows = int_weyl_test(rs, d, fixed, pairs, lattice)
+    lam = int_weyl_translations(rs, d, rows, pairs)
     frac = {c: Fraction(c, d) for c in set(lam.ravel().tolist())}.__getitem__
     elements = weyl_elements(rs)
     return [(elements[i], tuple(tuple(map(frac, t)) for t in ts))

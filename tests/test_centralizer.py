@@ -17,7 +17,11 @@ from alcoves.centralizer import (
     subsystem_type,
 )
 from alcoves.rootdata import CartanType, build_root_system
-from alcoves.weylaff import star_facet_witnesses, star_contains
+from alcoves.weylaff import (
+    stabilizer_of_point,
+    star_contains,
+    star_facet_witnesses,
+)
 
 
 def rs_of(family, rank, isogeny="sc"):
@@ -174,6 +178,38 @@ def test_kernel_entry_points_agree(family, rank, isogeny):
         circle = gauge_centralizer_circle(rs, GaugePoint(a, zero))
         assert centralizer_elliptic(rs, exp_point(rs, zero, a)) == circle
         assert double_affine_centralizer(rs, a, b).proj1 == circle
+
+
+def test_w_is_built_on_first_read(monkeypatch):
+    """A centralizer call runs the translation step once, on the elements
+    the W test kept, and builds no element of W_s: `to_json`,
+    `pi0_order`, `connected`, equality and the hash read the integers.
+    The first read of `w` builds the group, the same as the eager
+    `stabilizer_of_point` at a (theta = 0), and later reads return it."""
+    rs = rs_of("F", 4)
+    steps, built = [], []
+    step, element = centralizer.int_weyl_translations, \
+        centralizer.AffineWeylElement
+    monkeypatch.setattr(centralizer, "int_weyl_translations",
+                        lambda *args: steps.append(args) or step(*args))
+    monkeypatch.setattr(centralizer, "AffineWeylElement",
+                        lambda *args: built.append(args) or element(*args))
+    zero, a = ratmat.zeros(4), ratmat.vec(("1/2", "1/2", "0", "0"))
+    data = centralizer_elliptic(rs, exp_point(rs, zero, a))
+    again = gauge_centralizer_circle(rs, GaugePoint(a, zero))
+    out = data.to_json()
+    assert (out["w_order"], out["pi0"], out["subsystem_type"]) == \
+        (96, 1, "A1+C3")
+    assert (data.pi0_order, data.connected) == (1, True)
+    assert data == again and hash(data) == hash(again)
+    assert len(steps) == 2 and all(len(rows) == 96 for _, _, rows, _ in steps)
+    assert built == []
+    w = data.w
+    assert data.w is w and len(built) == 96 and len(steps) == 2
+    assert w == stabilizer_of_point(rs, a)
+    assert data == again and hash(data) == hash(again)
+    with pytest.raises(AttributeError):
+        data.w_index = ()
 
 
 def test_et_contains():

@@ -271,10 +271,15 @@ GUARD_HITS = {
         "error: rank 6 exceeds enumeration guard 4\n",
 }
 
-# a value the command cannot use: a gl picture has no alcove, and a
-# period is not a re,im pair of floats
+# a value the command cannot use: a gl group has no alcove to draw or to
+# name a face of, and a period is not a re,im pair of floats
 BAD_VALUES = {
     ("svg", "--type", "A", "--rank", "2", "--isogeny", "gl"):
+        "error: fundamental alcove requires sc or adjoint isogeny\n",
+    ("star", "--type", "A", "--rank", "2", "--isogeny", "gl", "--face", "0"):
+        "error: fundamental alcove requires sc or adjoint isogeny\n",
+    ("parabolic", "--type", "A", "--rank", "2", "--isogeny", "gl", "--face1",
+     "0,1", "--face2", "0"):
         "error: fundamental alcove requires sc or adjoint isogeny\n",
     ("wp", "--omega1", "1", "--omega2", "0,1", "--matrix", WP_MATRIX):
         "error: --omega1 '1' is not re,im\n",

@@ -96,18 +96,18 @@ def _run(capsys, argv):
 
 
 def _count_face_scans(monkeypatch):
-    """Patch `int_weyl_scan`, the one W test, where the library binds it;
-    the returned list gets the pairs of each W scan made inside
-    `stabilizer_of_face` or `centralizer_face`: a scan at a face witness
-    for face data.  Scans at sampled points that happen to be face
+    """Patch `int_weyl_test`, the one W test, where the library binds it;
+    the returned list gets the pairs of each W test made inside
+    `stabilizer_of_face` or `centralizer_face`: a test at a face witness
+    for face data.  Tests at sampled points that happen to be face
     witnesses are not counted."""
     calls, depth = [], [0]
-    scan = weylaff.int_weyl_scan
+    test = weylaff.int_weyl_test
 
     def counting(r, d, fixed, pairs, lattice=()):
         if depth[0]:
             calls.append(pairs)
-        return scan(r, d, fixed, pairs, lattice)
+        return test(r, d, fixed, pairs, lattice)
 
     def inside(fn):
         def wrapped(*args):
@@ -118,8 +118,8 @@ def _count_face_scans(monkeypatch):
                 depth[0] -= 1
         return wrapped
 
-    monkeypatch.setattr(weylaff, "int_weyl_scan", counting)
-    monkeypatch.setattr(centralizer, "int_weyl_scan", counting)
+    monkeypatch.setattr(weylaff, "int_weyl_test", counting)
+    monkeypatch.setattr(centralizer, "int_weyl_test", counting)
     monkeypatch.setattr(weylaff, "stabilizer_of_face",
                         inside(weylaff.stabilizer_of_face))
     monkeypatch.setattr(centralizer, "centralizer_face",

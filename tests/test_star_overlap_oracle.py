@@ -8,9 +8,13 @@ St_J2} directly.  For each w0 in W it tries every lam in a window, the
 box in coweight coordinates allowed by the images of the alcove
 vertices under the two vertex groups, applies (w0, lam) to every star
 witness of J1 as a Fraction map, and then partitions what it finds into
-double cosets with `compose` and `invert`.  The one change from that
-code is that w0(p) is computed once per w0 and lam added to it, rather
-than w = (w0, lam) applied to p for every lam; the values are the same.
+double cosets with `compose` and `invert`.  Two changes from that code
+leave its values as they were.  w0(p) is computed once per w0 and lam
+added to it, rather than w = (w0, lam) applied to p for every lam.  And
+a moved witness q is tried only on the lam with q + lam in the
+coordinate box of J2's vertex-group images, whose hull holds St_J2; the
+images, their boxes and those of their W-images are built once per
+(root system, face).
 
 The library forms the overlap in closed form, as the single double coset
 W_J2 W_J1 (W_aff acts simply transitively on alcoves, and the alcoves of
@@ -81,49 +85,83 @@ def oracle_star_facet_witnesses(rs, j):
             if star_contains(rs, j, p)]
 
 
+@lru_cache(maxsize=None)
+def hull_points(rs, j):
+    """The images of the alcove vertices under the stabilizer of the first
+    vertex v of J: St_J lies in St_v, the union of the alcoves at v, so in
+    the convex hull of these points.  Built once per (root system,
+    face)."""
+    verts = alcove_vertices(rs)
+    group = stabilizer_of_point(rs, j.vertices[0])
+    return tuple(u.apply(v) for u in group.elements for v in verts)
+
+
+def coweight_box(rs, pts):
+    """The least and the greatest coweight coordinates of the points, one
+    pair per coordinate."""
+    c = [rs.coweight_coords(p) for p in pts]
+    return tuple(zip(map(min, zip(*c)), map(max, zip(*c))))
+
+
+@lru_cache(maxsize=None)
+def hull_box(rs, j):
+    """`coweight_box` of `hull_points`, which holds St_J; built once per
+    (root system, face)."""
+    return coweight_box(rs, hull_points(rs, j))
+
+
+@lru_cache(maxsize=None)
+def moved_hull_boxes(rs, j):
+    """`coweight_box` of w0(`hull_points`) for each w0 in
+    `weyl_elements`, in that order; built once per (root system, face)."""
+    return tuple(coweight_box(rs, [w0.apply(p) for p in hull_points(rs, j)])
+                 for w0 in weyl_elements(rs))
+
+
+def ceil_floor(lo, hi):
+    """The least and the greatest integer in [lo, hi]."""
+    return -((-lo.numerator) // lo.denominator), hi.numerator // hi.denominator
+
+
 def oracle_chart_overlap(rs, j1, j2):
     w1 = stabilizer_of_face(rs, j1)
     w2 = stabilizer_of_face(rs, j2)
     p1 = oracle_star_facet_witnesses(rs, j1)
-
-    def hull_points(j):
-        verts = alcove_vertices(rs)
-        group = stabilizer_of_point(rs, j.vertices[0])
-        return [u.apply(v) for u in group.elements for v in verts]
-
-    h1, h2 = hull_points(j1), hull_points(j2)
+    box2 = hull_box(rs, j2)
     found = []
-    for w0 in weyl_elements(rs):
-        moved = [w0.apply(p) for p in h1]
+    for w0, box1 in zip(weyl_elements(rs), moved_hull_boxes(rs, j1)):
         box = []
-        c2 = [rs.coweight_coords(p) for p in h2]
-        c1 = [rs.coweight_coords(p) for p in moved]
-        ok = True
-        for k in range(rs.dim):
-            lo = min(t[k] for t in c2) - max(s[k] for s in c1)
-            hi = max(t[k] for t in c2) - min(s[k] for s in c1)
-            lo_i = -((-lo.numerator) // lo.denominator)
-            hi_i = hi.numerator // hi.denominator
+        for (lo2, hi2), (lo1, hi1) in zip(box2, box1):
+            lo_i, hi_i = ceil_floor(lo2 - hi1, hi2 - lo1)
             if lo_i > hi_i:
-                ok = False
                 break
             box.append(range(lo_i, hi_i + 1))
-        if not ok:
-            continue
-        moved_p1 = [w0.apply(p) for p in p1]
+        else:
+            # q + lam can lie in St_J2 only inside the hull box of J2, so
+            # each moved witness q is tried only on its lam window, and a
+            # lam is tried only on the q whose windows hold it
+            moved_p1 = []
+            for p in p1:
+                q = w0.apply(p)
+                moved_p1.append((q, [
+                    ceil_floor(lo - c, hi - c)
+                    for c, (lo, hi) in zip(rs.coweight_coords(q), box2)]))
 
-        def rec(k, coords):
-            if k == rs.dim:
-                lam = rs.from_coweight_coords(tuple(Fraction(c)
-                                                    for c in coords))
-                if any(star_contains(rs, j2, ratmat.add(q, lam))
-                       for q in moved_p1):
-                    found.append(AffineWeylElement(w0, lam))
-                return
-            for c in box[k]:
-                rec(k + 1, coords + [c])
+            def rec(k, coords, cands):
+                if k == rs.dim:
+                    lam = rs.from_coweight_coords(tuple(Fraction(c)
+                                                        for c in coords))
+                    if any(star_contains(rs, j2, ratmat.add(q, lam))
+                           for q, _ in cands):
+                        found.append(AffineWeylElement(w0, lam))
+                    return
+                for c in box[k]:
+                    held = [(q, win) for q, win in cands
+                            if win[k][0] <= c <= win[k][1]]
+                    if held:
+                        rec(k + 1, coords + [c], held)
 
-        rec(0, [])
+            rec(0, [], moved_p1)
 
     found_set = set(found)
     seen = set()
