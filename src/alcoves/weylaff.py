@@ -237,21 +237,22 @@ def int_root_scan(rs: RootSystem, d: int, fixed: tuple, points: tuple
     at every one of `points`, all integer numerators over d, in root-index
     order, each as (root index, its values at `points`).  One product of
     the points with the gradient array of `_grad_arrays` gives d times
-    every root value, and one remainder mod d tests integrality.  With X
-    the largest |numerator| and G the largest |entry| of a gradient, every
-    product entry is at most n G X, n = dim: the arrays are int64 when
-    n G X < 2^63 and d < 2^63, else dtype object (Python ints)."""
+    every root value v, and v - (v // d) d, exact on int64 as in
+    `int_weyl_test`, tests integrality.  With X the largest |numerator|
+    and G the largest |entry| of a gradient, every product entry is at
+    most n G X, n = dim: the arrays are int64 when n G X < 2^63 and
+    d < 2^63, else dtype object (Python ints)."""
     nf, pts = len(fixed), (*fixed, *points)
     dtype = _scan_dtype(rs, d, pts, roots=True)
     # (points, roots): row k holds d times every root value at point k
     grads = _grad_arrays(rs)[1 if dtype is object else 0]
     vals = _rows(pts, rs.dim, dtype) @ grads
-    ok = ~(vals % d).any(axis=0)  # a value 0 at a fixed point is 0 mod d
+    q = vals // d
+    ok = ~(vals - q * d).any(axis=0)  # 0 at a fixed point is 0 mod d
     if nf:
         ok &= ~vals[:nf].any(axis=0)
     idx = ok.nonzero()[0]
-    return list(zip(idx.tolist(),
-                    map(tuple, (vals[nf:, idx] // d).T.tolist())))
+    return list(zip(idx.tolist(), map(tuple, q[nf:, idx].T.tolist())))
 
 
 def _rows(nums, n: int, dtype: type) -> np.ndarray:
@@ -330,49 +331,43 @@ def int_weyl_test(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
     integer numerators over d.
 
     C = coweight_inv_num is invertible, so w0 fixes x iff
-    C (w0 - 1) x = 0, and y - w0 x is a coweight iff d * coweight_inv_den
-    divides C w0 x - C y = C (w0 - 1) x - C (y - x).  Each distinct point
-    is one row, so a pair (x, x) is one, with C (y - x) = 0.  One product
-    with the stack of the C (w - 1) of `_scan_arrays` tests the fixed
-    points and the pairs on all of W; the `lattice` points are tested only
-    on the elements kept (on all of W if nothing else is tested).  A test
-    with x = y = 0 holds for every w0 and is left out.
+    C (w0 - 1) x = 0, and y - w0 x is a coweight iff m = d *
+    coweight_inv_den divides C w0 x - C y = C (w0 - 1) x - C (y - x).  The
+    points are tested one at a time, the fixed points (exact), then the
+    pairs, then the `lattice` points: each is one product of its row with
+    the stack of the C (w - 1) of `_scan_arrays`, all of W for the first
+    and the elements still kept after that, and the test stops when none
+    is left.  C (y - x) is formed only when y != x.  A test with
+    x = y = 0 holds for every w0 and is left out.
 
     The int64 bound: with X the largest |numerator|, n = dim and A, K the
     largest |entries| of the Weyl matrices and of C, |C (w0 - 1) x| and
     |C w0 x - C y| are at most n K (n A + 1) X, and |C (y - x)| at most
     2 n K X, no more: the arrays are int64 when n K (n A + 1) X < 2^63
-    (the limit of `_weyl_stack`) and d * coweight_inv_den < 2^63, else
-    dtype object (Python ints)."""
-    zero = (0,) * rs.dim
-    # (x, y) of each test: the fixed points, exact, then the pairs
-    first = [(x, y) for x, y in (*((x, x) for x in fixed), *pairs)
-             if x != zero or y != zero]
-    exact = sum(x != zero for x in fixed)
-    later = [(x, x) for x in lattice if x != zero]
-    if not first:
-        first, later = later, []
-    cols = list(dict.fromkeys(p for test in (*first, *later) for p in test))
-    at = {c: k for k, c in enumerate(cols)}
-    dtype = _scan_dtype(rs, d, cols)
+    (the limit of `_weyl_stack`) and m < 2^63, else dtype object (Python
+    ints).  The remainder v - (v // m) m needs no more: v // m is exact,
+    and the product and difference, wrapped mod 2^64, give the true
+    remainder mod 2^64, which lies in [0, m)."""
+    # (x, y, exact) of each test: the fixed points, then the pairs, then
+    # the lattice points
+    tests = [(x, y, exact) for x, y, exact in chain(
+        ((x, x, True) for x in fixed), ((x, y, False) for x, y in pairs),
+        ((x, x, False) for x in lattice)) if any(x) or any(y)]
+    dtype = _scan_dtype(rs, d, chain.from_iterable(t[:2] for t in tests))
     _, cinv, dw = _scan_arrays(rs, dtype)
-    pts = _rows(cols, rs.dim, dtype)
-
-    def kept(dw: np.ndarray, tests: list, ne: int) -> np.ndarray:
-        """Which elements, the last axis of dw, pass `tests`, the first ne
-        of them exact: C w0 x - C y as an (n, len(tests), len(elements))
-        array."""
-        xs, ys = [at[x] for x, _ in tests], [at[y] for _, y in tests]
-        res = pts[xs] @ dw
-        if xs != ys:
-            res -= (cinv @ (pts[ys] - pts[xs]).T)[:, :, None]
-        res[:, ne:] %= d * rs.coweight_inv_den
-        return ~res.any(axis=(0, 1))
-
-    rows = kept(dw, first, exact).nonzero()[0] if first \
-        else np.arange(dw.shape[2])
-    if later and len(rows):
-        rows = rows[kept(dw[:, :, rows], later, 0)]
+    m = d * rs.coweight_inv_den
+    rows = np.arange(dw.shape[2])
+    for k, (x, y, exact) in enumerate(tests):
+        # C (w0 - 1) x, then C w0 x - C y, as an (n, len(rows)) array
+        row = np.array(x, dtype=dtype)
+        res = row @ (dw.take(rows, axis=2) if k else dw)
+        if y != x:
+            res -= (cinv @ (np.array(y, dtype=dtype) - row))[:, None]
+        if not exact:
+            res -= res // m * m
+        rows = rows[~res.any(axis=0)]
+        if not len(rows):
+            break
     return rows
 
 

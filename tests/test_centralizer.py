@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from alcoves import centralizer, ratmat
+from alcoves import centralizer, cli, ratmat
 from alcoves.alcove import AffineRoot, alcove_vertices, faces_of_alcove
 from alcoves.centralizer import (
     GaugePoint,
@@ -18,6 +19,7 @@ from alcoves.centralizer import (
 )
 from alcoves.rootdata import CartanType, build_root_system
 from alcoves.weylaff import (
+    AffineWeylElement,
     stabilizer_of_point,
     star_contains,
     star_facet_witnesses,
@@ -210,6 +212,30 @@ def test_w_is_built_on_first_read(monkeypatch):
     assert data == again and hash(data) == hash(again)
     with pytest.raises(AttributeError):
         data.w_index = ()
+
+
+def test_verify_centralizer_builds_no_element_of_w_s(monkeypatch, capsys):
+    """`verify centralizer` compares the groups W_s on integers: their
+    orders by `w_index`, and W_s inside W_J by (index, translation)
+    pairs, so no sampled centralizer builds its `FiniteSubgroup`.  The
+    first run builds the vertex groups behind the star samples, once per
+    root system; the second builds no element at all."""
+    argv = ["verify", "centralizer", "--type", "B", "--rank", "2",
+            "--seed", "7", "--samples", "6"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    built = []
+    init = AffineWeylElement.__init__
+    monkeypatch.setattr(AffineWeylElement, "__init__",
+                        lambda self, *args: built.append(args)
+                        or init(self, *args))
+    assert cli.main(argv) == 0
+    reports = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert [(r["check"], r["passed"]) for r in reports] == [
+        ("connected_at_theta_zero", True), ("se_inside_et", True),
+        ("phi_negation_closed", True), ("w_equivariance", True)]
+    assert built == []
 
 
 def test_et_contains():

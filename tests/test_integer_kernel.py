@@ -978,6 +978,107 @@ def test_the_fraction_memo_is_per_scan(monkeypatch):
             assert [lams for _, lams in got] == [((0,),), ((lam,),)]
 
 
+# -- the floor-division remainder and the per-point W test ---------------------
+
+
+def most_negative(rows, limit):
+    """(x, v): numerators x with |x| <= limit that make the dot product
+    with the row of `rows` of largest absolute sum as negative as it gets,
+    and that value v."""
+    row = max(rows, key=lambda r: sum(map(abs, r)))
+    x = tuple(limit * ((c < 0) - (c > 0)) for c in row)
+    return x, sum(a * b for a, b in zip(row, x))
+
+
+def wraps(v, m):
+    """Whether (v // m) m, taken in int64, wraps past -2^63."""
+    return v // m * m < -2 ** 63
+
+
+@pytest.mark.parametrize("family,rank,isogeny", RANK4_TYPES,
+                         ids=[f"{f}{r}-{i}" for f, r, i in RANK4_TYPES])
+def test_floor_remainders_are_exact_at_the_int64_edge(family, rank, isogeny,
+                                                      monkeypatch):
+    """Both tests on int64 agree with dtype object at the edge of their
+    bounds: numerators at the limit of `_weyl_stack` (of `_grad_arrays`
+    for the root test), signed so that one product entry v is as negative
+    as it gets, and m = d * coweight_inv_den (d for the root test) at the
+    top of int64 or just below |v|.  There (v // m) m wraps past -2^63
+    whenever |v| > 2^62: on A1 for the W test, on most types for the root
+    test."""
+    rs = rs_of(family, rank, isogeny)
+    spy = DtypeSpy(monkeypatch)
+    n, den = rs.dim, rs.coweight_inv_den
+    dw = weylaff._scan_arrays(rs, np.int64)[2]
+    x, v = most_negative(dw.transpose(2, 0, 1).reshape(-1, n).tolist(),
+                         weylaff._weyl_stack(rs)[2])
+    neg = tuple(-c for c in x)
+    for m in ((2 ** 63 - 1) // den * den, (-v - 1) // den * den):
+        assert wraps(v, m) == (m == (-v - 1) // den * den and -v > 2 ** 62)
+        for fixed, pairs, lattice in (((), ((x, x),), ()), ((x,), (), ()),
+                                      ((), ((x, neg),), ()),
+                                      ((), ((neg, x),), (x,)),
+                                      ((), (), (x,))):
+            natural, forced = spy.both(weylaff.int_weyl_test, rs, m // den,
+                                       fixed, pairs, lattice)
+            assert natural.tolist() == forced.tolist()
+    x, v = most_negative(weylaff._grad_arrays(rs)[0].T.tolist(),
+                         weylaff._grad_arrays(rs)[2])
+    neg = tuple(-c for c in x)
+    for d in (2 ** 63 - 1, -v - 1):
+        assert wraps(v, d) == (d == -v - 1 and -v > 2 ** 62)
+        for fixed, pts in (((), (x,)), ((x,), (neg,)), ((), (x, neg))):
+            natural, forced = spy.both(int_root_scan, rs, d, fixed, pts)
+            assert natural == forced
+    assert spy.seen == {np.int64}
+
+
+def counted_takes(monkeypatch):
+    """The lengths of the row sets the W test narrows its stack to, one
+    `take` per point tested after the first."""
+    taken = []
+
+    class Stack(np.ndarray):
+        def take(self, rows, axis=None):
+            taken.append(len(rows))
+            return np.asarray(self).take(rows, axis=axis)
+
+    arrays = weylaff._scan_arrays
+    monkeypatch.setattr(weylaff, "_scan_arrays", lambda rs, dtype: (
+        *arrays(rs, dtype)[:2], arrays(rs, dtype)[2].view(Stack)))
+    return taken
+
+
+def test_w_test_narrows_per_point_and_stops_when_nothing_is_kept(
+        monkeypatch):
+    """On F4 each point after the first is tested on the rows the points
+    before it kept, and the rows kept are the intersection of the
+    one-point tests; a first point that keeps nothing ends the test, and
+    points that are all zero keep all of W, on both dtypes."""
+    rs = rs_of("F", 4, "sc")
+    spy = DtypeSpy(monkeypatch)
+    taken = counted_takes(monkeypatch)
+    test = weylaff.int_weyl_test
+    # over d = 4: a = (1/2, 1/2, 0, 0) keeps 96 elements
+    a, b, c = (2, 2, 0, 0), (1, 0, 2, 0), (0, 1, 1, 1)
+    alone = [set(test(rs, 4, (), ((p, p),)).tolist()) for p in (a, b, c)]
+    assert len(alone[0]) == 96 and taken == []
+    for got in spy.both(test, rs, 4, (), ((a, a),), (b, c)):
+        assert got.tolist() == sorted(set.intersection(*alone))
+    assert taken == [96, len(alone[0] & alone[1])] * 2
+    taken.clear()
+    # on A1, 3/7 - w0(1/7) is a coweight for no w0
+    a1 = rs_of("A", 1, "sc")
+    for got in spy.both(test, a1, 7, (), (((1,), (3,)),), ((1,),)):
+        assert got.tolist() == [] and taken == []
+    zero = (0,) * rs.dim
+    for got in spy.both(test, rs, 4, (zero,), ((zero, zero),), (zero,)):
+        assert got.tolist() == list(range(len(weyl_elements(rs))))
+    assert test(rs, 1, (), ()).tolist() == list(range(1152))
+    assert taken == []
+    assert spy.seen == {np.int64}
+
+
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
                          ids=IDS)
 def test_hash_and_equality_follow_the_cartan_type(family, rank, isogeny,
