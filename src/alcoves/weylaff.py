@@ -237,7 +237,7 @@ def int_root_scan(rs: RootSystem, d: int, fixed: tuple, points: tuple
     at every one of `points`, all integer numerators over d, in root-index
     order, each as (root index, its values at `points`).  One product of
     the points with the gradient array of `_grad_arrays` gives d times
-    every root value v, and v - (v // d) d, exact on int64 as in
+    every root value v, and (v // d) d = v, exact on int64 as in
     `int_weyl_test`, tests integrality.  With X the largest |numerator|
     and G the largest |entry| of a gradient, every product entry is at
     most n G X, n = dim: the arrays are int64 when n G X < 2^63 and
@@ -248,7 +248,7 @@ def int_root_scan(rs: RootSystem, d: int, fixed: tuple, points: tuple
     grads = _grad_arrays(rs)[1 if dtype is object else 0]
     vals = _rows(pts, rs.dim, dtype) @ grads
     q = vals // d
-    ok = ~(vals - q * d).any(axis=0)  # 0 at a fixed point is 0 mod d
+    ok = (q * d == vals).all(axis=0)  # 0 at a fixed point is 0 mod d
     if nf:
         ok &= ~vals[:nf].any(axis=0)
     idx = ok.nonzero()[0]
@@ -345,9 +345,9 @@ def int_weyl_test(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
     |C w0 x - C y| are at most n K (n A + 1) X, and |C (y - x)| at most
     2 n K X, no more: the arrays are int64 when n K (n A + 1) X < 2^63
     (the limit of `_weyl_stack`) and m < 2^63, else dtype object (Python
-    ints).  The remainder v - (v // m) m needs no more: v // m is exact,
-    and the product and difference, wrapped mod 2^64, give the true
-    remainder mod 2^64, which lies in [0, m)."""
+    ints).  m divides v iff (v // m) m = v, and that test needs no more:
+    v // m is exact, and the product, wrapped mod 2^64, is v - r mod 2^64,
+    r the true remainder, in [0, m), so it equals v iff r = 0."""
     # (x, y, exact) of each test: the fixed points, then the pairs, then
     # the lattice points
     tests = [(x, y, exact) for x, y, exact in chain(
@@ -363,9 +363,7 @@ def int_weyl_test(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
         res = row @ (dw.take(rows, axis=2) if k else dw)
         if y != x:
             res -= (cinv @ (np.array(y, dtype=dtype) - row))[:, None]
-        if not exact:
-            res -= res // m * m
-        rows = rows[~res.any(axis=0)]
+        rows = rows[(res == (0 if exact else res // m * m)).all(axis=0)]
         if not len(rows):
             break
     return rows

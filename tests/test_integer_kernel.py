@@ -978,7 +978,7 @@ def test_the_fraction_memo_is_per_scan(monkeypatch):
             assert [lams for _, lams in got] == [((0,),), ((lam,),)]
 
 
-# -- the floor-division remainder and the per-point W test ---------------------
+# -- the floor-division remainder and the per-point W test --------------------
 
 
 def most_negative(rows, limit):
