@@ -13,17 +13,18 @@ simple reflections, the reflection group of a point in `weylaff` that of
 the reflections through it.  `weyl_element` finds the word of one matrix
 by descent, without listing W.  `build_root_system` runs on Python ints
 and builds Fractions only for the public fields; each root system carries
-integer tables built once (root gradients, coroots, negation, the
-numerators of the coweight-coordinate map and its inverse), so the
-kernels in `alcove` and `weylaff` work on integer numerators over one
-common denominator.
+integer tables built once (root gradients, coroots, the nonzero entries
+of the simple gradients, which `weyl_element` and `times_word` read,
+negation, the numerators of the coweight-coordinate map and its
+inverse), so the kernels in `alcove` and `weylaff` work on integer
+numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
@@ -159,12 +160,13 @@ class RootSystem:
 
     Besides the exact data it holds integer tables built once per root
     system: for root i, alpha_i(x) = grads[i] . x and its coroot is
-    coroots[i], both in ambient t-coordinates; simple_grads[j] is
-    grads[i] for the simple root alpha_j (column j of the Cartan matrix),
-    kept by j for `weyl_element` and `times_word`; negation[i] is the index
-    of -alpha_i; coweight_coords(x) = coweight_inv_num x / coweight_inv_den
-    and from_coweight_coords(c) = coweight_num c / coweight_den.  The hash
-    is that of the Cartan type, which determines everything else.
+    coroots[i], both in ambient t-coordinates; simple_entries[j] holds
+    the nonzero entries (k, g_k), over all `dim` entries, of grads[i] for
+    the simple root alpha_j (column j of the Cartan matrix), kept by j for
+    `weyl_element` and `times_word`; negation[i] is the index of -alpha_i;
+    coweight_coords(x) = coweight_inv_num x / coweight_inv_den and
+    from_coweight_coords(c) = coweight_num c / coweight_den.  The hash is
+    that of the Cartan type, which determines everything else, taken once.
     """
 
     cartan_type: CartanType
@@ -180,7 +182,8 @@ class RootSystem:
     coweight_lattice_basis: tuple[Vec, ...]
     grads: tuple[tuple[int, ...], ...] = field(repr=False)
     coroots: tuple[tuple[int, ...], ...] = field(repr=False)
-    simple_grads: IntMat = field(repr=False)
+    simple_entries: tuple[tuple[tuple[int, int], ...], ...] = field(
+        repr=False)
     negation: tuple[int, ...] = field(repr=False)
     coweight_inv_num: IntMat = field(repr=False)
     coweight_inv_den: int = field(repr=False)
@@ -189,6 +192,10 @@ class RootSystem:
     _index: dict = field(repr=False)  # root coords -> index
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash(self.cartan_type)
 
     # -- pairings -----------------------------------------------------------
@@ -354,8 +361,9 @@ def build_root_system(ct: CartanType) -> RootSystem:
         coweight_lattice_basis=tuple(tuple(r) for r in basis),
         grads=grads,
         coroots=tuple(coroots),
-        simple_grads=tuple(grads[index[e]]
-                           for e in ratmat.int_identity(rank)),
+        simple_entries=tuple(
+            tuple((k, c) for k, c in enumerate(grads[index[e]]) if c)
+            for e in ratmat.int_identity(rank)),
         negation=tuple(index[tuple(-c for c in r)] for r in roots),
         coweight_inv_num=cw_num,
         coweight_inv_den=cw_den,
@@ -428,9 +436,9 @@ def _weyl_listing(rs: RootSystem) -> tuple[tuple[WeylElement, ...],
             f"rank {rs.rank} exceeds enumeration guard {WEYL_RANK_GUARD}"
         )
     n, r = rs.dim, rs.rank
-    # s_i is I with the gradient of alpha_i taken off row i
-    gens = np.array([ratmat.int_identity(n)] * r, dtype=np.int64)
-    gens[range(r), range(r)] -= np.array(rs.simple_grads, dtype=np.int64)
+    # s_i is I with the gradient of alpha_i taken off row i: I s_i
+    gens = np.array([times_word(rs, ratmat.int_identity(n), (i,))
+                     for i in range(r)], dtype=np.int64)
     stack, steps = reflection_group(gens)
     stack.flags.writeable = False
     words = [()]
@@ -442,12 +450,13 @@ def _weyl_listing(rs: RootSystem) -> tuple[tuple[WeylElement, ...],
 
 def times_word(rs: RootSystem, m: IntMat, word: tuple[int, ...]) -> IntMat:
     """m s_j1 ... s_jm for the word (j1, ..., jm), by column updates: m s_j
-    is m with column k less <alpha_j, alpha_k-check> times column j."""
+    is m with column k less <alpha_j, alpha_k-check> times column j, for
+    the k of `simple_entries[j]`, where that pairing is not 0."""
     m = [list(row) for row in m]
     for j in word:
         for row in m:
             if x := row[j]:
-                for k, c in enumerate(rs.simple_grads[j]):
+                for k, c in rs.simple_entries[j]:
                     row[k] -= x * c
     return tuple(map(tuple, m))
 
@@ -457,16 +466,19 @@ def weyl_element(rs: RootSystem, matrix: IntMat) -> WeylElement:
     h = 1^T w (first `rank` rows) holds the heights of the w(alpha_k-check),
     and h_j < 0 exactly when l(w s_j) < l(w) (Humphreys, Reflection Groups
     and Coxeter Groups, ch. 1).  While some h_j < 0, the smallest such j
-    is appended and w becomes w s_j: h becomes h - h_j alpha_j.  This is
-    the lexicographically first reduced word (Bjorner-Brenti, GTM 231),
-    the word of `weyl_group`; W is never listed.  For a matrix not in W,
-    w s_j1 ... s_jm is not the identity, and RuntimeError is raised."""
+    is appended and w becomes w s_j: h becomes h - h_j alpha_j, on the
+    entries of `simple_entries[j]`.  This is the lexicographically first
+    reduced word (Bjorner-Brenti, GTM 231), the word of `weyl_group`; W
+    is never listed.  For a matrix not in W, w s_j1 ... s_jm is not the
+    identity, and RuntimeError is raised."""
     h = [sum(col) for col in zip(*matrix[:rs.rank])]
-    word = []
-    while neg := [j for j, v in enumerate(h[:rs.rank]) if v < 0]:
-        j = neg[0]
-        word.append(j)
-        h = [a - h[j] * g for a, g in zip(h, rs.simple_grads[j])]
+    word, j = [], 0
+    while j < rs.rank:
+        if (hj := h[j]) < 0:
+            word.append(j)
+            for k, c in rs.simple_entries[j]:
+                h[k] -= hj * c
+        j = 0 if hj < 0 else j + 1
     if times_word(rs, matrix, word) != ratmat.int_identity(rs.dim):
         raise RuntimeError(f"matrix {matrix} is not in W (bug)")
     return WeylElement(matrix, tuple(word))

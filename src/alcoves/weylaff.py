@@ -23,10 +23,11 @@ which they run on Python ints, and the step cap of
 group of a point with `rootdata.reflection_group`, the enumerator of W,
 from one linear reflection per wall through the point.  `int_root_scan`,
 `reduce_to_alcove`, `compose` and `invert` list no W: a Weyl element is
-its matrix, its word given by `rootdata.weyl_element`.  The wall
-reflections of the alcove, its barycenter and the walk's step cap are
-built once per root system, the reflection group of a point once per
-(root system, point), and the facets at a vertex once per vertex group.
+its matrix, its word given by `rootdata.weyl_element`.  The alcove's
+walls with their affine Cartan matrix, on which the walk runs, its
+barycenter and the walk's step cap are built once per root system, the
+reflection group of a point once per (root system, point), and the
+facets at a vertex once per vertex group.
 A face's stabilizer W_J and the facet witnesses of its star are built
 once per (root system, face): each of the two caches holds at most
 2^(ell+1) - 1 entries per root system, one per face of the alcove.
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import mul
 
 import numpy as np
 
@@ -147,24 +147,29 @@ class FiniteSubgroup:
 
 
 @lru_cache(maxsize=None)
-def _alcove_walls(rs: RootSystem) -> tuple:
-    """(gradient, level, coroot) of each wall of the fundamental alcove,
-    in wall order.  The reflection in the wall (alpha, n) maps x to
-    x - (alpha(x) - n) alpha-check."""
-    return tuple((rs.grads[w.root_index], w.level, rs.coroots[w.root_index])
-                 for w in fundamental_alcove(rs))
-
-
-@lru_cache(maxsize=None)
-def _walk_data(rs: RootSystem) -> tuple[int, tuple[int, ...], int]:
-    """(e, bary, cap): the barycenter b of the alcove as the integer
-    numerators `bary` over e, and the step cap of `reduce_to_alcove`,
-    the sum over the positive roots of the absolute entries of their
-    gradients."""
+def _walk_data(rs: RootSystem) -> tuple[int, int, tuple, tuple, tuple]:
+    """(e, cap, walls, sparse, near) for `reduce_to_alcove`: cap is the
+    step cap, the sum over the positive roots of the absolute entries of
+    their gradients.  For each wall (alpha, n) of the alcove, in wall
+    order, walls holds (g, n, g . bary), g its gradient and bary / e the
+    barycenter; sparse the nonzero entries (k, g_k) of g and (k, c_k) of
+    its coroot c; near its column of the affine Cartan matrix, the
+    (i, <g_i, c>) that are not 0, its own 2 among them."""
     verts = alcove_vertices(rs)
     e, nums = ratmat.over_common_denominator(verts, rs.dim)
+    bary = tuple(map(sum, zip(*nums)))
     cap = sum(sum(map(abs, rs.grads[p])) for p in rs.positive_indices)
-    return e * len(verts), tuple(map(sum, zip(*nums))), cap
+    walls = [(rs.grads[w.root_index], w.level, rs.coroots[w.root_index])
+             for w in fundamental_alcove(rs)]
+
+    def entries(v):
+        return tuple((k, a) for k, a in enumerate(v) if a)
+
+    return (e * len(verts), cap,
+            tuple((g, n, ratmat.int_dot(g, bary)) for g, n, _ in walls),
+            tuple((entries(g), entries(c)) for g, _, c in walls),
+            tuple(entries([ratmat.int_dot(g, c) for g, _, _ in walls])
+                  for _, _, c in walls))
 
 
 def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
@@ -190,8 +195,8 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
     any start: it reflects the point, and beside it delta = b - x by the
     linear part only, each time in the first wall (in wall order) that
     x' lies beyond, where the wall's value v at the point is negative,
-    or v = 0 and g . delta < 0, g its gradient.  Each step lowers by one
-    the number of hyperplanes that separate the point from C.  On
+    or v = 0 and u = g . delta < 0, g its gradient.  Each step lowers by
+    one the number of hyperplanes that separate the point from C.  On
     [0, 1)^ell a positive root takes values in [-N, P), N and P the sums
     of |g_k| over the negative and the positive entries g_k of its
     gradient, so at most N + P of its hyperplanes separate x' - lam from
@@ -199,36 +204,54 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
     per root system that does not depend on |x|, and raises RuntimeError
     past it.
 
-    x is written as integer numerators over its denominator d and delta
-    over d e (b = bary / e), so a wall value is one integer dot product
-    and a reflection, with gradient g and coroot c, one integer update.
-    The linear parts multiply up to the finite part w0 of w, each as the
-    rank-one update m - c (g^T m); the translation of w is xr - w0(x),
-    taken on the numerators.
+    The walk keeps only the ell + 1 wall values v_i and u_i, on integer
+    numerators over the denominator d of x (delta over d e, b = bary / e),
+    as in the "numbers game" (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, §4.3).  Reflecting in wall j, coroot c_j, takes v_i to
+    v_i - v_j <g_i, c_j> and u_i to u_i - u_j <g_i, c_j> for the i in
+    column j of the affine Cartan matrix: the values the walk on the
+    point computes, so each step takes the same wall by the same test, in
+    the same order, under the same cap.  The point, the start less the
+    steps' v_j c_j, and the finite part w0 of w, the steps' I - c g^T
+    multiplied in from the right in reverse order on the nonzero entries
+    of g and c, are formed once at the end; w's translation is xr - w0(x).
     """
-    walls = _alcove_walls(rs)
-    e, bary, cap = _walk_data(rs)
+    e, cap, walls, sparse, near = _walk_data(rs)
     d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
-    cur = tuple(c % d for c in num)
-    delta = tuple(b * d - c * e for b, c in zip(bary, num))
-    m = ratmat.int_identity(rs.dim)
+    cur = [c % d for c in num]
+    v = [ratmat.int_dot(g, cur) - n * d for g, n, _ in walls]
+    u = [gb * d - ratmat.int_dot(g, num) * e for g, _, gb in walls]
+    steps = []
     for _ in range(cap + 1):
-        for g, level, coroot in walls:
-            v = ratmat.int_dot(g, cur) - level * d
-            if v < 0 or v == 0 and ratmat.int_dot(g, delta) < 0:
+        for j, column in enumerate(near):
+            if (vj := v[j]) < 0 or not vj and u[j] < 0:
                 break
         else:
-            t = (a - b for a, b in zip(cur, ratmat.int_matvec(m, num)))
-            return (AffineWeylElement(weyl_element(rs, m),
-                                      tuple(Fraction(c, d) for c in t)),
-                    tuple(Fraction(c, d) for c in cur))
-        gd = ratmat.int_dot(g, delta)
-        cur = tuple(a - v * c for a, c in zip(cur, coroot))
-        delta = tuple(a - gd * c for a, c in zip(delta, coroot))
-        gm = [sum(map(mul, g, col)) for col in zip(*m)]
-        m = tuple(tuple([a - c * b for a, b in zip(row, gm)])
-                  for row, c in zip(m, coroot))
-    raise RuntimeError("alcove reduction exceeded its step cap (bug)")
+            break
+        uj = u[j]
+        for i, a in column:
+            v[i] -= vj * a
+            u[i] -= uj * a
+        steps.append((j, vj))
+    else:
+        raise RuntimeError("alcove reduction exceeded its step cap (bug)")
+    m = [list(row) for row in ratmat.int_identity(rs.dim)]
+    for j, vj in reversed(steps):
+        g, c = sparse[j]
+        for k, a in c:
+            cur[k] -= vj * a
+        for row in m:
+            mc = 0
+            for k, a in c:
+                mc += row[k] * a
+            if mc:
+                for k, a in g:
+                    row[k] -= mc * a
+    m = tuple(map(tuple, m))
+    t = (a - b for a, b in zip(cur, ratmat.int_matvec(m, num)))
+    return (AffineWeylElement(weyl_element(rs, m),
+                              tuple(Fraction(c, d) for c in t)),
+            tuple(Fraction(c, d) for c in cur))
 
 
 def int_root_scan(rs: RootSystem, d: int, fixed: tuple, points: tuple

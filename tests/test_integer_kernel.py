@@ -54,6 +54,7 @@ from alcoves.rootdata import (
     CartanType,
     InvalidCartanType,
     build_root_system,
+    times_word,
     weyl_element,
     weyl_group,
 )
@@ -309,6 +310,32 @@ def reflect_rows(m, g, c):
                  for row, ci in zip(m, c))
 
 
+def dense_times_word(simple, m, word):
+    """m s_j1 ... s_jm by the dense column update: m s_j is m with column
+    k less g_k times column j, for every entry g_k of the Fraction
+    gradient `simple[j]` of alpha_j."""
+    m = [list(row) for row in m]
+    for j in word:
+        for row in m:
+            x = row[j]
+            for k, c in enumerate(simple[j]):
+                row[k] -= x * c
+    return tuple(map(tuple, m))
+
+
+def dense_descent(rs, simple, matrix):
+    """The word of the descent on the dense heights: h = 1^T w over the
+    first `rank` rows; while some h_j < 0, append the smallest such j and
+    take h to h - h_j times the whole gradient `simple[j]`."""
+    h = [sum(col) for col in zip(*matrix[:rs.rank])]
+    word = []
+    while neg := [j for j in range(rs.rank) if h[j] < 0]:
+        j = neg[0]
+        word.append(j)
+        h = [a - h[j] * g for a, g in zip(h, simple[j])]
+    return tuple(word)
+
+
 # -- seeded points -----------------------------------------------------------
 
 
@@ -450,6 +477,36 @@ def test_descent_gives_the_bfs_word(family, rank, isogeny):
     rs = rs_of(family, rank, isogeny)
     for w in weyl_group(rs):
         assert weyl_element(rs, w.matrix) == w
+
+
+@pytest.mark.parametrize("family,rank,isogeny", RANK4_TYPES,
+                         ids=[f"{f}{r}-{i}" for f, r, i in RANK4_TYPES])
+def test_sparse_words_match_the_dense_column_update(family, rank, isogeny):
+    """`times_word` and the descent of `weyl_element` read only the
+    nonzero entries of each simple gradient, `simple_entries`, which run
+    over all `dim` entries (rank + 1 for gl).  On random words, from the
+    identity and from a random integer matrix, they give the matrix of
+    the dense column update and the word of the dense descent, both on
+    the Fraction gradients."""
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(f"sparse-{seed_of(family, rank, isogeny)}")
+    simple = [grad(rs, rs.all_roots.index(a)) for a in rs.simple_roots]
+    assert all(len(g) == rs.dim for g in simple)
+    assert rs.simple_entries == tuple(
+        tuple((k, c) for k, c in enumerate(g) if c) for g in simple)
+    one = ratmat.int_identity(rs.dim)
+    for _ in range(25):
+        word = tuple(rng.randrange(rank)
+                     for _ in range(rng.randrange(4 * rank + 1)))
+        start = tuple(tuple(rng.randint(-9, 9) for _ in range(rs.dim))
+                      for _ in range(rs.dim))
+        for m in (one, start):
+            assert times_word(rs, m, word) == dense_times_word(simple, m,
+                                                               word)
+        w = dense_times_word(simple, one, word)
+        got = weyl_element(rs, w)
+        assert got.matrix == w
+        assert got.word == dense_descent(rs, simple, w)
 
 
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
@@ -781,27 +838,29 @@ def walk_cap(rs):
 
 
 def cap_walk_passes(monkeypatch):
-    """Make each walk of `reduce_to_alcove` raise once it passes over the
-    alcove walls more often than its step cap allows, one pass per step
-    and one to stop: a walk that is not bounded fails at once instead of
-    running on."""
-    walls_of = weylaff._alcove_walls
+    """Make each walk of `reduce_to_alcove` raise once it scans the wall
+    values more often than its step cap allows, one scan per step and one
+    to stop: a walk that is not bounded fails at once instead of running
+    on.  Each scan reads the walls' columns of the affine Cartan matrix,
+    the `near` of `_walk_data`, in wall order, so it is counted there."""
+    data_of = weylaff._walk_data
 
     class Counted(tuple):
-        passes = 0
+        scans = 0
 
         def __iter__(self):
-            self.passes += 1
-            if self.passes > self.limit:
-                raise AssertionError(f"more than {self.limit} wall passes")
+            self.scans += 1
+            if self.scans > self.limit:
+                raise AssertionError(f"more than {self.limit} wall scans")
             return super().__iter__()
 
     def counted(rs):
-        walls = Counted(walls_of(rs))
-        walls.limit = walk_cap(rs) + 1
-        return walls
+        e, cap, walls, sparse, near = data_of(rs)
+        near = Counted(near)
+        near.limit = walk_cap(rs) + 1
+        return e, cap, walls, sparse, near
 
-    monkeypatch.setattr(weylaff, "_alcove_walls", counted)
+    monkeypatch.setattr(weylaff, "_walk_data", counted)
 
 
 def random_weyl_matrix(rs, rng, length):

@@ -1,11 +1,21 @@
+import inspect
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcoves import ratmat, rootdata
+from alcoves import (
+    alcove,
+    centralizer,
+    cli,
+    parabolic,
+    ratmat,
+    rootdata,
+    weylaff,
+)
 from alcoves.rootdata import (
     CartanType,
     EnumerationGuard,
@@ -330,3 +340,45 @@ def test_adjoint_b2_coweight_coords():
     b0, b1 = rs.coweight_lattice_basis
     assert rs.coweight_coords(b0) == (1, 0)
     assert rs.coweight_coords(b1) == (0, 1)
+
+
+def root_system_caches():
+    """(name, function, other parameters) of every `lru_cache` in the
+    package whose first argument is a root system."""
+    out = []
+    for mod in (alcove, centralizer, cli, parabolic, rootdata, weylaff):
+        for name, f in vars(mod).items():
+            if hasattr(f, "cache_info") and f.__module__ == mod.__name__:
+                params = list(inspect.signature(f).parameters)
+                if params[:1] == ["rs"]:
+                    out.append((f"{mod.__name__}.{name}", f, params[1:]))
+    return out
+
+
+def test_a_root_system_built_twice_shares_every_cache(monkeypatch):
+    """A root system built again, past the cache of `build_root_system`,
+    equals the first and hashes as its Cartan type, which it hashes once;
+    so every cache keyed on a root system answers it with the entry of
+    the first."""
+    ct = CartanType("A", 3, "adjoint")
+    rs = build_root_system(ct)
+    again = build_root_system.__wrapped__(ct)
+    assert again is not rs and again == rs
+    calls = []
+    type_hash = CartanType.__hash__
+    monkeypatch.setattr(CartanType, "__hash__",
+                        lambda self: calls.append(self) or type_hash(self))
+    assert [hash(again) for _ in range(3)] == [type_hash(ct)] * 3
+    assert len(calls) == 1
+    face = alcove.faces_of_alcove(rs).faces[1]
+    args = {"j": face, "x": face.witness, "dtype": np.int64,
+            "command": "roots",
+            "group": weylaff.point_reflection_subgroup(
+                rs, alcove.alcove_vertices(rs)[-1])}
+    caches = root_system_caches()
+    assert {"alcoves.weylaff._walk_data", "alcoves.rootdata._weyl_listing",
+            "alcoves.centralizer._face_centralizer"} <= {
+        name for name, _, _ in caches}
+    for name, cached, rest in caches:
+        extra = [args[p] for p in rest]
+        assert cached(again, *extra) is cached(rs, *extra), name
