@@ -18,8 +18,8 @@ past it.
 The alcove-reduction oracle, the wall-order walk, takes O(|x|) wall
 reflections, so its points have |x| <= 8, still over denominators up to
 10^6, or lie on walls shifted by at most 50 coroots above rank 4.
-`reduce_to_alcove` itself is also run at scale 10^6, with its passes
-over the walls counted against its step cap, which does not depend on
+`reduce_to_alcove` itself is also run at scale 10^6, with its scans of
+the wall values counted against its step cap, which does not depend on
 |x|.
 """
 

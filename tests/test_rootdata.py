@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,15 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcoves import (
-    alcove,
-    centralizer,
-    cli,
-    parabolic,
-    ratmat,
-    rootdata,
-    weylaff,
-)
+import alcoves
+from alcoves import alcove, ratmat, rootdata, weylaff
 from alcoves.rootdata import (
     CartanType,
     EnumerationGuard,
@@ -346,7 +341,8 @@ def root_system_caches():
     """(name, function, other parameters) of every `lru_cache` in the
     package whose first argument is a root system."""
     out = []
-    for mod in (alcove, centralizer, cli, parabolic, rootdata, weylaff):
+    for info in pkgutil.iter_modules(alcoves.__path__):
+        mod = importlib.import_module(f"alcoves.{info.name}")
         for name, f in vars(mod).items():
             if hasattr(f, "cache_info") and f.__module__ == mod.__name__:
                 params = list(inspect.signature(f).parameters)
