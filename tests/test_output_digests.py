@@ -2,8 +2,9 @@
 
 `tests/fixtures/output_digests.json` maps a CLI argument line to the
 sha256 of its standard output: `svg --highlight F` for every face of A2,
-B2 and G2 (polygon order), `star --face F` for every face of A3 (facet
-witness order), `overlap --face1 F1 --face2 F2` for every pair of
+B2 and G2, sc and adjoint (polygon order), `star --face F` for every face
+of A3 and of adjoint B2, G2 and A3 (facet witness order), `overlap --face1
+F1 --face2 F2` for every pair of
 faces of A2, B2, G2, A3, B3 and C3 (double-coset representatives, their
 words and translations, and pair-stabilizer orders), `parabolic --face1 F1
 --face2 F2` for every non-identity arrow of A2, B2 and G2 (ambient,
