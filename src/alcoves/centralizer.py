@@ -8,21 +8,20 @@ the opposite-sign double-affine convention is converted at this module's
 boundary and stored as written there.
 
 Every centralizer is built by one kernel, `_centralizer`, which feeds
-integer numerators over one denominator to both tests of `weylaff`,
-`int_root_scan` and `int_weyl_test`.  It keeps W_s as integers, the
-indices of its finite parts in `weyl_elements` and its translations'
-numerators over coweight_den, and builds the group from them when `w` is
-first read.  The subsystem type is read from integer tables of the roots
-built once per root system.
+integer numerators over one denominator to the root test `int_root_scan`
+and the W scan `int_weyl_pairs` of `weylaff`.  W_s is the
+`FiniteSubgroup` of those pairs, whose elements are built only when
+read.  The subsystem type is read from integer tables of the roots built
+once per root system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd, prod
+from math import factorial, prod
 from operator import add
 
 from . import ratmat
@@ -30,14 +29,12 @@ from .alcove import AffineRoot, Face
 from .ratmat import Vec
 from .rootdata import RootSystem
 from .weylaff import (
-    AffineWeylElement,
     FiniteSubgroup,
     int_root_scan,
+    int_weyl_pairs,
     int_weyl_scan,
-    int_weyl_test,
-    int_weyl_translations,
+    over_coweight_den,
     vanishing_affine_roots,
-    weyl_elements,
 )
 
 
@@ -83,37 +80,24 @@ class DoubleAffineRoot:
 
 @dataclass(frozen=True)
 class CentralizerData:
-    """phi, and W_s in integers: `w_index` holds the indices of its finite
-    parts in `weyl_elements(rs)`, ascending, and `w_translation` the
-    numerators over `rs.coweight_den` of its translations, `rs.dim` per
-    element in the same order.  `w`, the group itself, is built from them
-    on first read; equality and the hash read rs and the integers, never
-    the group."""
+    """phi, and W_s as a `FiniteSubgroup` of integer pairs, its finite
+    parts in `weyl_elements` order; its elements are built only when
+    read, so equality, the hash and `to_json` build none.  Equality reads
+    the root system through W_s."""
 
-    rs: RootSystem = field(repr=False)
     phi: tuple[AffineRoot, ...]
     dim: int
-    w_index: tuple[int, ...]
-    w_translation: tuple[int, ...] = field(repr=False)
+    w: FiniteSubgroup
     w0_order: int  # |W_s°|, the Weyl group order of subsystem_type
     pi0_order: int
     connected: bool
     subsystem_type: str
 
-    @cached_property
-    def w(self) -> FiniteSubgroup:
-        rs, t = self.rs, self.w_translation
-        frac = {c: Fraction(c, rs.coweight_den) for c in set(t)}.__getitem__
-        elements, n = weyl_elements(rs), rs.dim
-        return FiniteSubgroup(tuple(
-            AffineWeylElement(elements[i], tuple(map(frac, t[k:k + n])))
-            for i, k in zip(self.w_index, range(0, len(t), n))))
-
     def to_json(self) -> dict:
         return {
             "phi": [[ar.root_index, ar.level] for ar in self.phi],
             "dim": self.dim,
-            "w_order": len(self.w_index),
+            "w_order": self.w.order,
             "w0_order": self.w0_order,
             "pi0": self.pi0_order,
             "connected": self.connected,
@@ -215,16 +199,6 @@ def subsystem_type(rs: RootSystem, phi: tuple[AffineRoot, ...]) -> str:
 # -- centralizer computations --------------------------------------------
 
 
-def _over_coweight_den(rs: RootSystem, points: tuple
-                       ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, nums) with points[k] == nums[k] / d, d the least common multiple
-    of coweight_den and the entries' denominators, so that a coweight's
-    numerators over d divide by d / coweight_den exactly."""
-    d, nums = ratmat.over_common_denominator(points, rs.dim)
-    k = rs.coweight_den // gcd(d, rs.coweight_den)
-    return d * k, tuple(tuple(k * c for c in p) for p in nums)
-
-
 def _centralizer(rs: RootSystem, d: int, fixed: tuple, lattice: tuple,
                  a: tuple) -> CentralizerData:
     """The centralizer at a, all points integer numerators over d, a
@@ -235,21 +209,18 @@ def _centralizer(rs: RootSystem, d: int, fixed: tuple, lattice: tuple,
     coweight_den."""
     phi = tuple(AffineRoot(idx, vals[-1])
                 for idx, vals in int_root_scan(rs, d, fixed, (*lattice, a)))
-    rows = int_weyl_test(rs, d, fixed, ((a, a),), lattice)
-    lam = int_weyl_translations(rs, d, rows, ((a, a),))
+    w = FiniteSubgroup(rs, int_weyl_pairs(rs, d, a, a, fixed, lattice))
     # W_s° is generated by the reflections in phi, which all fix one point,
     # so it is the Weyl group of the linear parts of phi
     typ = subsystem_type(rs, phi)
     w0_order = prod(_weyl_order(c) for c in typ.split("+") if c != "0")
-    pi0, rem = divmod(len(rows), w0_order)
+    pi0, rem = divmod(w.order, w0_order)
     if rem:
         raise RuntimeError(f"|W_s°| = {w0_order} does not divide "
-                           f"|W_s| = {len(rows)} (bug)")
+                           f"|W_s| = {w.order} (bug)")
     return CentralizerData(
-        rs=rs, phi=phi, dim=rs.dim + len(phi), w_index=tuple(rows.tolist()),
-        w_translation=tuple((lam // (d // rs.coweight_den)).ravel().tolist()),
-        w0_order=w0_order, pi0_order=pi0, connected=pi0 == 1,
-        subsystem_type=typ)
+        phi=phi, dim=rs.dim + len(phi), w=w, w0_order=w0_order,
+        pi0_order=pi0, connected=pi0 == 1, subsystem_type=typ)
 
 
 def centralizer_elliptic(rs: RootSystem, s: ExpPoint) -> CentralizerData:
@@ -278,7 +249,7 @@ def centralizer_face(rs: RootSystem, j: Face) -> CentralizerData:
 def _face_centralizer(rs: RootSystem, j: Face) -> CentralizerData:
     """The centralizer at theta = 0, a = the witness of J, checked once
     against the affine roots vanishing at the vertices of J."""
-    d, (a,) = _over_coweight_den(rs, (j.witness,))
+    d, (a,) = over_coweight_den(rs, (j.witness,))
     data = _centralizer(rs, d, (), (), a)
     if set(data.phi) != set(vanishing_affine_roots(rs, j.vertices)):
         raise RuntimeError("roots at the face witness differ from the roots "
@@ -288,7 +259,7 @@ def _face_centralizer(rs: RootSystem, j: Face) -> CentralizerData:
 
 def gauge_centralizer_circle(rs: RootSystem, a: GaugePoint) -> CentralizerData:
     """Centralizer data of a constant gauge field A on the circle."""
-    d, (im, re) = _over_coweight_den(rs, (a.a_im, a.a_re))
+    d, (im, re) = over_coweight_den(rs, (a.a_im, a.a_re))
     return _centralizer(rs, d, (im,), (), re)
 
 
@@ -309,7 +280,7 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     Double-affine levels follow the plus convention: (n1, n2, alpha) is in
     phi_B iff alpha(A1) + n1 = 0 and alpha(A2) + n2 = 0.
     """
-    d, (a1, a2) = _over_coweight_den(rs, (ratmat.vec(a1), ratmat.vec(a2)))
+    d, (a1, a2) = over_coweight_den(rs, (ratmat.vec(a1), ratmat.vec(a2)))
     phi_b = [DoubleAffineRoot(-v1, -v2, idx)
              for idx, (v1, v2) in int_root_scan(rs, d, (), (a1, a2))]
     w_b = [(w0, l1, l2) for w0, (l1, l2) in
@@ -320,15 +291,11 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     proj2 = _centralizer(rs, d, (), (), a2)
 
     # Cartesian: phi_B is exactly the fiber product of the two circle
-    # centralizers over the finite root set, levels included.
-    set1 = {(ar.root_index, -ar.level) for ar in proj1.phi}
-    set2 = {(ar.root_index, -ar.level) for ar in proj2.phi}
-    fiber = {
-        (n1, n2, idx)
-        for (idx, n1) in set1
-        for (idx2, n2) in set2
-        if idx == idx2
-    }
+    # centralizers over the finite root set, levels included; a circle
+    # centralizer holds each root at one level, alpha(a)
+    level2 = {ar.root_index: -ar.level for ar in proj2.phi}
+    fiber = {(-ar.level, level2[ar.root_index], ar.root_index)
+             for ar in proj1.phi if ar.root_index in level2}
     cartesian = fiber == {(d.n1, d.n2, d.root_index) for d in phi_b}
 
     # all comparison maps injective: phi_B into each projection, and the
@@ -337,9 +304,8 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     img2 = [(d.root_index, -d.n2) for d in phi_b]
     inj_phi = len(set(img1)) == len(img1) and len(set(img2)) == len(img2)
     w0s = {w0 for w0, _, _ in w_b}
-    elements = weyl_elements(rs)
     inj_w = len(w0s) == len(w_b) and all(
-        w0s <= {elements[i] for i in p.w_index} for p in (proj1, proj2))
+        w0s <= {w0 for w0, _ in p.w.pairs} for p in (proj1, proj2))
     return DoubleCentralizerData(
         phi_b=tuple(phi_b),
         w_b=tuple(w_b),

@@ -2,43 +2,41 @@
 
 Elements are pairs (finite Weyl part, coweight translation) acting by
 x -> w(x) + t; the finite part is a `WeylElement`, whose matrices are
-integral.  Stabilizers and centralizers come from two tests on integer
-numerators over one denominator, `int_root_scan` over the roots and
-`int_weyl_test` over the finite Weyl group, which returns the indices of
-the elements it keeps; `int_weyl_translations` forms their translations
-y - w0(x), and `int_weyl_scan` composes the two into Weyl elements and
-Fraction translations.  They take numerators only: each caller, here,
-in `parabolic` and in `centralizer`, writes its points over one
-denominator once and passes that.  Star regions are
-exact finite enumerations at a vertex, and a chart overlap is the one
-double coset W_{J2} W_{J1} of two face stabilizers, read off their
-translations without forming a product.
+integral.  A `FiniteSubgroup` holds its elements as integer `pairs`, each
+a `WeylElement` and its translation's numerators over coweight_den, and
+builds `AffineWeylElement`s only when `elements` is read.  Every W-scan
+group, here and in `centralizer`, comes from `int_weyl_pairs` at one pair
+(x, y) written by `over_coweight_den`: the W test `int_weyl_test` keeps
+the indices of the elements in `weyl_elements`, and
+`int_weyl_translations` forms their translations y - w0(x).  Roots are
+tested by `int_root_scan`.  Each caller writes its points over one
+denominator once and passes the numerators.  Star regions are exact
+finite enumerations at a vertex, and a chart overlap is the one double
+coset W_{J2} W_{J1} of two face stabilizers, read off their pairs
+without forming a product.
 
-The kernels write their points once as integer numerators over one
-common denominator, Weyl elements act by integer matrices, and Fractions
-are built only for the values returned; each kernel's docstring states
-its bound (the int64 bounds of `int_root_scan` and `int_weyl_test`, past
-which they run on Python ints, and the step cap of
+Fractions are built only for the values returned.  Each kernel's
+docstring states its bound (the int64 bounds of `int_root_scan` and
+`int_weyl_test`, past which they run on Python ints, and the step cap of
 `reduce_to_alcove`).  `point_reflection_subgroup` lists the reflection
-group of a point with `rootdata.reflection_group`, the enumerator of W,
-from one linear reflection per wall through the point.  `int_root_scan`,
+group of a point with `rootdata.reflection_group` from one linear
+reflection per wall through the point.  `int_root_scan`,
 `reduce_to_alcove`, `compose` and `invert` list no W: a Weyl element is
 its matrix, its word given by `rootdata.weyl_element`.  The alcove's
-walls with their affine Cartan matrix, on which the walk runs, its
-barycenter and the walk's step cap are built once per root system, the
-reflection group of a point once per (root system, point), and the
-facets at a vertex once per vertex group.
-A face's stabilizer W_J and the facet witnesses of its star are built
-once per (root system, face): each of the two caches holds at most
-2^(ell+1) - 1 entries per root system, one per face of the alcove.
+walls with their affine Cartan matrix, its barycenter and the walk's step
+cap are built once per root system, the reflection group of a point once
+per (root system, point), the facets at a vertex once per vertex group,
+and W_J and the facet witnesses of its star once per (root system, face),
+at most 2^(ell+1) - 1 entries per root system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
+from math import gcd
 
 import numpy as np
 
@@ -122,7 +120,14 @@ def _reflection_matrix(rs: RootSystem, idx: int) -> tuple:
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
-    elements: tuple[AffineWeylElement, ...]
+    """A finite subgroup of W_aff as integer `pairs`, each element (w0, t):
+    its `WeylElement` and the numerators of its translation over
+    `rs.coweight_den`.  The `AffineWeylElement`s, with their Fractions,
+    are built on the first read of `elements` or `element_set()`.
+    Equality reads the root system and `pairs`, the hash `pairs` only."""
+
+    rs: RootSystem = field(repr=False)
+    pairs: tuple[tuple[WeylElement, tuple[int, ...]], ...]
 
     def __hash__(self):
         return self._hash
@@ -130,20 +135,49 @@ class FiniteSubgroup:
     @cached_property
     def _hash(self) -> int:
         # hashed once: the vertex groups are cache keys of the star data
-        return hash(self.elements)
+        return hash(self.pairs)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.pairs)
+
+    @cached_property
+    def elements(self) -> tuple[AffineWeylElement, ...]:
+        # each distinct numerator becomes a Fraction once
+        den = self.rs.coweight_den
+        frac = {c: Fraction(c, den) for c in
+                set(chain.from_iterable(t for _, t in self.pairs))}.__getitem__
+        return tuple(AffineWeylElement(w0, tuple(map(frac, t)))
+                     for w0, t in self.pairs)
 
     def element_set(self) -> frozenset:
         return self._element_set
 
     @cached_property
     def _element_set(self) -> frozenset:
+        return frozenset(self.elements)
+
+    @cached_property
+    def pair_set(self) -> frozenset:
         # built once per group: the face stabilizers are cached and tested
         # for membership on every call
-        return frozenset(self.elements)
+        return frozenset(self.pairs)
+
+
+def _element(rs: RootSystem, w0: WeylElement, t: tuple) -> AffineWeylElement:
+    """The element (w0, t / coweight_den) of the pair (w0, t)."""
+    return AffineWeylElement(w0, tuple(Fraction(c, rs.coweight_den)
+                                       for c in t))
+
+
+def over_coweight_den(rs: RootSystem, points: tuple
+                      ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, nums) with points[k] == nums[k] / d, d the least common multiple
+    of coweight_den and the entries' denominators, so that a coweight's
+    numerators over d divide by d / coweight_den exactly."""
+    d, nums = ratmat.over_common_denominator(points, rs.dim)
+    k = rs.coweight_den // gcd(d, rs.coweight_den)
+    return d * k, tuple(tuple(k * c for c in p) for p in nums)
 
 
 @lru_cache(maxsize=None)
@@ -420,6 +454,19 @@ def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
             for i, ts in zip(rows.tolist(), lam.tolist())]
 
 
+def int_weyl_pairs(rs: RootSystem, d: int, x: tuple, y: tuple,
+                   fixed: tuple = (), lattice: tuple = ()) -> tuple:
+    """The w0 that `int_weyl_test` keeps at the one pair (x, y) and the
+    `fixed` and `lattice` points, in `weyl_elements` order, each with the
+    numerators over coweight_den of y - w0(x), all points over d from
+    `over_coweight_den`: the `pairs` of a `FiniteSubgroup` when x = y."""
+    rows = int_weyl_test(rs, d, fixed, ((x, y),), lattice)
+    lam = int_weyl_translations(rs, d, rows, ((x, y),))[:, 0]
+    elements = weyl_elements(rs)
+    return tuple(zip(map(elements.__getitem__, rows.tolist()),
+                     map(tuple, (lam // (d // rs.coweight_den)).tolist())))
+
+
 def vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]
                            ) -> list[AffineRoot]:
     """Affine roots vanishing at every point of the given finite set."""
@@ -430,13 +477,10 @@ def vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]
 
 
 def stabilizer_of_point(rs: RootSystem, x: Vec) -> FiniteSubgroup:
-    """All (w0, lam) in W x X_* fixing x, by solving lam = x - w0(x);
-    x is written over its denominator once and scanned as one column."""
-    d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
-    return FiniteSubgroup(tuple(
-        AffineWeylElement(w0, lam)
-        for w0, (lam,) in int_weyl_scan(rs, d, (), ((num, num),))
-    ))
+    """All (w0, lam) in W x X_* fixing x, by solving lam = x - w0(x): the
+    W scan at the pair (x, x), x written by `over_coweight_den` once."""
+    d, (num,) = over_coweight_den(rs, (x,))
+    return FiniteSubgroup(rs, int_weyl_pairs(rs, d, num, num))
 
 
 def stabilizer_of_face(rs: RootSystem, j: Face) -> FiniteSubgroup:
@@ -476,16 +520,18 @@ def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     enters once, at its first root.  Every element (m, t) fixes x, so
     t = x - m x, and m -> (m, t) is one to one: `reflection_group` lists
     the linear parts, under `_CLOSURE_GUARD`, and each translation is
-    taken on the Python-int numerators of x, which may be of any size."""
-    d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
+    taken on the Python-int numerators of x, which may be of any size,
+    written by `over_coweight_den`."""
+    d, (num,) = over_coweight_den(rs, (x,))
     gens = dict.fromkeys(_reflection_matrix(rs, idx)
                          for idx, _ in int_root_scan(rs, d, (), (num,)))
     stack, _ = reflection_group(
         np.array(list(gens), dtype=np.int64).reshape(-1, rs.dim, rs.dim),
         _CLOSURE_GUARD)
-    return FiniteSubgroup(tuple(
-        AffineWeylElement(weyl_element(rs, m), tuple(
-            Fraction(a - b, d) for a, b in zip(num, ratmat.int_matvec(m, num))))
+    k = d // rs.coweight_den
+    return FiniteSubgroup(rs, tuple(
+        (weyl_element(rs, m),
+         tuple((a - b) // k for a, b in zip(num, ratmat.int_matvec(m, num))))
         for m in (tuple(map(tuple, m)) for m in stack.tolist())))
 
 
@@ -504,16 +550,17 @@ def _witness_values(rs: RootSystem, j: Face) -> tuple[int, tuple[int, ...]]:
 def open_embedding_counterexample(rs: RootSystem, j: Face,
                                   samples: list[tuple[Vec, Vec]]):
     """Search for w in W_aff mapping one St_J sample to another with
-    w outside W_J.  Returns the violating (x, y, w) or None."""
-    wj = stabilizer_of_face(rs, j).element_set()
+    w outside W_J.  Returns the violating (x, y, w) or None.  The w with
+    w(x) = y are the W scan at the pair (x, y), tested against W_J as
+    integer pairs."""
+    wj = stabilizer_of_face(rs, j).pair_set
     for x, y in samples:
         if not (star_contains(rs, j, x) and star_contains(rs, j, y)):
             raise ValueError("sample pair not inside the star of the face")
-        d, pair = ratmat.over_common_denominator((x, y), rs.dim)
-        for w0, (lam,) in int_weyl_scan(rs, d, (), (pair,)):
-            w = AffineWeylElement(w0, lam)
-            if w not in wj:
-                return (x, y, w)
+        d, (xn, yn) = over_coweight_den(rs, (x, y))
+        for w0, t in int_weyl_pairs(rs, d, xn, yn):
+            if (w0, t) not in wj:
+                return (x, y, _element(rs, w0, t))
     return None
 
 
@@ -541,9 +588,9 @@ def _vertex_star(rs: RootSystem, group: FiniteSubgroup
         tuple(f.witness for f in faces_of_alcove(rs).faces), rs.dim)
     pos = [rs.grads[p] for p in rs.positive_indices]
     first: dict = {}
-    for u in group.elements:
-        m = u.finite_part.matrix
-        dt = tuple(d * int(c) for c in u.translation)
+    for w0, t in group.pairs:
+        m = w0.matrix
+        dt = tuple(d * c // rs.coweight_den for c in t)
         for w in wits:
             p = tuple(a + b for a, b in zip(ratmat.int_matvec(m, w), dt))
             key = []
@@ -598,12 +645,6 @@ def verify_cover(rs: RootSystem, samples: list[Vec]) -> bool:
     return True
 
 
-def _int_pair(e: AffineWeylElement, den: int) -> tuple:
-    """e as an integer (matrix, translation numerators over den) pair."""
-    return (e.finite_part.matrix,
-            tuple(c.numerator * (den // c.denominator) for c in e.translation))
-
-
 def chart_overlap(rs: RootSystem, j1: Face, j2: Face
                   ) -> list[tuple[AffineWeylElement, FiniteSubgroup]]:
     """Double cosets W_{J2} \\ {w : w(St_{J1}) meets St_{J2}} / W_{J1},
@@ -626,26 +667,23 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
     same finite part.  A point stabilizer holds each finite part at most
     once, so they are matched on it, with no product formed: the cost is
     O(|W_{J1}| + |W_{J2}|).  The translations and the pair stabilizer
-    are formed on integer numerators; Fractions are built only for the
-    values returned."""
-    w1 = stabilizer_of_face(rs, j1)
+    are formed on the groups' `pairs`; the representative is the one
+    element built."""
+    w1 = stabilizer_of_face(rs, j1).pairs
     w2 = stabilizer_of_face(rs, j2)
-    bd = rs.coweight_den
-    g1 = [_int_pair(a, bd) for a in w1.elements]
-    by_pair2 = {_int_pair(b, bd): b for b in w2.elements}
-    t2 = {m: t for m, t in by_pair2}
-    lam = min((tuple(b - a for b, a in zip(t2[m], t)) for m, t in g1
-               if m in t2),
+    t2 = dict(w2.pairs)
+    lam = min((tuple(b - a for b, a in zip(t2[w0], t)) for w0, t in w1
+               if w0 in t2),
               key=lambda t: ratmat.int_matvec(rs.coweight_inv_num, t))
-    # the pair stabilizer: t_lam a t_-lam = (m, lam + t - m lam) for
-    # a = (m, t) in W_J1, within W_J2
+    # the pair stabilizer: t_lam a t_-lam = (w0, lam + t - w0 lam) for
+    # a = (w0, t) in W_J1, within W_J2, by word and then translation
+    in2 = w2.pair_set
     pair = []
-    for m, t in g1:
-        c = (m, tuple(x + y - z for x, y, z in
-                      zip(lam, t, ratmat.int_matvec(m, lam))))
-        if c in by_pair2:
-            pair.append(by_pair2[c])
-    pair.sort(key=lambda el: (el.finite_part.word, el.translation))
-    rep = AffineWeylElement(identity_element(rs).finite_part,
-                            tuple(Fraction(c, bd) for c in lam))
-    return [(rep, FiniteSubgroup(tuple(pair)))]
+    for w0, t in w1:
+        c = (w0, tuple(x + y - z for x, y, z in
+                       zip(lam, t, ratmat.int_matvec(w0.matrix, lam))))
+        if c in in2:
+            pair.append(c)
+    pair.sort(key=lambda c: (c[0].word, c[1]))
+    rep = _element(rs, identity_element(rs).finite_part, lam)
+    return [(rep, FiniteSubgroup(rs, tuple(pair)))]

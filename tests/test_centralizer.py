@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from alcoves import centralizer, cli, ratmat
+from alcoves import centralizer, cli, ratmat, weylaff
 from alcoves.alcove import AffineRoot, alcove_vertices, faces_of_alcove
 from alcoves.centralizer import (
     GaugePoint,
@@ -185,16 +185,15 @@ def test_kernel_entry_points_agree(family, rank, isogeny):
 def test_w_is_built_on_first_read(monkeypatch):
     """A centralizer call runs the translation step once, on the elements
     the W test kept, and builds no element of W_s: `to_json`,
-    `pi0_order`, `connected`, equality and the hash read the integers.
-    The first read of `w` builds the group, the same as the eager
-    `stabilizer_of_point` at a (theta = 0), and later reads return it."""
+    `pi0_order`, `connected`, equality and the hash read the integer
+    pairs.  The first read of `w.elements` builds the elements, and W_s
+    is the group `stabilizer_of_point` gives at a (theta = 0)."""
     rs = rs_of("F", 4)
     steps, built = [], []
-    step, element = centralizer.int_weyl_translations, \
-        centralizer.AffineWeylElement
-    monkeypatch.setattr(centralizer, "int_weyl_translations",
+    step, element = weylaff.int_weyl_translations, weylaff.AffineWeylElement
+    monkeypatch.setattr(weylaff, "int_weyl_translations",
                         lambda *args: steps.append(args) or step(*args))
-    monkeypatch.setattr(centralizer, "AffineWeylElement",
+    monkeypatch.setattr(weylaff, "AffineWeylElement",
                         lambda *args: built.append(args) or element(*args))
     zero, a = ratmat.zeros(4), ratmat.vec(("1/2", "1/2", "0", "0"))
     data = centralizer_elliptic(rs, exp_point(rs, zero, a))
@@ -206,18 +205,19 @@ def test_w_is_built_on_first_read(monkeypatch):
     assert data == again and hash(data) == hash(again)
     assert len(steps) == 2 and all(len(rows) == 96 for _, _, rows, _ in steps)
     assert built == []
-    w = data.w
-    assert data.w is w and len(built) == 96 and len(steps) == 2
-    assert w == stabilizer_of_point(rs, a)
+    elements = data.w.elements
+    assert data.w.elements is elements and len(built) == 96 \
+        and len(steps) == 2
+    assert data.w == stabilizer_of_point(rs, a)
     assert data == again and hash(data) == hash(again)
     with pytest.raises(AttributeError):
-        data.w_index = ()
+        data.w = ()
 
 
 def test_verify_centralizer_builds_no_element_of_w_s(monkeypatch, capsys):
     """`verify centralizer` compares the groups W_s on integers: their
-    orders by `w_index`, and W_s inside W_J by (index, translation)
-    pairs, so no sampled centralizer builds its `FiniteSubgroup`.  The
+    orders, and W_s inside W_J by their (Weyl element, translation
+    numerators) pairs, so no sampled centralizer builds an element.  The
     first run builds the vertex groups behind the star samples, once per
     root system; the second builds no element at all."""
     argv = ["verify", "centralizer", "--type", "B", "--rank", "2",

@@ -60,6 +60,8 @@ def test_cached_face_data_equals_fresh(family, rank):
         data = centralizer_face(rs, f)
         assert data == centralizer_elliptic(rs, ExpPoint(zero, f.witness))
         assert centralizer_face(rs, f) is data
+        # W_s at the face witness is W_J: the same pairs in the same order
+        assert data.w == stab and data.w.pairs == stab.pairs
         again = star_facet_witnesses(rs, f)
         assert again == wits[f] and again is not wits[f]
     second = parabolics(rs, cat.faces, cat.arrows)
@@ -96,7 +98,7 @@ def _run(capsys, argv):
 
 
 def _count_face_scans(monkeypatch):
-    """Patch `int_weyl_test`, the one W test, where the library binds it;
+    """Patch `int_weyl_test`, the one W test, behind every W-scan group;
     the returned list gets the pairs of each W test made inside
     `stabilizer_of_face` or `centralizer_face`: a test at a face witness
     for face data.  Tests at sampled points that happen to be face
@@ -119,7 +121,6 @@ def _count_face_scans(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(weylaff, "int_weyl_test", counting)
-    monkeypatch.setattr(centralizer, "int_weyl_test", counting)
     monkeypatch.setattr(weylaff, "stabilizer_of_face",
                         inside(weylaff.stabilizer_of_face))
     monkeypatch.setattr(centralizer, "centralizer_face",

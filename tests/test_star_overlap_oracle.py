@@ -186,7 +186,9 @@ def oracle_chart_overlap(rs, j1, j2):
         conj = {compose(rs, compose(rs, w, a), winv) for a in w1.elements}
         pair = sorted(conj & w2.element_set(),
                       key=lambda e: (e.finite_part.word, e.translation))
-        out.append((w, FiniteSubgroup(tuple(pair))))
+        out.append((w, FiniteSubgroup(rs, tuple(
+            (e.finite_part, tuple(int(c * rs.coweight_den)
+                                  for c in e.translation)) for e in pair))))
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcoves import ratmat, rootdata, weylaff
+from alcoves import cli, ratmat, rootdata, weylaff
 from alcoves.alcove import eval_affine_root, faces_of_alcove, \
     fundamental_alcove
 from alcoves.rootdata import CartanType, build_root_system, weyl_element
@@ -337,6 +337,59 @@ def test_rank4_vertex_self_overlap_forms_no_product(family, monkeypatch):
     assert rep.is_identity() and rep.finite_part.word == ()
     assert stab.elements == tuple(sorted(
         wj.elements, key=lambda e: (e.finite_part.word, e.translation)))
+
+
+def count_built(monkeypatch):
+    """Clear the caches that hold groups, then record the arguments of
+    each `AffineWeylElement` built."""
+    for cache in (weylaff._face_stabilizer, weylaff._point_reflection_subgroup,
+                  weylaff._vertex_star, weylaff._star_witnesses):
+        cache.cache_clear()
+    built = []
+    init = AffineWeylElement.__init__
+    monkeypatch.setattr(AffineWeylElement, "__init__",
+                        lambda self, *args: built.append(args)
+                        or init(self, *args))
+    return built
+
+
+@pytest.mark.parametrize("argv,count", [
+    ("star --type A --rank 3 --face 0,1,2", 0),
+    ("verify stabilizers --type B --rank 2", 0),
+    ("overlap --type A --rank 3 --face1 0 --face2 1,2", 2),
+], ids=["star", "verify-stabilizers", "overlap"])
+def test_groups_are_read_as_pairs(argv, count, monkeypatch, capsys):
+    """Stars, stabilizer checks and overlaps read their groups as integer
+    pairs: from cold caches `star` and `verify stabilizers` build no
+    `AffineWeylElement`, and `overlap` builds only its representative and
+    the one `identity_element` builds."""
+    built = count_built(monkeypatch)
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(built) == count
+
+
+def test_point_stabilizer_builds_its_elements_on_first_read(monkeypatch):
+    """`stabilizer_of_point` builds no element until `elements` is read,
+    which then lists the elements of the W scan in `weyl_elements`
+    order, each translation x - w0(x) a Fraction."""
+    rs = rs_of("F", 4)
+    x = ratmat.vec(("1/2", "1/2", "0", "0"))
+    built = count_built(monkeypatch)
+    group = stabilizer_of_point(rs, x)
+    assert group.order == 96 and built == []
+    elements = group.elements
+    assert len(built) == 96 and group.elements is elements
+    d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
+    assert elements == tuple(
+        AffineWeylElement(w0, lam)
+        for w0, (lam,) in weylaff.int_weyl_scan(rs, d, (), ((num, num),)))
+    index = {w0: i for i, w0 in enumerate(weyl_elements(rs))}
+    rows = [index[e.finite_part] for e in elements]
+    assert rows == sorted(rows)
+    for e in elements:
+        assert e.translation == ratmat.sub(x, e.finite_part.apply(x))
+        assert all(type(c) is Fraction for c in e.translation)
 
 
 @settings(max_examples=25, deadline=None)
