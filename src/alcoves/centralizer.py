@@ -10,9 +10,9 @@ boundary and stored as written there.
 Every centralizer is built by one kernel, `_centralizer`, which feeds
 integer numerators over one denominator to the root test `int_root_scan`
 and the W scan `int_weyl_pairs` of `weylaff`.  W_s is the
-`FiniteSubgroup` of those pairs, whose elements are built only when
-read.  The subsystem type is read from integer tables of the roots built
-once per root system.
+`FiniteSubgroup` of the elements that scan lists, on integers.  The
+subsystem type is read from integer tables of the roots built once per
+root system.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ from .weylaff import (
     FiniteSubgroup,
     int_root_scan,
     int_weyl_pairs,
-    int_weyl_scan,
+    int_weyl_test,
+    int_weyl_translations,
     over_coweight_den,
     vanishing_affine_roots,
+    weyl_elements,
 )
 
 
@@ -80,10 +82,9 @@ class DoubleAffineRoot:
 
 @dataclass(frozen=True)
 class CentralizerData:
-    """phi, and W_s as a `FiniteSubgroup` of integer pairs, its finite
-    parts in `weyl_elements` order; its elements are built only when
-    read, so equality, the hash and `to_json` build none.  Equality reads
-    the root system through W_s."""
+    """phi, and W_s as the `FiniteSubgroup` of the W scan's elements, in
+    `weyl_elements` order; equality, the hash and `to_json` read
+    integers.  Equality reads the root system through W_s."""
 
     phi: tuple[AffineRoot, ...]
     dim: int
@@ -283,8 +284,14 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     d, (a1, a2) = over_coweight_den(rs, (ratmat.vec(a1), ratmat.vec(a2)))
     phi_b = [DoubleAffineRoot(-v1, -v2, idx)
              for idx, (v1, v2) in int_root_scan(rs, d, (), (a1, a2))]
-    w_b = [(w0, l1, l2) for w0, (l1, l2) in
-           int_weyl_scan(rs, d, (), ((a1, a1), (a2, a2)))]
+    # W_B: the w0 keeping A1 and A2 mod coweights, with A1 - w0(A1) and
+    # A2 - w0(A2) as Fractions
+    pairs = ((a1, a1), (a2, a2))
+    rows = int_weyl_test(rs, d, (), pairs)
+    lams = int_weyl_translations(rs, d, rows, pairs).tolist()
+    w_b = [(weyl_elements(rs)[i], *(tuple(Fraction(c, d) for c in t)
+                                    for t in ts))
+           for i, ts in zip(rows.tolist(), lams)]
 
     # the circle centralizers at A1 and A2 (A_im = 0, which fixes nothing)
     proj1 = _centralizer(rs, d, (), (), a1)
@@ -305,7 +312,7 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     inj_phi = len(set(img1)) == len(img1) and len(set(img2)) == len(img2)
     w0s = {w0 for w0, _, _ in w_b}
     inj_w = len(w0s) == len(w_b) and all(
-        w0s <= {w0 for w0, _ in p.w.pairs} for p in (proj1, proj2))
+        w0s <= {e.finite_part for e in p.w.elements} for p in (proj1, proj2))
     return DoubleCentralizerData(
         phi_b=tuple(phi_b),
         w_b=tuple(w_b),

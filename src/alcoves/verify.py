@@ -42,9 +42,9 @@ def _rand_theta(rng, dim):
 def _rand_affine(rs, rng):
     """A Weyl element, then a coweight with coordinates in [-2, 2]."""
     w0 = rng.choice(weylaff.weyl_elements(rs))
-    lam = rs.from_coweight_coords(tuple(Fraction(rng.randint(-2, 2))
-                                        for _ in range(rs.dim)))
-    return weylaff.AffineWeylElement(w0, lam)
+    lam = [rng.randint(-2, 2) for _ in range(rs.dim)]
+    return weylaff.AffineWeylElement(
+        w0, ratmat.int_matvec(rs.coweight_num, lam), rs.coweight_den)
 
 
 def _star_samples(rs, j, rng, count):
@@ -81,7 +81,7 @@ def suite_stabilizers(rs, rng, seed, samples, radius):
             # stabilizer_of_face refuses non-sc groups: Steinberg needs sc
             full = weylaff.stabilizer_of_face(rs, f)
             gen = weylaff.point_reflection_subgroup(rs, f.witness)
-            return _unless(gen.pair_set == full.pair_set,
+            return _unless(gen.element_set() == full.element_set(),
                            f"reflection group order {gen.order} != "
                            f"stabilizer order {full.order}")
         yield ("face_stabilizer_equals_point_stabilizer",
@@ -148,12 +148,12 @@ def suite_centralizer(rs, rng, seed, samples, radius):
         for f in cat.faces:
             fdata = centralizer.centralizer_face(rs, f)
             fphi = set(fdata.phi)
-            fw = fdata.w.pair_set
+            fw = fdata.w.element_set()
             for a in _star_samples(rs, f, rng, per_face):
                 s = centralizer.exp_point(rs, _rand_theta(rng, rs.dim), a)
                 sdata = centralizer.centralizer_elliptic(rs, s)
                 if not (set(sdata.phi) <= fphi
-                        and fw.issuperset(sdata.w.pairs)):
+                        and fw.issuperset(sdata.w.elements)):
                     return (f"G_s not inside G_J at face "
                             f"{sorted(f.vanishing_walls)}, s={s}")
         return None

@@ -1,33 +1,34 @@
 """The affine Weyl group: affine actions, stabilizers, stars, reduction.
 
-Elements are pairs (finite Weyl part, coweight translation) acting by
-x -> w(x) + t; the finite part is a `WeylElement`, whose matrices are
-integral.  A `FiniteSubgroup` holds its elements as integer `pairs`, each
-a `WeylElement` and its translation's numerators over coweight_den, and
-builds `AffineWeylElement`s only when `elements` is read.  Every W-scan
-group, here and in `centralizer`, comes from `int_weyl_pairs` at one pair
-(x, y) written by `over_coweight_den`: the W test `int_weyl_test` keeps
-the indices of the elements in `weyl_elements`, and
-`int_weyl_translations` forms their translations y - w0(x).  Roots are
-tested by `int_root_scan`.  Each caller writes its points over one
-denominator once and passes the numerators.  Star regions are exact
-finite enumerations at a vertex, and a chart overlap is the one double
-coset W_{J2} W_{J1} of two face stabilizers, read off their pairs
-without forming a product.
+An element of W_aff = W x X_* acts by x -> w0(x) + t.  It is held on
+integers: its finite part w0, a `WeylElement` with an integral matrix,
+and the numerators of t over the one denominator coweight_den of its
+root system; `translation` gives t as Fractions.  Composition and
+inversion, membership in a `FiniteSubgroup` and every group reader here
+and in `centralizer` work on the numerators.  Every W-scan group comes
+from `int_weyl_pairs` at one pair (x, y) written by `over_coweight_den`:
+the W test `int_weyl_test` keeps the indices of the elements in
+`weyl_elements`, and `int_weyl_translations` forms their translations
+y - w0(x).  Roots are tested by `int_root_scan`.  Each caller writes its
+points over one denominator once and passes the numerators.  Star
+regions are exact finite enumerations at a vertex, and a chart overlap
+is the one double coset W_{J2} W_{J1} of two face stabilizers, read off
+their elements without forming a product.
 
-Fractions are built only for the values returned.  Each kernel's
-docstring states its bound (the int64 bounds of `int_root_scan` and
-`int_weyl_test`, past which they run on Python ints, and the step cap of
-`reduce_to_alcove`).  `point_reflection_subgroup` lists the reflection
-group of a point with `rootdata.reflection_group` from one linear
-reflection per wall through the point.  `int_root_scan`,
-`reduce_to_alcove`, `compose` and `invert` list no W: a Weyl element is
-its matrix, its word given by `rootdata.weyl_element`.  The alcove's
-walls with their affine Cartan matrix, its barycenter and the walk's step
-cap are built once per root system, the reflection group of a point once
-per (root system, point), the facets at a vertex once per vertex group,
-and W_J and the facet witnesses of its star once per (root system, face),
-at most 2^(ell+1) - 1 entries per root system.
+Fractions are built only for the points returned and when a
+`translation` is read.  Each kernel's docstring states its bound (the
+int64 bounds of `int_root_scan` and `int_weyl_test`, past which they run
+on Python ints, and the step cap of `reduce_to_alcove`).
+`point_reflection_subgroup` lists the reflection group of a point with
+`rootdata.reflection_group` from one linear reflection per wall through
+the point.  `int_root_scan`, `reduce_to_alcove`, `compose` and `invert`
+list no W: a Weyl element is its matrix, its word given by
+`rootdata.weyl_element`.  The alcove's walls with their affine Cartan
+matrix, its barycenter and the walk's step cap are built once per root
+system, the reflection group of a point once per (root system, point),
+the facets at a vertex once per vertex group, and W_J and the facet
+witnesses of its star once per (root system, face), at most
+2^(ell+1) - 1 entries per root system.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,16 +67,23 @@ from .rootdata import (
 _CLOSURE_GUARD = 20000
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
+class AffineWeylElement(NamedTuple):
+    """x -> w0(x) + num / den: w0 the `finite_part`, num the integer
+    numerators of the translation over den = rs.coweight_den."""
+
     finite_part: WeylElement
-    translation: Vec
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def translation(self) -> Vec:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def apply(self, x: Vec) -> Vec:
         return ratmat.add(self.finite_part.apply(x), self.translation)
 
     def is_identity(self) -> bool:
-        return self.finite_part.is_identity() and not any(self.translation)
+        return self.finite_part.is_identity() and not any(self.num)
 
 
 @lru_cache(maxsize=None)
@@ -89,26 +98,23 @@ def identity_element(rs: RootSystem) -> AffineWeylElement:
     `weyl_elements`, so W is listed and cached here for the W scans."""
     one = (weyl_elements(rs)[0] if rs.rank <= rootdata.WEYL_RANK_GUARD
            else WeylElement(ratmat.int_identity(rs.dim), ()))
-    return AffineWeylElement(one, ratmat.zeros(rs.dim))
+    return AffineWeylElement(one, (0,) * rs.dim, rs.coweight_den)
 
 
 def compose(rs: RootSystem, a: AffineWeylElement,
             b: AffineWeylElement) -> AffineWeylElement:
-    """ab, x -> a(b(x)), on the translations' integer numerators over
-    one denominator."""
-    d, (ta, tb) = ratmat.over_common_denominator(
-        (a.translation, b.translation), rs.dim)
-    m, t = _pair_product((a.finite_part.matrix, ta),
-                         (b.finite_part.matrix, tb))
-    return AffineWeylElement(weyl_element(rs, m),
-                             tuple(Fraction(c, d) for c in t))
+    """ab, x -> a(b(x)), on the translations' numerators."""
+    m, t = _pair_product((a.finite_part.matrix, a.num),
+                         (b.finite_part.matrix, b.num))
+    return AffineWeylElement(weyl_element(rs, m), t, a.den)
 
 
 def invert(rs: RootSystem, a: AffineWeylElement) -> AffineWeylElement:
     # w^-1 = s_j1 ... s_jm for the word (j1, ..., jm) of w
     w = weyl_element(rs, times_word(rs, ratmat.int_identity(rs.dim),
                                     a.finite_part.word))
-    return AffineWeylElement(w, ratmat.scale(-1, w.apply(a.translation)))
+    return AffineWeylElement(
+        w, tuple(-c for c in ratmat.int_matvec(w.matrix, a.num)), a.den)
 
 
 def _reflection_matrix(rs: RootSystem, idx: int) -> tuple:
@@ -120,14 +126,14 @@ def _reflection_matrix(rs: RootSystem, idx: int) -> tuple:
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
-    """A finite subgroup of W_aff as integer `pairs`, each element (w0, t):
-    its `WeylElement` and the numerators of its translation over
-    `rs.coweight_den`.  The `AffineWeylElement`s, with their Fractions,
-    are built on the first read of `elements` or `element_set()`.
-    Equality reads the root system and `pairs`, the hash `pairs` only."""
+    """A finite subgroup of W_aff, its `elements` in the order they were
+    listed: the W scan's `weyl_elements` order, the reflection closure's
+    breadth-first order, the overlap's (word, translation) order.
+    Equality reads the root system and the elements, the hash the
+    elements only, once."""
 
     rs: RootSystem = field(repr=False)
-    pairs: tuple[tuple[WeylElement, tuple[int, ...]], ...]
+    elements: tuple[AffineWeylElement, ...]
 
     def __hash__(self):
         return self._hash
@@ -135,39 +141,20 @@ class FiniteSubgroup:
     @cached_property
     def _hash(self) -> int:
         # hashed once: the vertex groups are cache keys of the star data
-        return hash(self.pairs)
+        return hash(self.elements)
 
     @property
     def order(self) -> int:
-        return len(self.pairs)
-
-    @cached_property
-    def elements(self) -> tuple[AffineWeylElement, ...]:
-        # each distinct numerator becomes a Fraction once
-        den = self.rs.coweight_den
-        frac = {c: Fraction(c, den) for c in
-                set(chain.from_iterable(t for _, t in self.pairs))}.__getitem__
-        return tuple(AffineWeylElement(w0, tuple(map(frac, t)))
-                     for w0, t in self.pairs)
+        return len(self.elements)
 
     def element_set(self) -> frozenset:
         return self._element_set
 
     @cached_property
     def _element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    @cached_property
-    def pair_set(self) -> frozenset:
         # built once per group: the face stabilizers are cached and tested
         # for membership on every call
-        return frozenset(self.pairs)
-
-
-def _element(rs: RootSystem, w0: WeylElement, t: tuple) -> AffineWeylElement:
-    """The element (w0, t / coweight_den) of the pair (w0, t)."""
-    return AffineWeylElement(w0, tuple(Fraction(c, rs.coweight_den)
-                                       for c in t))
+        return frozenset(self.elements)
 
 
 def over_coweight_den(rs: RootSystem, points: tuple
@@ -248,7 +235,8 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
     the same order, under the same cap.  The point, the start less the
     steps' v_j c_j, and the finite part w0 of w, the steps' I - c g^T
     multiplied in from the right in reverse order on the nonzero entries
-    of g and c, are formed once at the end; w's translation is xr - w0(x).
+    of g and c, are formed once at the end; w's translation is xr - w0(x),
+    an integer vector, held over coweight_den.
     """
     e, cap, walls, sparse, near = _walk_data(rs)
     d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
@@ -282,9 +270,9 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
                 for k, a in g:
                     row[k] -= mc * a
     m = tuple(map(tuple, m))
-    t = (a - b for a, b in zip(cur, ratmat.int_matvec(m, num)))
-    return (AffineWeylElement(weyl_element(rs, m),
-                              tuple(Fraction(c, d) for c in t)),
+    den = rs.coweight_den
+    t = (den * (a - b) // d for a, b in zip(cur, ratmat.int_matvec(m, num)))
+    return (AffineWeylElement(weyl_element(rs, m), tuple(t), den),
             tuple(Fraction(c, d) for c in cur))
 
 
@@ -439,32 +427,20 @@ def int_weyl_translations(rs: RootSystem, d: int, rows: np.ndarray,
     return xy[1::2] - xy[::2] @ stack.transpose(0, 2, 1)
 
 
-def int_weyl_scan(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
-                  lattice: tuple = ()
-                  ) -> list[tuple[WeylElement, tuple[Vec, ...]]]:
-    """The elements that `int_weyl_test` keeps, in `weyl_elements` order,
-    each as (w0, its translations y - w0(x) in the order of `pairs`) from
-    `int_weyl_translations`.  Each distinct numerator of a translation
-    becomes a Fraction once, memoized per scan over its d."""
-    rows = int_weyl_test(rs, d, fixed, pairs, lattice)
-    lam = int_weyl_translations(rs, d, rows, pairs)
-    frac = {c: Fraction(c, d) for c in set(lam.ravel().tolist())}.__getitem__
-    elements = weyl_elements(rs)
-    return [(elements[i], tuple(tuple(map(frac, t)) for t in ts))
-            for i, ts in zip(rows.tolist(), lam.tolist())]
-
-
 def int_weyl_pairs(rs: RootSystem, d: int, x: tuple, y: tuple,
-                   fixed: tuple = (), lattice: tuple = ()) -> tuple:
-    """The w0 that `int_weyl_test` keeps at the one pair (x, y) and the
-    `fixed` and `lattice` points, in `weyl_elements` order, each with the
-    numerators over coweight_den of y - w0(x), all points over d from
-    `over_coweight_den`: the `pairs` of a `FiniteSubgroup` when x = y."""
+                   fixed: tuple = (), lattice: tuple = ()
+                   ) -> tuple[AffineWeylElement, ...]:
+    """The elements (w0, y - w0(x)) for the w0 that `int_weyl_test` keeps
+    at the one pair (x, y) and the `fixed` and `lattice` points, in
+    `weyl_elements` order, all points over d from `over_coweight_den`:
+    the `elements` of a `FiniteSubgroup` when x = y."""
     rows = int_weyl_test(rs, d, fixed, ((x, y),), lattice)
     lam = int_weyl_translations(rs, d, rows, ((x, y),))[:, 0]
-    elements = weyl_elements(rs)
-    return tuple(zip(map(elements.__getitem__, rows.tolist()),
-                     map(tuple, (lam // (d // rs.coweight_den)).tolist())))
+    den = rs.coweight_den
+    # tuple.__new__ builds each element as cheaply as a plain tuple
+    return tuple(map(tuple.__new__, repeat(AffineWeylElement), zip(
+        map(weyl_elements(rs).__getitem__, rows.tolist()),
+        map(tuple, (lam // (d // den)).tolist()), repeat(den))))
 
 
 def vanishing_affine_roots(rs: RootSystem, points: tuple[Vec, ...]
@@ -528,10 +504,11 @@ def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     stack, _ = reflection_group(
         np.array(list(gens), dtype=np.int64).reshape(-1, rs.dim, rs.dim),
         _CLOSURE_GUARD)
-    k = d // rs.coweight_den
+    den = rs.coweight_den
+    k = d // den
     return FiniteSubgroup(rs, tuple(
-        (weyl_element(rs, m),
-         tuple((a - b) // k for a, b in zip(num, ratmat.int_matvec(m, num))))
+        AffineWeylElement(weyl_element(rs, m), tuple(
+            (a - b) // k for a, b in zip(num, ratmat.int_matvec(m, num))), den)
         for m in (tuple(map(tuple, m)) for m in stack.tolist())))
 
 
@@ -551,16 +528,15 @@ def open_embedding_counterexample(rs: RootSystem, j: Face,
                                   samples: list[tuple[Vec, Vec]]):
     """Search for w in W_aff mapping one St_J sample to another with
     w outside W_J.  Returns the violating (x, y, w) or None.  The w with
-    w(x) = y are the W scan at the pair (x, y), tested against W_J as
-    integer pairs."""
-    wj = stabilizer_of_face(rs, j).pair_set
+    w(x) = y are the W scan at the pair (x, y)."""
+    wj = stabilizer_of_face(rs, j).element_set()
     for x, y in samples:
         if not (star_contains(rs, j, x) and star_contains(rs, j, y)):
             raise ValueError("sample pair not inside the star of the face")
         d, (xn, yn) = over_coweight_den(rs, (x, y))
-        for w0, t in int_weyl_pairs(rs, d, xn, yn):
-            if (w0, t) not in wj:
-                return (x, y, _element(rs, w0, t))
+        for w in int_weyl_pairs(rs, d, xn, yn):
+            if w not in wj:
+                return (x, y, w)
     return None
 
 
@@ -588,9 +564,9 @@ def _vertex_star(rs: RootSystem, group: FiniteSubgroup
         tuple(f.witness for f in faces_of_alcove(rs).faces), rs.dim)
     pos = [rs.grads[p] for p in rs.positive_indices]
     first: dict = {}
-    for w0, t in group.pairs:
+    for w0, t, den in group.elements:
         m = w0.matrix
-        dt = tuple(d * c // rs.coweight_den for c in t)
+        dt = tuple(d * c // den for c in t)
         for w in wits:
             p = tuple(a + b for a, b in zip(ratmat.int_matvec(m, w), dt))
             key = []
@@ -667,23 +643,23 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
     same finite part.  A point stabilizer holds each finite part at most
     once, so they are matched on it, with no product formed: the cost is
     O(|W_{J1}| + |W_{J2}|).  The translations and the pair stabilizer
-    are formed on the groups' `pairs`; the representative is the one
-    element built."""
-    w1 = stabilizer_of_face(rs, j1).pairs
+    are formed on the elements' numerators."""
+    w1 = stabilizer_of_face(rs, j1).elements
     w2 = stabilizer_of_face(rs, j2)
-    t2 = dict(w2.pairs)
-    lam = min((tuple(b - a for b, a in zip(t2[w0], t)) for w0, t in w1
+    t2 = {w0: t for w0, t, _ in w2.elements}
+    lam = min((tuple(b - a for b, a in zip(t2[w0], t)) for w0, t, _ in w1
                if w0 in t2),
               key=lambda t: ratmat.int_matvec(rs.coweight_inv_num, t))
     # the pair stabilizer: t_lam a t_-lam = (w0, lam + t - w0 lam) for
     # a = (w0, t) in W_J1, within W_J2, by word and then translation
-    in2 = w2.pair_set
+    in2 = w2.element_set()
     pair = []
-    for w0, t in w1:
-        c = (w0, tuple(x + y - z for x, y, z in
-                       zip(lam, t, ratmat.int_matvec(w0.matrix, lam))))
+    for w0, t, den in w1:
+        c = AffineWeylElement(w0, tuple(x + y - z for x, y, z in zip(
+            lam, t, ratmat.int_matvec(w0.matrix, lam))), den)
         if c in in2:
             pair.append(c)
-    pair.sort(key=lambda c: (c[0].word, c[1]))
-    rep = _element(rs, identity_element(rs).finite_part, lam)
+    pair.sort(key=lambda c: (c.finite_part.word, c.num))
+    rep = AffineWeylElement(identity_element(rs).finite_part, lam,
+                            rs.coweight_den)
     return [(rep, FiniteSubgroup(rs, tuple(pair)))]

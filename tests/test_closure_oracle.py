@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from alcoves import ratmat
 from alcoves.alcove import eval_affine_root, faces_of_alcove, \
     fundamental_alcove
 from alcoves.centralizer import (
@@ -31,8 +30,9 @@ def affine_reflection(rs, ar) -> AffineWeylElement:
     g, c = rs.grads[ar.root_index], rs.coroots[ar.root_index]
     s = tuple(tuple(int(r == k) - c[r] * g[k] for k in range(rs.dim))
               for r in range(rs.dim))
-    return AffineWeylElement(weyl_element(rs, s),
-                             ratmat.scale(ar.level, c))
+    return AffineWeylElement(
+        weyl_element(rs, s),
+        tuple(ar.level * rs.coweight_den * k for k in c), rs.coweight_den)
 
 
 def test_affine_reflection_fixes_wall():

@@ -60,8 +60,9 @@ def test_cached_face_data_equals_fresh(family, rank):
         data = centralizer_face(rs, f)
         assert data == centralizer_elliptic(rs, ExpPoint(zero, f.witness))
         assert centralizer_face(rs, f) is data
-        # W_s at the face witness is W_J: the same pairs in the same order
-        assert data.w == stab and data.w.pairs == stab.pairs
+        # W_s at the face witness is W_J: the same elements in the same
+        # order
+        assert data.w == stab and data.w.elements == stab.elements
         again = star_facet_witnesses(rs, f)
         assert again == wits[f] and again is not wits[f]
     second = parabolics(rs, cat.faces, cat.arrows)

@@ -9,12 +9,13 @@ coweight basis), never its integer tables.  Each kernel must give the
 same values in the same order on seeded points: generic ones with
 numerators near 10^12 over denominators up to 10^6, and special ones
 (W-images of alcove vertices and face witnesses, shifted by large
-coweights) where the scans keep elements.  The scans `int_root_scan` and
-`int_weyl_scan` take integer numerators over one denominator, and
-`scan_roots` and `scan_weyl` below write the points so.  The W scan
-runs on int64 arrays inside a stated bound and on Python ints past it;
-it is checked on both, with points on either side of the bound and far
-past it.
+coweights) where the scans keep elements.  The root scan `int_root_scan`
+and the W scan, the W test `int_weyl_test` and the translations
+`int_weyl_translations` of the elements it keeps, take integer
+numerators over one denominator, and `scan_roots` and `scan_weyl` below
+write the points so.  The W scan runs on int64 arrays inside a stated
+bound and on Python ints past it; it is checked on both, with points on
+either side of the bound and far past it.
 The alcove-reduction oracle, the wall-order walk, takes O(|x|) wall
 reflections, so its points have |x| <= 8, still over denominators up to
 10^6, or lie on walls shifted by at most 50 coroots above rank 4.
@@ -60,7 +61,8 @@ from alcoves.rootdata import (
 )
 from alcoves.weylaff import (
     int_root_scan,
-    int_weyl_scan,
+    int_weyl_test,
+    int_weyl_translations,
     reduce_to_alcove,
     stabilizer_of_point,
     weyl_elements,
@@ -110,13 +112,19 @@ def scan_roots(rs, fixed, points):
 
 
 def scan_weyl(rs, fixed, pairs):
-    """`int_weyl_scan` on the points written over one common
-    denominator."""
+    """The W scan on the points written over one common denominator: the
+    elements `int_weyl_test` keeps, in `weyl_elements` order, each as
+    (w0, its translations y - w0(x) from `int_weyl_translations`, as
+    Fractions, in the order of `pairs`)."""
     nf = len(fixed)
     d, nums = ratmat.over_common_denominator(
         (*fixed, *(p for pair in pairs for p in pair)), rs.dim)
-    return int_weyl_scan(rs, d, nums[:nf],
-                         tuple(zip(nums[nf::2], nums[nf + 1::2])))
+    pairs = tuple(zip(nums[nf::2], nums[nf + 1::2]))
+    rows = int_weyl_test(rs, d, nums[:nf], pairs)
+    lams = int_weyl_translations(rs, d, rows, pairs)
+    return [(weyl_elements(rs)[i],
+             tuple(tuple(Fraction(c, d) for c in t) for t in ts))
+            for i, ts in zip(rows.tolist(), lams.tolist())]
 
 
 def closure_contains(rs, x, y):
@@ -961,7 +969,7 @@ def test_from_coweight_coords_is_the_fraction_sum(family, rank, isogeny):
 @pytest.mark.parametrize("family,rank,isogeny,generic,special", CASES,
                          ids=IDS)
 def test_coweight_image_stack(family, rank, isogeny, generic, special):
-    """The stack `int_weyl_scan` tests W on: cached, read-only, int64,
+    """The stack `int_weyl_test` tests W on: cached, read-only, int64,
     and its entry [k, j, i] is entry (k, j) of coweight_inv_num times
     (w - 1), w the i-th element of `weyl_elements`, checked against the
     Fraction inverse and oracle.  The dtype-object copies hold the same
@@ -1025,16 +1033,20 @@ def test_object_scans_drop_elements_with_nonzero_residues(monkeypatch):
             assert [(w0.matrix, w0.word, lams) for w0, lams in got] == want
 
 
-def test_the_fraction_memo_is_per_scan(monkeypatch):
+def test_equal_numerators_over_different_denominators(monkeypatch):
     """Two scans whose translation numerators agree over different
     denominators: on A1, s(x) = -x, so x = 1/2 (d = 2) and x = 1 (d = 1)
-    both give the numerator 2 for s, the translations 1 and 2."""
+    both give the numerator 2 for s, the translations 1 and 2; and the
+    point stabilizer, over coweight_den, gives the same."""
     rs = rs_of("A", 1, "sc")
     spy = DtypeSpy(monkeypatch)
     for x, lam in (("1/2", 1), ("1", 2), ("1/2", 1), ("3/2", 3)):
         x = (Fraction(x),)
         for got in spy.both_scans(rs, (), ((x, x),)):
             assert [lams for _, lams in got] == [((0,),), ((lam,),)]
+        for got in spy.both(stabilizer_of_point, rs, x):
+            assert [e.translation for e in got.elements] == [(0,), (lam,)]
+            assert [e.num for e in got.elements] == [(0,), (lam,)]
 
 
 # -- the floor-division remainder and the per-point W test --------------------

@@ -153,7 +153,9 @@ def oracle_chart_overlap(rs, j1, j2):
                                                         for c in coords))
                     if any(star_contains(rs, j2, ratmat.add(q, lam))
                            for q, _ in cands):
-                        found.append(AffineWeylElement(w0, lam))
+                        found.append(AffineWeylElement(w0, tuple(
+                            int(c * rs.coweight_den) for c in lam),
+                            rs.coweight_den))
                     return
                 for c in box[k]:
                     held = [(q, win) for q, win in cands
@@ -186,9 +188,7 @@ def oracle_chart_overlap(rs, j1, j2):
         conj = {compose(rs, compose(rs, w, a), winv) for a in w1.elements}
         pair = sorted(conj & w2.element_set(),
                       key=lambda e: (e.finite_part.word, e.translation))
-        out.append((w, FiniteSubgroup(rs, tuple(
-            (e.finite_part, tuple(int(c * rs.coweight_den)
-                                  for c in e.translation)) for e in pair))))
+        out.append((w, FiniteSubgroup(rs, tuple(pair))))
     return out
 
 

@@ -227,6 +227,27 @@ def test_open_embedding_rejects_points_outside_star():
                                                 (Fraction(1, 4),))])
 
 
+def test_open_embedding_returns_the_violating_element(monkeypatch):
+    """With W_J made trivial, the reflection in the vertex 1/2 of sc A1,
+    (s, 1), maps 5/8 to 3/8 and lies outside W_J: it is returned as the
+    W scan built it."""
+    rs = rs_of("A", 1)
+    half = faces_of_alcove(rs).face_by_walls({1})
+    assert half.witness == (Fraction(1, 2),)
+    trivial = weylaff.FiniteSubgroup(rs, (identity_element(rs),))
+    monkeypatch.setattr(weylaff, "stabilizer_of_face", lambda r, j: trivial)
+    x, y = (Fraction(5, 8),), (Fraction(3, 8),)
+    got = open_embedding_counterexample(rs, half, [(x, y)])
+    assert got is not None
+    gx, gy, w = got
+    assert (gx, gy) == (x, y)
+    assert w.apply(x) == y
+    assert w.translation == (Fraction(1),)
+    assert all(type(c) is int for c in w.num)
+    assert not w.finite_part.is_identity()
+    assert w not in trivial.element_set()
+
+
 def test_open_embedding_random_pairs():
     rng = random.Random(7)
     for family, rank in [("A", 2), ("B", 2)]:
@@ -339,87 +360,120 @@ def test_rank4_vertex_self_overlap_forms_no_product(family, monkeypatch):
         wj.elements, key=lambda e: (e.finite_part.word, e.translation)))
 
 
-def count_built(monkeypatch):
-    """Clear the caches that hold groups, then record the arguments of
-    each `AffineWeylElement` built."""
+def count_translation_reads(monkeypatch):
+    """Clear the caches that hold groups, then record each element whose
+    Fraction `translation` is read."""
     for cache in (weylaff._face_stabilizer, weylaff._point_reflection_subgroup,
                   weylaff._vertex_star, weylaff._star_witnesses):
         cache.cache_clear()
-    built = []
-    init = AffineWeylElement.__init__
-    monkeypatch.setattr(AffineWeylElement, "__init__",
-                        lambda self, *args: built.append(args)
-                        or init(self, *args))
-    return built
+    read = []
+    translation = AffineWeylElement.translation.fget
+    monkeypatch.setattr(AffineWeylElement, "translation", property(
+        lambda self: read.append(self) or translation(self)))
+    return read
 
 
 @pytest.mark.parametrize("argv,count", [
     ("star --type A --rank 3 --face 0,1,2", 0),
     ("verify stabilizers --type B --rank 2", 0),
-    ("overlap --type A --rank 3 --face1 0 --face2 1,2", 2),
+    ("overlap --type A --rank 3 --face1 0 --face2 1,2", 1),
 ], ids=["star", "verify-stabilizers", "overlap"])
-def test_groups_are_read_as_pairs(argv, count, monkeypatch, capsys):
-    """Stars, stabilizer checks and overlaps read their groups as integer
-    pairs: from cold caches `star` and `verify stabilizers` build no
-    `AffineWeylElement`, and `overlap` builds only its representative and
-    the one `identity_element` builds."""
-    built = count_built(monkeypatch)
+def test_groups_are_read_on_integers(argv, count, monkeypatch, capsys):
+    """Stars, stabilizer checks and overlaps read their groups on the
+    elements' numerators: from cold caches `star` and `verify
+    stabilizers` read no Fraction translation, and `overlap` reads only
+    its representative's, for its output."""
+    read = count_translation_reads(monkeypatch)
     assert cli.main(argv.split()) == 0
     capsys.readouterr()
-    assert len(built) == count
+    assert len(read) == count
 
 
-def test_point_stabilizer_builds_its_elements_on_first_read(monkeypatch):
-    """`stabilizer_of_point` builds no element until `elements` is read,
-    which then lists the elements of the W scan in `weyl_elements`
-    order, each translation x - w0(x) a Fraction."""
+def test_point_stabilizer_lists_the_w_scan_in_order():
+    """`stabilizer_of_point` lists the elements of the W scan in
+    `weyl_elements` order, each translation x - w0(x) with numerators
+    over coweight_den, a Fraction when read."""
     rs = rs_of("F", 4)
     x = ratmat.vec(("1/2", "1/2", "0", "0"))
-    built = count_built(monkeypatch)
     group = stabilizer_of_point(rs, x)
-    assert group.order == 96 and built == []
+    assert group.order == 96
     elements = group.elements
-    assert len(built) == 96 and group.elements is elements
     d, (num,) = ratmat.over_common_denominator((x,), rs.dim)
+    rows = weylaff.int_weyl_test(rs, d, (), ((num, num),))
+    lam = weylaff.int_weyl_translations(rs, d, rows, ((num, num),))
     assert elements == tuple(
-        AffineWeylElement(w0, lam)
-        for w0, (lam,) in weylaff.int_weyl_scan(rs, d, (), ((num, num),)))
+        AffineWeylElement(weyl_elements(rs)[i],
+                          tuple(rs.coweight_den * c // d for c in t),
+                          rs.coweight_den)
+        for i, (t,) in zip(rows.tolist(), lam.tolist()))
     index = {w0: i for i, w0 in enumerate(weyl_elements(rs))}
     rows = [index[e.finite_part] for e in elements]
     assert rows == sorted(rows)
     for e in elements:
+        assert e.den == rs.coweight_den
+        assert all(type(c) is int for c in e.num)
         assert e.translation == ratmat.sub(x, e.finite_part.apply(x))
         assert all(type(c) is Fraction for c in e.translation)
 
 
+# sc types have coweight_den 1; in the others a coweight's numerators over
+# coweight_den are not its coordinates
+GROUP_LAW_TYPES = [("A", 1, "sc"), ("A", 2, "sc"), ("B", 2, "sc"),
+                   ("A", 2, "adjoint"), ("B", 2, "adjoint"),
+                   ("C", 3, "adjoint"), ("A", 3, "adjoint"), ("A", 2, "gl")]
+
+
+def test_group_law_types_include_every_coweight_den():
+    dens = {(f, r, i): rs_of(f, r, i).coweight_den
+            for f, r, i in GROUP_LAW_TYPES}
+    assert dens[("A", 2, "adjoint")] == 3 and dens[("A", 3, "adjoint")] == 4
+    assert dens[("B", 2, "adjoint")] == dens[("C", 3, "adjoint")] == 2
+    assert dens[("A", 2, "gl")] == 3 and rs_of("A", 2, "gl").dim == 3
+
+
+def rand_element(rs, draw_int):
+    """A Weyl element and a coweight with coordinates drawn by draw_int,
+    its translation taken through the Fraction `from_coweight_coords`."""
+    w0 = weyl_elements(rs)[draw_int(0, len(weyl_elements(rs)) - 1)]
+    lam = rs.from_coweight_coords(
+        tuple(Fraction(draw_int(-3, 3)) for _ in range(rs.dim)))
+    el = AffineWeylElement(w0, tuple(int(c * rs.coweight_den) for c in lam),
+                           rs.coweight_den)
+    assert el.translation == lam
+    return el
+
+
+def assert_fraction_oracle(rs, a, b):
+    """compose(a, b) against the Fraction oracle, a's finite part applied
+    to b's translation plus a's, with every entry num_k / den."""
+    ab = compose(rs, a, b)
+    assert ab.translation == ratmat.add(
+        a.finite_part.apply(b.translation), a.translation)
+    for e in (a, b, ab, invert(rs, a)):
+        assert e.den == rs.coweight_den
+        assert e.translation == tuple(Fraction(c, e.den) for c in e.num)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    st.sampled_from([("A", 1), ("A", 2), ("B", 2)]),
+    st.sampled_from(GROUP_LAW_TYPES),
     st.data(),
 )
 def test_group_law_inverse(typ, data):
     rs = rs_of(*typ)
-    group = weyl_elements(rs)
-    w0 = data.draw(st.sampled_from(list(group)))
-    coords = data.draw(st.lists(st.integers(-3, 3), min_size=rs.dim,
-                                max_size=rs.dim))
-    lam = rs.from_coweight_coords(tuple(Fraction(c) for c in coords))
-    el = AffineWeylElement(w0, lam)
+    el = rand_element(rs, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    other = rand_element(rs, lambda lo, hi: data.draw(st.integers(lo, hi)))
     assert compose(rs, el, invert(rs, el)) == identity_element(rs)
     assert compose(rs, invert(rs, el), el) == identity_element(rs)
+    assert_fraction_oracle(rs, el, other)
 
 
 def test_group_law_associative_on_action():
-    rs = rs_of("A", 2)
     rng = random.Random(9)
-    group = weyl_elements(rs)
-    for _ in range(20):
-        els = []
-        for _ in range(2):
-            w0 = group[rng.randrange(len(group))]
-            lam = rs.from_coweight_coords(
-                tuple(Fraction(rng.randint(-2, 2)) for _ in range(rs.dim)))
-            els.append(AffineWeylElement(w0, lam))
-        x = rand_point(rng, rs.dim)
-        assert compose(rs, els[0], els[1]).apply(x) == \
-            els[0].apply(els[1].apply(x))
+    for typ in GROUP_LAW_TYPES:
+        rs = rs_of(*typ)
+        for _ in range(20):
+            a, b = (rand_element(rs, rng.randint) for _ in range(2))
+            x = rand_point(rng, rs.dim)
+            assert compose(rs, a, b).apply(x) == a.apply(b.apply(x))
+            assert_fraction_oracle(rs, a, b)
