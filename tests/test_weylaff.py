@@ -416,27 +416,21 @@ def test_point_stabilizer_lists_the_w_scan_in_order():
         assert all(type(c) is Fraction for c in e.translation)
 
 
-# sc types have coweight_den 1; in the others a coweight's numerators over
-# coweight_den are not its coordinates
+# coweight_den is 1 on the sc types, so a numerator there is its value;
+# it is 3 on adjoint A2 and gl A2 (dim 3), 2 on adjoint B2 and C3, and 4
+# on adjoint A3
 GROUP_LAW_TYPES = [("A", 1, "sc"), ("A", 2, "sc"), ("B", 2, "sc"),
                    ("A", 2, "adjoint"), ("B", 2, "adjoint"),
                    ("C", 3, "adjoint"), ("A", 3, "adjoint"), ("A", 2, "gl")]
 
 
-def test_group_law_types_include_every_coweight_den():
-    dens = {(f, r, i): rs_of(f, r, i).coweight_den
-            for f, r, i in GROUP_LAW_TYPES}
-    assert dens[("A", 2, "adjoint")] == 3 and dens[("A", 3, "adjoint")] == 4
-    assert dens[("B", 2, "adjoint")] == dens[("C", 3, "adjoint")] == 2
-    assert dens[("A", 2, "gl")] == 3 and rs_of("A", 2, "gl").dim == 3
-
-
-def rand_element(rs, draw_int):
-    """A Weyl element and a coweight with coordinates drawn by draw_int,
-    its translation taken through the Fraction `from_coweight_coords`."""
-    w0 = weyl_elements(rs)[draw_int(0, len(weyl_elements(rs)) - 1)]
+def rand_element(rs, index, coord):
+    """The Weyl element at index(|W|) and a coweight with coordinates
+    drawn by coord(), its translation taken through the Fraction
+    `from_coweight_coords`."""
+    w0 = weyl_elements(rs)[index(len(weyl_elements(rs)))]
     lam = rs.from_coweight_coords(
-        tuple(Fraction(draw_int(-3, 3)) for _ in range(rs.dim)))
+        tuple(Fraction(coord()) for _ in range(rs.dim)))
     el = AffineWeylElement(w0, tuple(int(c * rs.coweight_den) for c in lam),
                            rs.coweight_den)
     assert el.translation == lam
@@ -461,19 +455,26 @@ def assert_fraction_oracle(rs, a, b):
 )
 def test_group_law_inverse(typ, data):
     rs = rs_of(*typ)
-    el = rand_element(rs, lambda lo, hi: data.draw(st.integers(lo, hi)))
-    other = rand_element(rs, lambda lo, hi: data.draw(st.integers(lo, hi)))
+
+    def draw():
+        return rand_element(
+            rs, lambda n: data.draw(st.integers(0, n - 1)),
+            lambda: data.draw(st.integers(-3, 3)))
+
+    el, other = draw(), draw()
     assert compose(rs, el, invert(rs, el)) == identity_element(rs)
     assert compose(rs, invert(rs, el), el) == identity_element(rs)
     assert_fraction_oracle(rs, el, other)
 
 
 def test_group_law_associative_on_action():
-    rng = random.Random(9)
     for typ in GROUP_LAW_TYPES:
         rs = rs_of(*typ)
+        rng = random.Random(9)
         for _ in range(20):
-            a, b = (rand_element(rs, rng.randint) for _ in range(2))
+            a, b = (rand_element(rs, rng.randrange,
+                                 lambda: rng.randint(-2, 2))
+                    for _ in range(2))
             x = rand_point(rng, rs.dim)
             assert compose(rs, a, b).apply(x) == a.apply(b.apply(x))
             assert_fraction_oracle(rs, a, b)
