@@ -27,7 +27,7 @@ from operator import add
 from . import ratmat
 from .alcove import AffineRoot, Face
 from .ratmat import Vec
-from .rootdata import RootSystem
+from .rootdata import RootSystem, weyl_group
 from .weylaff import (
     FiniteSubgroup,
     int_root_scan,
@@ -36,7 +36,6 @@ from .weylaff import (
     int_weyl_translations,
     over_coweight_den,
     vanishing_affine_roots,
-    weyl_elements,
 )
 
 
@@ -83,7 +82,7 @@ class DoubleAffineRoot:
 @dataclass(frozen=True)
 class CentralizerData:
     """phi, and W_s as the `FiniteSubgroup` of the W scan's elements, in
-    `weyl_elements` order; equality, the hash and `to_json` read
+    `weyl_group` order; equality, the hash and `to_json` read
     integers.  Equality reads the root system through W_s."""
 
     phi: tuple[AffineRoot, ...]
@@ -289,8 +288,8 @@ def double_affine_centralizer(rs: RootSystem, a1: Vec, a2: Vec
     pairs = ((a1, a1), (a2, a2))
     rows = int_weyl_test(rs, d, (), pairs)
     lams = int_weyl_translations(rs, d, rows, pairs).tolist()
-    w_b = [(weyl_elements(rs)[i], *(tuple(Fraction(c, d) for c in t)
-                                    for t in ts))
+    w_b = [(weyl_group(rs)[i], *(tuple(Fraction(c, d) for c in t)
+                                 for t in ts))
            for i, ts in zip(rows.tolist(), lams)]
 
     # the circle centralizers at A1 and A2 (A_im = 0, which fixes nothing)

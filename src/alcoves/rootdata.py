@@ -6,12 +6,13 @@ simple-coroot basis (plus one central coordinate for the gl isogeny).  The
 inner product on the root space is normalized so long roots have squared
 length 2.
 
-W preserves the coroot lattice, so every Weyl element is one integer
-matrix on t.  `reflection_group` lists a group generated by reflections
-in W a breadth-first level at a time; `weyl_group` is the case of the
-simple reflections, the reflection group of a point in `weylaff` that of
-the reflections through it.  `weyl_element` finds the word of one matrix
-by descent, without listing W.  `build_root_system` runs on Python ints
+W preserves the coroot lattice, so a Weyl element is its integer matrix
+on t.  `reflection_group` lists the matrices of a group generated by
+reflections in W a breadth-first level at a time; `weyl_group` is the
+case of the simple reflections, the reflection group of a point in
+`weylaff` that of the reflections through it.  An element's reduced word
+is found by the descent of `weyl_element` the first time it is read,
+never while a group is listed.  `build_root_system` runs on Python ints
 and builds Fractions only for the public fields; each root system carries
 integer tables built once (root gradients, coroots, the nonzero entries
 of the simple gradients, which `weyl_element` and `times_word` read,
@@ -136,16 +137,21 @@ def _symmetrizer(c: Mat) -> Vec:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One Weyl group element: an integer matrix plus one reduced word.
+    """One Weyl group element: its integer matrix, in the root system `rs`.
 
     ``matrix`` acts on t (coroot-basis coordinates); W preserves the
-    coroot lattice, so it is integral in this basis.  The word (j1, ...,
-    jm) is s_jm ... s_j1, the first reduced word in lexicographic order.
-    Equality and hash are the matrix's, from which the word is derived.
+    coroot lattice, so it is integral in this basis.  `word` (j1, ...,
+    jm), s_jm ... s_j1, the first reduced word in lexicographic order, is
+    found by `weyl_element` when first read, which raises RuntimeError
+    for a matrix outside W.  Equality and hash are the matrix's.
     """
 
     matrix: IntMat
-    word: tuple[int, ...] = field(compare=False)
+    rs: RootSystem = field(compare=False, repr=False)
+
+    @cached_property
+    def word(self) -> tuple[int, ...]:
+        return weyl_element(self.rs, self.matrix).word
 
     def apply(self, x: Vec) -> Vec:
         return ratmat.matvec(self.matrix, x)
@@ -373,11 +379,10 @@ def build_root_system(ct: CartanType) -> RootSystem:
 
 
 def reflection_group(gens: np.ndarray, bound: int | None = None
-                     ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+                     ) -> np.ndarray:
     """The group generated by the reflections `gens`, an (r, n, n) integer
-    stack: (stack, steps), the elements as an int64 (order, n, n) stack in
-    breadth-first order, identity first, and for each later element k the
-    (p, i) with stack[k] = gens[i] stack[p], p < k.
+    stack, as an int64 (order, n, n) stack in breadth-first order,
+    identity first.
 
     Each level is one int64 product of the generators against the
     frontier stack, taken element-major and generator-minor, and a
@@ -392,12 +397,11 @@ def reflection_group(gens: np.ndarray, bound: int | None = None
     bounded and int64 cannot overflow.  A group of more than `bound`
     elements is refused as soon as a level passes the bound.
     """
-    r, n = len(gens), gens.shape[-1]
+    n = gens.shape[-1]
     levels = [np.identity(n, dtype=np.int64)[None]]
-    steps, previous, level = [], set(), {levels[0].tobytes()}
+    order, previous, level = 1, set(), {levels[0].tobytes()}
     size = levels[0].nbytes
     while len(levels[-1]):
-        start = len(steps) + 1 - len(levels[-1])
         prods = np.matmul(gens, levels[-1][:, None]).reshape(-1, n, n)
         buf = prods.tobytes()
         nxt, keep = set(), []
@@ -406,20 +410,21 @@ def reflection_group(gens: np.ndarray, bound: int | None = None
             if key not in previous and key not in nxt:
                 nxt.add(key)
                 keep.append(j)
-        steps += [(start + j // r, j % r) for j in keep]
-        if bound is not None and len(steps) >= bound:
+        order += len(keep)
+        if bound is not None and order > bound:
             raise EnumerationGuard("subgroup closure guard hit")
         previous, level = level, nxt
         levels.append(prods[keep])
-    return np.concatenate(levels), steps
+    return np.concatenate(levels)
 
 
-def weyl_group(rs: RootSystem) -> list[WeylElement]:
+def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The finite Weyl group, listed by `reflection_group` from the simple
-    reflections: BFS order by word length, identity first, s_i w with
-    word w.word + (i,).  Ranks above `WEYL_RANK_GUARD` are refused.  W
-    is listed once per root system, together with `weyl_stack`."""
-    return list(_weyl_listing(rs)[0])
+    reflections: BFS order by word length, identity first.  Ranks above
+    `WEYL_RANK_GUARD` are refused.  W is listed once per root system,
+    together with `weyl_stack`, and every call returns the same tuple;
+    no word is found until one is read."""
+    return _weyl_listing(rs)[0]
 
 
 def weyl_stack(rs: RootSystem) -> np.ndarray:
@@ -439,13 +444,10 @@ def _weyl_listing(rs: RootSystem) -> tuple[tuple[WeylElement, ...],
     # s_i is I with the gradient of alpha_i taken off row i: I s_i
     gens = np.array([times_word(rs, ratmat.int_identity(n), (i,))
                      for i in range(r)], dtype=np.int64)
-    stack, steps = reflection_group(gens)
+    stack = reflection_group(gens)
     stack.flags.writeable = False
-    words = [()]
-    for p, i in steps:
-        words.append(words[p] + (i,))
-    return tuple(WeylElement(tuple(map(tuple, m)), w)
-                 for m, w in zip(stack.tolist(), words)), stack
+    return tuple(WeylElement(tuple(map(tuple, m)), rs)
+                 for m in stack.tolist()), stack
 
 
 def times_word(rs: RootSystem, m: IntMat, word: tuple[int, ...]) -> IntMat:
@@ -468,9 +470,10 @@ def weyl_element(rs: RootSystem, matrix: IntMat) -> WeylElement:
     and Coxeter Groups, ch. 1).  While some h_j < 0, the smallest such j
     is appended and w becomes w s_j: h becomes h - h_j alpha_j, on the
     entries of `simple_entries[j]`.  This is the lexicographically first
-    reduced word (Bjorner-Brenti, GTM 231), the word of `weyl_group`; W
-    is never listed.  For a matrix not in W, w s_j1 ... s_jm is not the
-    identity, and RuntimeError is raised."""
+    reduced word (Bjorner-Brenti, GTM 231); W is never listed.  For a
+    matrix not in W, w s_j1 ... s_jm is not the identity, and
+    RuntimeError is raised.  `WeylElement.word` calls this; the element
+    returned holds its word already."""
     h = [sum(col) for col in zip(*matrix[:rs.rank])]
     word, j = [], 0
     while j < rs.rank:
@@ -481,7 +484,9 @@ def weyl_element(rs: RootSystem, matrix: IntMat) -> WeylElement:
         j = 0 if hj < 0 else j + 1
     if times_word(rs, matrix, word) != ratmat.int_identity(rs.dim):
         raise RuntimeError(f"matrix {matrix} is not in W (bug)")
-    return WeylElement(matrix, tuple(word))
+    w = WeylElement(matrix, rs)
+    w.__dict__["word"] = tuple(word)  # the cache of `WeylElement.word`
+    return w
 
 
 def reflect(rs: RootSystem, root, x: Vec) -> Vec:

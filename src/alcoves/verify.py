@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 
 from . import alcove, centralizer, parabolic, ratmat, weierstrass, weylaff
-from .rootdata import EnumerationGuard, RootSystem
+from .rootdata import EnumerationGuard, RootSystem, weyl_group
 from .weylaff import compose, invert, star_contains
 
 
@@ -41,7 +41,7 @@ def _rand_theta(rng, dim):
 
 def _rand_affine(rs, rng):
     """A Weyl element, then a coweight with coordinates in [-2, 2]."""
-    w0 = rng.choice(weylaff.weyl_elements(rs))
+    w0 = rng.choice(weyl_group(rs))
     lam = [rng.randint(-2, 2) for _ in range(rs.dim)]
     return weylaff.AffineWeylElement(
         w0, ratmat.int_matvec(rs.coweight_num, lam), rs.coweight_den)
@@ -159,7 +159,7 @@ def suite_centralizer(rs, rng, seed, samples, radius):
         return None
 
     def check_equivariance():
-        group = weylaff.weyl_elements(rs)
+        group = weyl_group(rs)
         for _ in range(min(samples, 40)):
             s = centralizer.exp_point(rs, _rand_theta(rng, rs.dim),
                                       _rand_point(rng, rs.dim, den=6))

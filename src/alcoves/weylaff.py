@@ -8,7 +8,7 @@ inversion, membership in a `FiniteSubgroup` and every group reader here
 and in `centralizer` work on the numerators.  Every W-scan group comes
 from `int_weyl_pairs` at one pair (x, y) written by `over_coweight_den`:
 the W test `int_weyl_test` keeps the indices of the elements in
-`weyl_elements`, and `int_weyl_translations` forms their translations
+`weyl_group`, and `int_weyl_translations` forms their translations
 y - w0(x).  Roots are tested by `int_root_scan`.  Each caller writes its
 points over one denominator once and passes the numerators.  Star
 regions are exact finite enumerations at a vertex, and a chart overlap
@@ -22,13 +22,14 @@ on Python ints, and the step cap of `reduce_to_alcove`).
 `point_reflection_subgroup` lists the reflection group of a point with
 `rootdata.reflection_group` from one linear reflection per wall through
 the point.  `int_root_scan`, `reduce_to_alcove`, `compose` and `invert`
-list no W: a Weyl element is its matrix, its word given by
-`rootdata.weyl_element`.  The alcove's walls with their affine Cartan
-matrix, its barycenter and the walk's step cap are built once per root
-system, the reflection group of a point once per (root system, point),
-the facets at a vertex once per vertex group, and W_J and the facet
-witnesses of its star once per (root system, face), at most
-2^(ell+1) - 1 entries per root system.
+list no W.  A Weyl element is its matrix; `rootdata.weyl_element` finds
+its word only where the word is read, here by `invert` and the
+pair-stabilizer order of `chart_overlap`.  The alcove's walls with their
+affine Cartan matrix, its barycenter and the walk's step cap are built
+once per root system, the reflection group of a point once per (root
+system, point), the facets at a vertex once per vertex group, and W_J
+and the facet witnesses of its star once per (root system, face), at
+most 2^(ell+1) - 1 entries per root system.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .rootdata import (
     WeylElement,
     reflection_group,
     times_word,
-    weyl_element,
     weyl_group,
     weyl_stack,
 )
@@ -86,18 +86,11 @@ class AffineWeylElement(NamedTuple):
         return self.finite_part.is_identity() and not any(self.num)
 
 
-@lru_cache(maxsize=None)
-def weyl_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """The finite Weyl group in `weyl_group` order, identity first; cached
-    per root system."""
-    return tuple(weyl_group(rs))
-
-
 def identity_element(rs: RootSystem) -> AffineWeylElement:
     """The identity; up to `rootdata.WEYL_RANK_GUARD` it is the first of
-    `weyl_elements`, so W is listed and cached here for the W scans."""
-    one = (weyl_elements(rs)[0] if rs.rank <= rootdata.WEYL_RANK_GUARD
-           else WeylElement(ratmat.int_identity(rs.dim), ()))
+    `weyl_group`, so W is listed and cached here for the W scans."""
+    one = (weyl_group(rs)[0] if rs.rank <= rootdata.WEYL_RANK_GUARD
+           else WeylElement(ratmat.int_identity(rs.dim), rs))
     return AffineWeylElement(one, (0,) * rs.dim, rs.coweight_den)
 
 
@@ -106,13 +99,13 @@ def compose(rs: RootSystem, a: AffineWeylElement,
     """ab, x -> a(b(x)), on the translations' numerators."""
     m, t = _pair_product((a.finite_part.matrix, a.num),
                          (b.finite_part.matrix, b.num))
-    return AffineWeylElement(weyl_element(rs, m), t, a.den)
+    return AffineWeylElement(WeylElement(m, rs), t, a.den)
 
 
 def invert(rs: RootSystem, a: AffineWeylElement) -> AffineWeylElement:
     # w^-1 = s_j1 ... s_jm for the word (j1, ..., jm) of w
-    w = weyl_element(rs, times_word(rs, ratmat.int_identity(rs.dim),
-                                    a.finite_part.word))
+    w = WeylElement(times_word(rs, ratmat.int_identity(rs.dim),
+                               a.finite_part.word), rs)
     return AffineWeylElement(
         w, tuple(-c for c in ratmat.int_matvec(w.matrix, a.num)), a.den)
 
@@ -127,7 +120,7 @@ def _reflection_matrix(rs: RootSystem, idx: int) -> tuple:
 @dataclass(frozen=True)
 class FiniteSubgroup:
     """A finite subgroup of W_aff, its `elements` in the order they were
-    listed: the W scan's `weyl_elements` order, the reflection closure's
+    listed: the W scan's `weyl_group` order, the reflection closure's
     breadth-first order, the overlap's (word, translation) order.
     Equality reads the root system and the elements, the hash the
     elements only, once."""
@@ -272,7 +265,7 @@ def reduce_to_alcove(rs: RootSystem, x: Vec) -> tuple[AffineWeylElement, Vec]:
     m = tuple(map(tuple, m))
     den = rs.coweight_den
     t = (den * (a - b) // d for a, b in zip(cur, ratmat.int_matvec(m, num)))
-    return (AffineWeylElement(weyl_element(rs, m), tuple(t), den),
+    return (AffineWeylElement(WeylElement(m, rs), tuple(t), den),
             tuple(Fraction(c, d) for c in cur))
 
 
@@ -324,7 +317,7 @@ def _grad_arrays(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
 def _weyl_stack(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
     """(stack, cinv, x_limit), built once per root system: the read-only
     (|W|, dim, dim) int64 stack of `rootdata.weyl_stack`, in
-    `weyl_elements` order; `coweight_inv_num` as a read-only int64 array;
+    `weyl_group` order; `coweight_inv_num` as a read-only int64 array;
     and the largest |numerator| X with n K (n A + 1) X < 2^63, where
     n = dim, A is the largest |entry| of the stack and K that of
     `coweight_inv_num`."""
@@ -340,7 +333,7 @@ def _weyl_stack(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, int]:
 def _scan_arrays(rs: RootSystem, dtype: type) -> tuple[np.ndarray, ...]:
     """`_weyl_stack`'s stack and cinv, and the stack dw of the C (w - 1),
     C = cinv, with W along its last axis: dw[k, j, i] is entry (k, j) of
-    C (w - 1) for the i-th element of `weyl_elements`; in `dtype`,
+    C (w - 1) for the i-th element of `weyl_group`; in `dtype`,
     read-only."""
     stack, cinv, _ = _weyl_stack(rs)
     dw = np.matmul(cinv, stack)
@@ -370,7 +363,7 @@ def _scan_dtype(rs: RootSystem, d: int, nums, roots: bool = False) -> type:
 
 def int_weyl_test(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
                   lattice: tuple = ()) -> np.ndarray:
-    """The indices into `weyl_elements`, ascending, of each w0 in W that
+    """The indices into `weyl_group`, ascending, of each w0 in W that
     fixes every `fixed` point and makes y - w0(x) a coweight for every
     (x, y) in `pairs` and x - w0(x) one for every x in `lattice`, all
     integer numerators over d.
@@ -416,7 +409,7 @@ def int_weyl_test(rs: RootSystem, d: int, fixed: tuple, pairs: tuple,
 
 def int_weyl_translations(rs: RootSystem, d: int, rows: np.ndarray,
                           pairs: tuple) -> np.ndarray:
-    """y - w0(x) for the elements w0 of `weyl_elements` at `rows` and each
+    """y - w0(x) for the elements w0 of `weyl_group` at `rows` and each
     (x, y) in `pairs`, integer numerators over d: a (len(rows),
     len(pairs), dim) array, int64 within the bound of `int_weyl_test`
     (|y - w0 x| is at most (n A + 1) X), else dtype object."""
@@ -432,14 +425,14 @@ def int_weyl_pairs(rs: RootSystem, d: int, x: tuple, y: tuple,
                    ) -> tuple[AffineWeylElement, ...]:
     """The elements (w0, y - w0(x)) for the w0 that `int_weyl_test` keeps
     at the one pair (x, y) and the `fixed` and `lattice` points, in
-    `weyl_elements` order, all points over d from `over_coweight_den`:
+    `weyl_group` order, all points over d from `over_coweight_den`:
     the `elements` of a `FiniteSubgroup` when x = y."""
     rows = int_weyl_test(rs, d, fixed, ((x, y),), lattice)
     lam = int_weyl_translations(rs, d, rows, ((x, y),))[:, 0]
     den = rs.coweight_den
     # tuple.__new__ builds each element as cheaply as a plain tuple
     return tuple(map(tuple.__new__, repeat(AffineWeylElement), zip(
-        map(weyl_elements(rs).__getitem__, rows.tolist()),
+        map(weyl_group(rs).__getitem__, rows.tolist()),
         map(tuple, (lam // (d // den)).tolist()), repeat(den))))
 
 
@@ -501,13 +494,13 @@ def _point_reflection_subgroup(rs: RootSystem, x: Vec) -> FiniteSubgroup:
     d, (num,) = over_coweight_den(rs, (x,))
     gens = dict.fromkeys(_reflection_matrix(rs, idx)
                          for idx, _ in int_root_scan(rs, d, (), (num,)))
-    stack, _ = reflection_group(
+    stack = reflection_group(
         np.array(list(gens), dtype=np.int64).reshape(-1, rs.dim, rs.dim),
         _CLOSURE_GUARD)
     den = rs.coweight_den
     k = d // den
     return FiniteSubgroup(rs, tuple(
-        AffineWeylElement(weyl_element(rs, m), tuple(
+        AffineWeylElement(WeylElement(m, rs), tuple(
             (a - b) // k for a, b in zip(num, ratmat.int_matvec(m, num))), den)
         for m in (tuple(map(tuple, m)) for m in stack.tolist())))
 
@@ -632,11 +625,11 @@ def chart_overlap(rs: RootSystem, j1: Face, j2: Face
     open and a union of facets, so w(St_{J1}) meets it iff w(a C) = b C
     for some a in W_{J1} and b in W_{J2}, that is w = b a^-1: the set is
     the one double coset W_{J2} W_{J1}.  Its representative is its first
-    element in `weyl_elements` order, ties broken by the coweight
+    element in `weyl_group` order, ties broken by the coweight
     coordinates of the translation in ascending lexicographic order.
 
     The coset holds 1 = 1 * 1, and 1 is the first element of
-    `weyl_elements`, so the representative is a translation t_lam.  The
+    `weyl_group`, so the representative is a translation t_lam.  The
     product b a has finite part 1 iff b and a^-1 have the same finite
     part, and a -> a^-1 maps W_{J1} onto itself, so the translations of
     the coset are the t_b - t_a for a in W_{J1} and b in W_{J2} with the

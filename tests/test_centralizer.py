@@ -17,7 +17,7 @@ from alcoves.centralizer import (
     matrix_shape,
     subsystem_type,
 )
-from alcoves.rootdata import CartanType, build_root_system
+from alcoves.rootdata import CartanType, build_root_system, weyl_group
 from alcoves.weylaff import (
     AffineWeylElement,
     stabilizer_of_point,
@@ -196,7 +196,7 @@ def test_w_is_the_point_stabilizer_read_on_integers(monkeypatch):
     the W test kept, and reads no Fraction translation: `to_json`,
     `pi0_order`, `connected`, equality and the hash read integers.  W_s
     is the group `stabilizer_of_point` gives at a (theta = 0), in
-    `weyl_elements` order, each translation a - w0(a)."""
+    `weyl_group` order, each translation a - w0(a)."""
     rs = rs_of("F", 4)
     steps = []
     step = weylaff.int_weyl_translations
@@ -214,7 +214,7 @@ def test_w_is_the_point_stabilizer_read_on_integers(monkeypatch):
     assert len(steps) == 2 and all(len(rows) == 96 for _, _, rows, _ in steps)
     assert read == []
     assert data.w == stabilizer_of_point(rs, a)
-    index = {w0: i for i, w0 in enumerate(weylaff.weyl_elements(rs))}
+    index = {w0: i for i, w0 in enumerate(weyl_group(rs))}
     rows = [index[e.finite_part] for e in data.w.elements]
     assert len(rows) == 96 and rows == sorted(rows)
     for e in data.w.elements:
@@ -295,11 +295,10 @@ def test_se_outside_star():
 
 
 def test_w_equivariance():
-    from alcoves.weylaff import weyl_elements
     rng = random.Random(21)
     for family, rank in [("A", 2), ("B", 2)]:
         rs = rs_of(family, rank)
-        group = weyl_elements(rs)
+        group = weyl_group(rs)
         for _ in range(15):
             theta = tuple(Fraction(rng.randint(0, 3), 4)
                           for _ in range(rs.dim))

@@ -65,7 +65,6 @@ from alcoves.weylaff import (
     int_weyl_translations,
     reduce_to_alcove,
     stabilizer_of_point,
-    weyl_elements,
 )
 
 # (family, rank, isogeny, generic points, special points)
@@ -113,7 +112,7 @@ def scan_roots(rs, fixed, points):
 
 def scan_weyl(rs, fixed, pairs):
     """The W scan on the points written over one common denominator: the
-    elements `int_weyl_test` keeps, in `weyl_elements` order, each as
+    elements `int_weyl_test` keeps, in `weyl_group` order, each as
     (w0, its translations y - w0(x) from `int_weyl_translations`, as
     Fractions, in the order of `pairs`)."""
     nf = len(fixed)
@@ -122,7 +121,7 @@ def scan_weyl(rs, fixed, pairs):
     pairs = tuple(zip(nums[nf::2], nums[nf + 1::2]))
     rows = int_weyl_test(rs, d, nums[:nf], pairs)
     lams = int_weyl_translations(rs, d, rows, pairs)
-    return [(weyl_elements(rs)[i],
+    return [(weyl_group(rs)[i],
              tuple(tuple(Fraction(c, d) for c in t) for t in ts))
             for i, ts in zip(rows.tolist(), lams.tolist())]
 
@@ -480,8 +479,8 @@ def test_weyl_group_matches_fraction_enumeration(family, rank, isogeny):
 @pytest.mark.parametrize("family,rank,isogeny", RANK4_TYPES,
                          ids=[f"{f}{r}-{i}" for f, r, i in RANK4_TYPES])
 def test_descent_gives_the_bfs_word(family, rank, isogeny):
-    """`weyl_element` finds, from the matrix alone, the element and word
-    that `weyl_group` lists."""
+    """`weyl_element` finds, from the matrix alone, the element that
+    `weyl_group` lists; that element's word is the descent's too."""
     rs = rs_of(family, rank, isogeny)
     for w in weyl_group(rs):
         assert weyl_element(rs, w.matrix) == w
@@ -709,14 +708,14 @@ def test_scan_dtype_follows_the_int64_bound(family, rank, isogeny, generic,
                                             special):
     """int64 exactly while n K (n A + 1) X < 2^63 and
     d * coweight_inv_den < 2^63; the stack and the coweight inverse are
-    cached, read-only and in `weyl_elements` order."""
+    cached, read-only and in `weyl_group` order."""
     rs = rs_of(family, rank, isogeny)
     stack, cinv, _ = weylaff._weyl_stack(rs)
     assert weylaff._weyl_stack(rs)[0] is stack
     assert stack.dtype == cinv.dtype == np.int64
     assert not stack.flags.writeable and not cinv.flags.writeable
     assert [tuple(map(tuple, m)) for m in stack.tolist()] == \
-        [w.matrix for w in weyl_elements(rs)]
+        [w.matrix for w in weyl_group(rs)]
     assert cinv.tolist() == [list(r) for r in rs.coweight_inv_num]
     assert rs.coweight_inv_den == coweight_den(rs)
     pick = weylaff._scan_dtype
@@ -971,7 +970,7 @@ def test_from_coweight_coords_is_the_fraction_sum(family, rank, isogeny):
 def test_coweight_image_stack(family, rank, isogeny, generic, special):
     """The stack `int_weyl_test` tests W on: cached, read-only, int64,
     and its entry [k, j, i] is entry (k, j) of coweight_inv_num times
-    (w - 1), w the i-th element of `weyl_elements`, checked against the
+    (w - 1), w the i-th element of `weyl_group`, checked against the
     Fraction inverse and oracle.  The dtype-object copies hold the same
     values and are read-only too."""
     rs = rs_of(family, rank, isogeny)
@@ -991,7 +990,7 @@ def test_coweight_image_stack(family, rank, isogeny, generic, special):
                 coweight_inverse(rs),
                 tuple(ratmat.sub(r, e) for r, e in zip(m, one))))
             for m, _ in oracle_weyl_group(rs)]
-    assert [w.matrix for w in weyl_elements(rs)] == \
+    assert [w.matrix for w in weyl_group(rs)] == \
         [m for m, _ in oracle_weyl_group(rs)]
     assert dw.shape == (rs.dim, rs.dim, len(want))
     assert [tuple(map(tuple, m)) for m in dw.transpose(2, 0, 1).tolist()] \
@@ -1144,7 +1143,7 @@ def test_w_test_narrows_per_point_and_stops_when_nothing_is_kept(
         assert got.tolist() == [] and taken == []
     zero = (0,) * rs.dim
     for got in spy.both(test, rs, 4, (zero,), ((zero, zero),), (zero,)):
-        assert got.tolist() == list(range(len(weyl_elements(rs))))
+        assert got.tolist() == list(range(len(weyl_group(rs))))
     assert test(rs, 1, (), ()).tolist() == list(range(1152))
     assert taken == []
     assert spy.seen == {np.int64}

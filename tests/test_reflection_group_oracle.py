@@ -19,7 +19,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
 from alcoves import ratmat
@@ -28,7 +27,6 @@ from alcoves.rootdata import (
     CartanType,
     InvalidCartanType,
     build_root_system,
-    reflection_group,
     weyl_element,
 )
 from alcoves.weylaff import point_reflection_subgroup
@@ -119,14 +117,3 @@ def test_seeded_point_groups_match_the_closure_in_order(family, rank,
                   for _ in range(rs.dim))
         assert listed(rs, x) == closure_oracle(rs, x), x
 
-
-def test_steps_rebuild_the_stack():
-    rs = build_root_system(CartanType("B", 3))
-    gens = np.array([m for m, _ in root_reflections(rs)[:4]],
-                    dtype=np.int64)
-    stack, steps = reflection_group(gens)
-    assert stack.dtype == np.int64 and len(steps) == len(stack) - 1
-    assert (stack[0] == np.identity(rs.dim, dtype=np.int64)).all()
-    assert len({m.tobytes() for m in stack}) == len(stack)
-    for k, (p, i) in enumerate(steps, 1):
-        assert p < k and (stack[k] == gens[i] @ stack[p]).all()

@@ -15,6 +15,7 @@ from alcoves.rootdata import (
     CartanType,
     EnumerationGuard,
     InvalidCartanType,
+    WeylElement,
     build_root_system,
     reflect,
     weyl_element,
@@ -178,10 +179,11 @@ DEGREES = {("B", 5): (2, 4, 6, 8, 10), ("D", 5): (2, 4, 5, 6, 8),
 @pytest.mark.parametrize("family,rank", sorted(DEGREES))
 def test_word_lengths_follow_the_poincare_polynomial(monkeypatch, family,
                                                      rank):
-    """Above the guard, lifted here only: the number of BFS words of each
+    """Above the guard, lifted here only: the number of elements whose
+    word, found by the descent of `weyl_element` when read, has each
     length is the coefficient of q^length in prod_i (1 + q + ... +
     q^(d_i - 1)), d_i the degrees, so |W| = prod_i d_i and every word is
-    reduced."""
+    reduced.  On E6 this reads all 51 840 words."""
     monkeypatch.setattr(rootdata, "WEYL_RANK_GUARD", rank)
     poincare = [1]
     for d in DEGREES[family, rank]:
@@ -198,8 +200,8 @@ def test_word_lengths_follow_the_poincare_polynomial(monkeypatch, family,
 def test_descent_gives_the_bfs_word_above_the_guard(monkeypatch, family,
                                                     rank, step):
     """Above the guard, lifted here only: `weyl_element` gives back each
-    element `weyl_group` lists, word included, on every element of B5
-    and D5 and on every 97th element of E6."""
+    element `weyl_group` lists, whose word is the descent's, on every
+    element of B5 and D5 and on every 97th element of E6."""
     monkeypatch.setattr(rootdata, "WEYL_RANK_GUARD", rank)
     rs = rs_of(family, rank)
     elements = weyl_group(rs)[::step]
@@ -221,6 +223,18 @@ def test_descent_refuses_a_matrix_outside_w(isogeny, matrix):
     the identity."""
     with pytest.raises(RuntimeError, match="not in W"):
         weyl_element(rs_of("A", 2, isogeny), matrix)
+
+
+@pytest.mark.parametrize(
+    "isogeny,matrix",
+    test_descent_refuses_a_matrix_outside_w.pytestmark[0].args[1])
+def test_reading_the_word_refuses_a_matrix_outside_w(isogeny, matrix):
+    """An element is built from any integer matrix; its word is found
+    when first read, and reading it refuses the matrices of the test
+    above."""
+    w = WeylElement(matrix, rs_of("A", 2, isogeny))
+    with pytest.raises(RuntimeError, match="not in W"):
+        w.word
 
 
 def test_reflect_examples():

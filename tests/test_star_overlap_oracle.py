@@ -43,7 +43,7 @@ from alcoves.alcove import (
     facet_of,
 )
 from alcoves.centralizer import centralizer_face
-from alcoves.rootdata import CartanType, build_root_system
+from alcoves.rootdata import CartanType, build_root_system, weyl_group
 from alcoves.weylaff import (
     AffineWeylElement,
     FiniteSubgroup,
@@ -56,7 +56,6 @@ from alcoves.weylaff import (
     star_contains,
     star_facet_witnesses,
     verify_star_intersection,
-    weyl_elements,
 )
 
 
@@ -113,9 +112,9 @@ def hull_box(rs, j):
 @lru_cache(maxsize=None)
 def moved_hull_boxes(rs, j):
     """`coweight_box` of w0(`hull_points`) for each w0 in
-    `weyl_elements`, in that order; built once per (root system, face)."""
+    `weyl_group`, in that order; built once per (root system, face)."""
     return tuple(coweight_box(rs, [w0.apply(p) for p in hull_points(rs, j)])
-                 for w0 in weyl_elements(rs))
+                 for w0 in weyl_group(rs))
 
 
 def ceil_floor(lo, hi):
@@ -129,7 +128,7 @@ def oracle_chart_overlap(rs, j1, j2):
     p1 = oracle_star_facet_witnesses(rs, j1)
     box2 = hull_box(rs, j2)
     found = []
-    for w0, box1 in zip(weyl_elements(rs), moved_hull_boxes(rs, j1)):
+    for w0, box1 in zip(weyl_group(rs), moved_hull_boxes(rs, j1)):
         box = []
         for (lo2, hi2), (lo1, hi1) in zip(box2, box1):
             lo_i, hi_i = ceil_floor(lo2 - hi1, hi2 - lo1)

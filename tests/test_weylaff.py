@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 from alcoves import cli, ratmat, rootdata, weylaff
 from alcoves.alcove import eval_affine_root, faces_of_alcove, \
     fundamental_alcove
-from alcoves.rootdata import CartanType, build_root_system, weyl_element
+from alcoves.rootdata import (
+    CartanType,
+    build_root_system,
+    times_word,
+    weyl_element,
+    weyl_group,
+)
 from alcoves.weylaff import (
     AffineWeylElement,
     chart_overlap,
@@ -25,7 +32,6 @@ from alcoves.weylaff import (
     star_facet_witnesses,
     verify_cover,
     verify_star_intersection,
-    weyl_elements,
 )
 
 
@@ -54,7 +60,7 @@ def test_reduce_examples():
     walls = fundamental_alcove(rs2)
     assert all(eval_affine_root(rs2, wall, x) >= 0 for wall in walls)
     assert w.finite_part.word == weyl_element(rs2, w.finite_part.matrix).word
-    assert w.finite_part in weyl_elements(rs2)
+    assert w.finite_part in weyl_group(rs2)
     # at most 3, the length of the longest element of W(A2)
     assert len(w.finite_part.word) <= 3
 
@@ -72,20 +78,18 @@ def test_reduce_lands_in_closed_alcove():
                        for wall in walls)
 
 
-def test_identity_lists_w_up_to_the_guard(monkeypatch):
+def test_identity_lists_w_up_to_the_guard():
     """Up to the rank guard the identity's finite part is the first
-    element of `weyl_elements`, so a first call lists W and caches it
-    for the W scans."""
+    element of `weyl_group`, so a first call lists W and caches it for
+    the W scans."""
     rs = rs_of("B", 3)
-    weylaff.weyl_elements.cache_clear()
-    listed = []
-    monkeypatch.setattr(weylaff, "weyl_group",
-                        lambda r: listed.append(r) or rootdata.weyl_group(r))
+    rootdata._weyl_listing.cache_clear()
     one = identity_element(rs)
-    assert listed == [rs]
+    assert rootdata._weyl_listing.cache_info().misses == 1
     assert one.is_identity()
-    assert one.finite_part is weyl_elements(rs)[0]
-    assert listed == [rs]
+    assert one.finite_part is weyl_group(rs)[0]
+    assert identity_element(rs).finite_part is one.finite_part
+    assert rootdata._weyl_listing.cache_info().misses == 1
 
 
 def refuse_to_list(rs):
@@ -104,7 +108,6 @@ def test_group_law_above_the_guard_lists_no_w(monkeypatch, family, rank,
     assert rootdata.WEYL_RANK_GUARD < rank
     monkeypatch.setattr(rootdata, "weyl_group", refuse_to_list)
     monkeypatch.setattr(weylaff, "weyl_group", refuse_to_list)
-    monkeypatch.setattr(weylaff, "weyl_elements", refuse_to_list)
     rs = rs_of(family, rank, isogeny)
     walls = fundamental_alcove(rs)
     one = identity_element(rs)
@@ -186,6 +189,50 @@ def test_closure_guard_refuses_exactly_past_the_bound(monkeypatch):
     monkeypatch.setattr(weylaff, "_CLOSURE_GUARD", 24)
     assert weylaff._point_reflection_subgroup.__wrapped__(
         rs, origin).order == 24
+
+
+@pytest.mark.parametrize("family,rank,isogeny", [
+    ("F", 4, "sc"), ("B", 3, "adjoint"), ("A", 2, "gl"),
+])
+def test_no_descent_runs_where_no_word_is_read(monkeypatch, family, rank,
+                                               isogeny):
+    """From cold caches, listing W, the reflection group of every face
+    witness (31 on F4; 31 seeded points on gl, which has no alcove), 50
+    reductions and 50 compositions call no `weyl_element`: each Weyl
+    element is its matrix.  Reading `.word` afterwards runs the descent
+    once per element; each word is that of `weyl_element` and
+    multiplies the matrix out to the identity."""
+    calls = []
+    for name, module in list(sys.modules.items()):  # every binding of it
+        if name.startswith("alcoves.") and \
+                vars(module).get("weyl_element") is weyl_element:
+            monkeypatch.setattr(module, "weyl_element", lambda r, m: (
+                calls.append(m) or weyl_element(r, m)))
+    rs = rs_of(family, rank, isogeny)
+    rng = random.Random(f"no-descent-{family}{rank}-{isogeny}")
+    rootdata._weyl_listing.cache_clear()
+    weylaff._point_reflection_subgroup.cache_clear()
+    listed = weyl_group(rs)
+    if isogeny == "gl":
+        points = [rand_point(rng, rs.dim, den=6) for _ in range(31)]
+    else:
+        points = [f.witness for f in faces_of_alcove(rs).faces]
+    groups = [e for x in points
+              for e in point_reflection_subgroup(rs, x).elements]
+    if isogeny == "gl":  # no alcove to reduce into
+        walked = rng.sample(groups, 50)
+    else:
+        walked = [reduce_to_alcove(rs, rand_point(rng, rs.dim))[0]
+                  for _ in range(50)]
+    composed = [compose(rs, *rng.sample(walked, 2)) for _ in range(50)]
+    assert calls == []
+    elements = [*listed, *(a.finite_part for a in (*groups, *walked,
+                                                    *composed))]
+    one = ratmat.int_identity(rs.dim)
+    for w in elements:
+        assert w.word == weyl_element(rs, w.matrix).word
+        assert times_word(rs, w.matrix, w.word) == one
+    assert len(calls) == len({id(w) for w in elements})
 
 
 def test_face_stabilizer_requires_sc():
@@ -391,7 +438,7 @@ def test_groups_are_read_on_integers(argv, count, monkeypatch, capsys):
 
 def test_point_stabilizer_lists_the_w_scan_in_order():
     """`stabilizer_of_point` lists the elements of the W scan in
-    `weyl_elements` order, each translation x - w0(x) with numerators
+    `weyl_group` order, each translation x - w0(x) with numerators
     over coweight_den, a Fraction when read."""
     rs = rs_of("F", 4)
     x = ratmat.vec(("1/2", "1/2", "0", "0"))
@@ -402,11 +449,11 @@ def test_point_stabilizer_lists_the_w_scan_in_order():
     rows = weylaff.int_weyl_test(rs, d, (), ((num, num),))
     lam = weylaff.int_weyl_translations(rs, d, rows, ((num, num),))
     assert elements == tuple(
-        AffineWeylElement(weyl_elements(rs)[i],
+        AffineWeylElement(weyl_group(rs)[i],
                           tuple(rs.coweight_den * c // d for c in t),
                           rs.coweight_den)
         for i, (t,) in zip(rows.tolist(), lam.tolist()))
-    index = {w0: i for i, w0 in enumerate(weyl_elements(rs))}
+    index = {w0: i for i, w0 in enumerate(weyl_group(rs))}
     rows = [index[e.finite_part] for e in elements]
     assert rows == sorted(rows)
     for e in elements:
@@ -428,7 +475,7 @@ def rand_element(rs, index, coord):
     """The Weyl element at index(|W|) and a coweight with coordinates
     drawn by coord(), its translation taken through the Fraction
     `from_coweight_coords`."""
-    w0 = weyl_elements(rs)[index(len(weyl_elements(rs)))]
+    w0 = weyl_group(rs)[index(len(weyl_group(rs)))]
     lam = rs.from_coweight_coords(
         tuple(Fraction(coord()) for _ in range(rs.dim)))
     el = AffineWeylElement(w0, tuple(int(c * rs.coweight_den) for c in lam),
